@@ -27,6 +27,7 @@ from .graphs import (
     cycle_graph,
     format_edge_list,
     build_graph,
+    check_vertex_set,
     is_infinite,
     parse_edge_list,
     path_graph,
@@ -37,7 +38,7 @@ from .kernel import (
     DEFAULT_GEODESIC_CAP,
     VARIANTS,
     check_variant,
-    min_internal_count,
+    internal_counts,
     mkv_check,
     oracle_min_internal_count,
 )
@@ -254,13 +255,14 @@ def _cmd_mu_block(args, started):
 
 def _cmd_oracle(args, started):
     g, source = _load_graph(args)
-    members = set(_parse_ids(args.set))
+    members = check_vertex_set(g, _parse_ids(args.set))
     mismatches = []
     pairs = 0
-    for u in range(g.n):
+    for u in range(g.n - 1):
+        counts = internal_counts(g, members, u)
         for w in range(u + 1, g.n):
             pairs += 1
-            fast = min_internal_count(g, members, u, w)
+            fast = counts[w]
             slow = oracle_min_internal_count(g, members, u, w, cap=args.cap)
             if fast != slow:
                 mismatches.append({"u": u, "w": w, "kernel": fast, "oracle": slow})

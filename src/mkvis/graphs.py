@@ -119,7 +119,11 @@ def build_graph(n: int, edges) -> Graph:
     adj: list[list[int]] = [[] for _ in range(n)]
     seen = set()
     count = 0
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise GraphInputError(f"edge {edge!r} is not a pair of vertex ids") from None
         if (
             not isinstance(u, int)
             or not isinstance(v, int)

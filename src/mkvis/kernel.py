@@ -2,11 +2,26 @@
 
 A set X is mutual k-visible when every pair of its vertices has some shortest
 path with at most k internal vertices belonging to X (the endpoints never
-count). bfs_mkv computes, from one source, the minimum number of tracked
-vertices on a shortest path to every target in a single BFS sweep; everything
-else layers on top of it. oracle_min_internal_count recomputes the same
-quantity by enumerating every geodesic outright and exists to cross-check the
-kernel, never to replace it.
+count). Everything rests on one quantity: from a source, the minimum number
+of tracked vertices on a shortest path to every target. It is computed two
+ways that share no code.
+
+bfs_mkv is the validated public kernel. One BFS pass discovers the vertices
+and relaxes the counts along the edges that advance one level; a count is
+final when its vertex leaves the queue, because every shortest-path
+predecessor sits one level up and left the queue earlier. mkv_check and
+check_variant run it once per source, so a single query pays nothing up
+front.
+
+The exact solvers probe thousands of sets on one small graph. For them
+_geodesic_dags builds, once per solve, each source's shortest-path DAG: the
+BFS order with every vertex's forward neighbours (those one level further
+out). _sweep then walks a DAG with the tracked set as an int bitmask, one
+addition and one comparison per DAG edge, with no validation and no
+per-call allocation beyond the count list.
+
+oracle_min_internal_count recomputes the same quantity by enumerating every
+geodesic outright and exists to cross-check the kernel, never to replace it.
 """
 
 from __future__ import annotations
@@ -80,49 +95,87 @@ class KernelResult:
 def bfs_mkv(g: Graph, s, v: int) -> KernelResult:
     """Counting BFS from v tracking the members of s.
 
-    One ordinary BFS fixes distances and discovery order; a second sweep in
-    that order relaxes cnt along forward edges, adding one exactly when the
-    edge enters a tracked vertex other than the source. Discovery order is
-    nondecreasing in distance, so each cnt is final before it is propagated.
+    A single pass: when the BFS discovers w from u it sets dist[w] and
+    cnt[w]; every later edge from the same level into w may lower cnt[w].
+    The step into w adds one exactly when w is tracked and is not the source.
+    Discovery order is nondecreasing in distance, so cnt[u] is final when u
+    is dequeued, before it is propagated.
     """
     check_vertex(g, v)
     members = check_vertex_set(g, s)
     n = g.n
     adj = g.adj
+    in_s = [False] * n
+    for q in members:
+        in_s[q] = True
+    in_s[v] = False
     dist: list = [None] * n
     cnt: list = [None] * n
     dist[v] = 0
     cnt[v] = 0
     order = [v]
     touches = n
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
+    for u in order:  # the list grows while it is walked: a FIFO queue
         du1 = dist[u] + 1
-        for w in adj[u]:
-            touches += 1
-            if dist[w] is None:
-                dist[w] = du1
-                order.append(w)
-    in_s = [False] * n
-    for q in members:
-        in_s[q] = True
-    for u in order:
         cu = cnt[u]
-        if cu is None:
-            continue
-        du1 = dist[u] + 1
+        touches += len(adj[u])
         for w in adj[u]:
-            touches += 1
-            if dist[w] == du1:
-                cand = cu + 1 if (in_s[w] and w != v) else cu
-                if cnt[w] is None or cand < cnt[w]:
+            dw = dist[w]
+            if dw is None:
+                dist[w] = du1
+                cnt[w] = cu + in_s[w]
+                order.append(w)
+            elif dw == du1:
+                cand = cu + in_s[w]
+                if cand < cnt[w]:
                     cnt[w] = cand
     dist_t = tuple(INFINITE if d is None else d for d in dist)
     cnt_t = tuple(INFINITE if c is None else c for c in cnt)
     dp = {q: cnt_t[q] for q in members}
     return KernelResult(source=v, dist=dist_t, cnt=cnt_t, dp=dp, edge_touches=touches)
+
+
+def _geodesic_dags(g: Graph) -> list:
+    """Per source, the shortest-path DAG as (u, forward) pairs in BFS order.
+
+    forward holds the neighbours w of u with dist[w] == dist[u] + 1. Only
+    vertices reachable from the source appear. Cost O(n (n + m)).
+    """
+    n = g.n
+    adj = g.adj
+    dags = []
+    for source in range(n):
+        dist: list = [None] * n
+        dist[source] = 0
+        order = [source]
+        for u in order:
+            du1 = dist[u] + 1
+            for w in adj[u]:
+                if dist[w] is None:
+                    dist[w] = du1
+                    order.append(w)
+        dags.append(tuple(
+            (u, tuple(w for w in adj[u] if dist[w] == dist[u] + 1)) for u in order
+        ))
+    return dags
+
+
+def _sweep(dag, mask: int, n: int) -> list:
+    """bfs_mkv's cnt over one source's DAG, with the tracked set as a bitmask.
+
+    The source itself is never counted. Unreachable vertices keep the
+    sentinel n, which exceeds every real count. Inputs are trusted: callers
+    build dag with _geodesic_dags and mask from validated ids.
+    """
+    cnt = [n] * n
+    cnt[dag[0][0]] = 0
+    for u, forward in dag:
+        cu = cnt[u]
+        for w in forward:
+            c = cu + (mask >> w & 1)
+            if c < cnt[w]:
+                cnt[w] = c
+    return cnt
 
 
 def _counts_and_touches(g: Graph, xs: frozenset, source: int):
@@ -281,7 +334,8 @@ def check_variant(g: Graph, x, k: int, variant: str) -> CheckReport:
 def oracle_min_internal_count(g: Graph, x, u: int, w: int, cap: int = DEFAULT_GEODESIC_CAP) -> int:
     """Exact minimum internal count by enumerating every geodesic explicitly.
 
-    Walks the shortest-path DAG between u and w by depth-first search and
+    Walks the shortest-path DAG between u and w by depth-first search with an
+    explicit stack, so path length is not limited by the recursion limit, and
     takes the minimum over complete paths. Refuses with GeodesicCapError once
     more than cap geodesics have been enumerated; it never approximates.
     """
@@ -297,20 +351,18 @@ def oracle_min_internal_count(g: Graph, x, u: int, w: int, cap: int = DEFAULT_GE
     d = du[w]
     best = None
     paths = 0
-
-    def extend(vertex, count):
-        nonlocal best, paths
+    stack = [(u, 0)]
+    while stack:
+        vertex, count = stack.pop()
         if vertex == w:
             paths += 1
             if paths > cap:
                 raise GeodesicCapError(f"more than {cap} geodesics between {u} and {w}")
             if best is None or count < best:
                 best = count
-            return
+            continue
         nd = du[vertex] + 1
         for nb in g.adj[vertex]:
             if du[nb] == nd and dw[nb] == d - nd:
-                extend(nb, count + (1 if (nb in xs and nb != w) else 0))
-
-    extend(u, 0)
+                stack.append((nb, count + (1 if (nb in xs and nb != w) else 0)))
     return best

@@ -27,7 +27,8 @@ from .graphs import (
 )
 from .kernel import (
     _check_tolerance,
-    _counts_and_touches,
+    _geodesic_dags,
+    _sweep,
     check_variant,
     mkv_check,
 )
@@ -63,37 +64,52 @@ class SolveResult:
 class _IncrementalChecker:
     """Feasibility of growing a mutual k-visible set one vertex at a time.
 
-    Given a feasible current set, tests current + {v}: one kernel run from v
-    covers the new pairs, then every member a with some b such that v lies on
-    an a-b geodesic (distance test) is re-run, because adding v can raise the
-    minimum count of old pairs. Pairs with v on none of their geodesics keep
+    Built once per solve: every source's shortest-path DAG (_geodesic_dags)
+    and through[a][v], the bitmask of vertices b such that v lies on some
+    a-b geodesic (v's descendants in a's DAG, v included). The set under
+    test is an int bitmask, so a probe allocates nothing but count lists.
+
+    Given a feasible current set, tests current + {v}: one sweep of v's DAG
+    covers the new pairs, then every member a with through[a][v] meeting the
+    current set is swept again, because adding v can raise the minimum count
+    of old pairs through a. Pairs with v on none of their geodesics keep
     their counts, so their old verdict stands.
     """
 
-    def __init__(self, g: Graph, k: int, dist):
-        self.g = g
+    def __init__(self, g: Graph, k: int):
+        n = g.n
+        self.n = n
         self.k = k
-        self.dist = dist
+        self.dags = _geodesic_dags(g)
+        self.through = []
+        for dag in self.dags:
+            below = [0] * n
+            for u, forward in reversed(dag):
+                bits = 1 << u
+                for w in forward:
+                    bits |= below[w]
+                below[u] = bits
+            self.through.append(below)
 
-    def feasible_extension(self, current, v) -> bool:
-        k = self.k
-        if len(current) + 1 <= k + 2:
+    def feasible_extension(self, current, mask: int, v: int) -> bool:
+        """current lists the members of the feasible set, mask holds the same
+        members as bits; v is not among them."""
+        if len(current) + 1 <= self.k + 2:
             return True  # a geodesic holds at most |X|-2 internal members
-        xs = frozenset(current) | {v}
-        counts, _ = _counts_and_touches(self.g, xs, v)
+        limit = self.k + 1  # every target is tracked, so cnt counts it too
+        n = self.n
+        dags = self.dags
+        xs = mask | 1 << v
+        cnt = _sweep(dags[v], xs, n)
         for q in current:
-            if counts[q] > k:
+            if cnt[q] > limit:
                 return False
-        dist = self.dist
-        dv = dist[v]
-        cur = list(current)
-        for a in cur:
-            da = dist[a]
-            dav = da[v]
-            if any(b != a and dav + dv[b] == da[b] for b in cur):
-                counts_a, _ = _counts_and_touches(self.g, xs, a)
-                for q in xs:
-                    if q != a and counts_a[q] > k:
+        through = self.through
+        for a in current:
+            if through[a][v] & mask:
+                cnt = _sweep(dags[a], xs, n)
+                for q in current:  # the pair a, v was settled by v's sweep
+                    if cnt[q] > limit:
                         return False
         return True
 
@@ -122,16 +138,15 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
         raise SizeLimitError(f"mu_k limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    dist = all_pairs_distances(g)
     ub = _cheap_upper_bound(g, k)
-    checker = _IncrementalChecker(g, k, dist)
+    feasible = _IncrementalChecker(g, k).feasible_extension
     order = sorted(range(n), key=lambda u: (-g.degree(u), u))
     best = 0
     best_set: frozenset = frozenset()
     nodes = 0
-    current: set = set()
+    current: list = []
 
-    def walk(cands) -> bool:
+    def walk(cands, mask) -> bool:
         nonlocal best, best_set, nodes
         nodes += 1
         if len(current) > best:
@@ -142,15 +157,16 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
         for idx, v in enumerate(cands):
             if len(current) + len(cands) - idx <= best:
                 break
-            current.add(v)
-            child = [w for w in cands[idx + 1 :] if checker.feasible_extension(current, w)]
-            stop = walk(child)
-            current.discard(v)
+            current.append(v)
+            grown = mask | 1 << v
+            child = [w for w in cands[idx + 1 :] if feasible(current, grown, w)]
+            stop = walk(child, grown)
+            current.pop()
             if stop:
                 return True
         return False
 
-    walk(order)
+    walk(order, 0)
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
     return SolveResult(best, best_set, nodes)
@@ -329,19 +345,19 @@ def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> 
     coeffs = [0] * (n + 1)
     if n == 0:
         return Polynomial((1,))
-    dist = all_pairs_distances(g)
-    checker = _IncrementalChecker(g, k, dist)
-    current: set = set()
+    feasible = _IncrementalChecker(g, k).feasible_extension
+    current: list = []
 
-    def walk(cands):
+    def walk(cands, mask):
         coeffs[len(current)] += 1
         for idx, v in enumerate(cands):
-            current.add(v)
-            child = [w for w in cands[idx + 1 :] if checker.feasible_extension(current, w)]
-            walk(child)
-            current.discard(v)
+            current.append(v)
+            grown = mask | 1 << v
+            child = [w for w in cands[idx + 1 :] if feasible(current, grown, w)]
+            walk(child, grown)
+            current.pop()
 
-    walk(list(range(n)))
+    walk(list(range(n)), 0)
     return Polynomial(tuple(coeffs))
 
 

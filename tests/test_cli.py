@@ -251,6 +251,17 @@ class TestExitCodes:
         code, _, err = run(capsys, monkeypatch, ["mu", "--json", "-k", "0"], "{short")
         assert code == 2 and "JSON" in err
 
+    @pytest.mark.parametrize("edges", [[[0]], [[0, 1, 2]], [7], ["abc"]])
+    def test_json_edge_not_a_pair(self, capsys, monkeypatch, edges):
+        payload = json.dumps({"n": 3, "edges": edges})
+        code, out, err = run(capsys, monkeypatch, ["mu", "--json", "-k", "0"], payload)
+        assert code == 2 and not out
+        assert err.startswith("mkvis: error:") and "Traceback" not in err
+
+    def test_oracle_rejects_bad_ids_without_pairs(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["oracle", "--set", "5"], "1 0\n")
+        assert code == 2 and not out and "out of range" in err
+
     def test_size_limit_refusal(self, capsys, monkeypatch):
         big = format_edge_list(path_graph(30))
         code, _, err = run(capsys, monkeypatch, ["mu", "-k", "0"], big)

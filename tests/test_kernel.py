@@ -14,6 +14,8 @@ from mkvis.kernel import (
     REASON_PAIR,
     TOTAL,
     VARIANTS,
+    _geodesic_dags,
+    _sweep,
     bfs_mkv,
     check_variant,
     internal_counts,
@@ -78,6 +80,38 @@ class TestBfsMkv:
 
     def test_edge_touches_counter_is_positive(self):
         assert bfs_mkv(cycle_graph(6), {0, 3}, 0).edge_touches > 0
+
+
+class TestGeodesicDags:
+    def test_path_dag(self):
+        dags = _geodesic_dags(path_graph(3))
+        assert dags[1] == ((1, (0, 2)), (0, ()), (2, ()))
+
+    @given(support.graph_and_set(min_n=2, max_n=9))
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_and_fused_kernel_match_enumeration(self, gs):
+        g, x = gs
+        dist = support.distance_matrix(g)
+        dags = _geodesic_dags(g)
+        mask = sum(1 << v for v in x)
+        for u in range(g.n):
+            assert sorted(v for v, _ in dags[u]) == list(range(g.n))
+            for v, forward in dags[u]:
+                assert forward == tuple(w for w in g.adj[v] if dist[u][w] == dist[u][v] + 1)
+            swept = _sweep(dags[u], mask, g.n)
+            fused = bfs_mkv(g, x, u).cnt
+            for w in range(g.n):
+                if w == u:
+                    assert swept[w] == fused[w] == 0
+                    continue
+                want = support.pair_min_internal(g, x, u, w, dist)
+                target = 1 if w in x else 0  # both kernels count a tracked target
+                assert swept[w] - target == want, (u, w)
+                assert fused[w] - target == want, (u, w)
+
+    def test_fused_kernel_touches_each_adjacency_once(self):
+        g = cycle_graph(6)
+        assert bfs_mkv(g, {0, 3}, 0).edge_touches == g.n + 2 * g.m
 
 
 class TestMinInternalCount:
@@ -240,6 +274,10 @@ class TestOracle:
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             oracle_min_internal_count(g, set(), 0, 2)
+
+    def test_long_geodesic_needs_no_recursion(self):
+        g = path_graph(3000)
+        assert oracle_min_internal_count(g, {5, 1500, 2999}, 0, 2999) == 2
 
     @given(support.graph_and_set(min_n=2, max_n=8), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)

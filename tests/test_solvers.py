@@ -229,6 +229,16 @@ class TestPolynomial:
             visibility_polynomial(path_graph(19), 0)
 
 
+@given(support.graphs(min_n=2, max_n=9), st.integers(0, 2), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_invariant_under_relabeling(g, k, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert mu_k(h, k).value == mu_k(g, k).value
+    assert visibility_polynomial(h, k) == visibility_polynomial(g, k)
+
+
 class TestCycleExtremalSet:
     def test_known_constructions(self):
         assert cycle_extremal_set(9, 2) == {0, 1, 2, 3, 5, 6, 7}
