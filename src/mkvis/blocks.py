@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import GraphInputError, SizeLimitError
 from .graphs import Graph, require_connected
 from .kernel import _check_tolerance, mkv_check
-from .solvers import SolveResult
+from .solvers import SolveResult, _search
 
 __all__ = [
     "AdmissibleWitness",
@@ -307,8 +307,11 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
 
     |X_Z| is additive over nodes (cut nodes weigh 1, block nodes weigh their
     non-articulation vertex count), and admissibility is downward-closed, so
-    branch and bound with pairwise path counts maintained incrementally works;
-    zero-weight nodes sort last and are skipped by the weight prune.
+    solvers._search runs on the tree nodes with these weights, heaviest
+    first. The count of selected cut nodes inside each selected pair's tree
+    path is kept incrementally: push records what it changed on a stack and
+    pop undoes it. Zero-weight nodes sort last and the weight prune skips
+    them.
     """
     _check_tolerance(k)
     t = block_decomposition(g)
@@ -328,14 +331,11 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
 
     order = sorted(t.nodes, key=lambda nd: (-weight(nd), _node_key(nd)))
     wmap = {nd: weight(nd) for nd in t.nodes}
-    total_weight = sum(wmap.values())
 
     counts: dict = {}
     zcut: set = set()
     current: list = []
-
-    def pair_key(a, b):
-        return (a, b) if _node_key(a) <= _node_key(b) else (b, a)
+    deltas: list = []
 
     def internal_on(node, a, b) -> bool:
         path = t.tree_path(a, b)
@@ -362,17 +362,15 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
                     changed.append(pair)
         for other in current:
             path = t.tree_path(node, other)
-            c = sum(1 for nd in path[1:-1] if nd in zcut)
-            pair = pair_key(node, other)
-            counts[pair] = c
-            added.append(pair)
+            counts[node, other] = sum(1 for nd in path[1:-1] if nd in zcut)
+            added.append((node, other))
         current.append(node)
         if node[0] == "cut":
             zcut.add(node)
-        return changed, added
+        deltas.append((changed, added))
 
-    def undo(node, delta):
-        changed, added = delta
+    def undo(node):
+        changed, added = deltas.pop()
         for pair in changed:
             counts[pair] -= 1
         for pair in added:
@@ -380,33 +378,7 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
         current.pop()
         zcut.discard(node)
 
-    best_w = -1
-    best_z: frozenset = frozenset()
-    nodes_explored = 0
-
-    def walk(cands, cw) -> bool:
-        nonlocal best_w, best_z, nodes_explored
-        nodes_explored += 1
-        if cw > best_w:
-            best_w = cw
-            best_z = frozenset(current)
-            if best_w >= total_weight:
-                return True
-        suffix = [0] * (len(cands) + 1)
-        for i in range(len(cands) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + wmap[cands[i]]
-        for idx, node in enumerate(cands):
-            if cw + suffix[idx] <= best_w:
-                break
-            delta = apply(node)
-            child = [w for w in cands[idx + 1 :] if probe(w)]
-            stop = walk(child, cw + wmap[node])
-            undo(node, delta)
-            if stop:
-                return True
-        return False
-
-    walk(list(order), 0)
+    best_w, best_z, nodes_explored, _ = _search(order, probe, apply, undo, wmap, sum(wmap.values()))
     witness = expand_admissible(t, best_z)
     if len(witness) != best_w:
         raise RuntimeError("internal error: expanded witness size mismatch")

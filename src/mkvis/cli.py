@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .blocks import block_decomposition, is_block_graph, mu_k_block
+from .blocks import DEFAULT_TREE_MAX_NODES, block_decomposition, is_block_graph, mu_k_block
 from .covering import DEFAULT_TAU_MAX_N, greedy_cover, tau_k
 from .errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from .graphs import (
@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mu-block", help="exact mu_k of a block graph via its tree")
     _add_input_options(sp)
     sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--max-nodes", type=int, default=30, dest="max_nodes",
-                    help="tree-node refusal limit (default 30)")
+    sp.add_argument("--max-nodes", type=int, default=DEFAULT_TREE_MAX_NODES, dest="max_nodes",
+                    help=f"tree-node refusal limit (default {DEFAULT_TREE_MAX_NODES})")
 
     sp = sub.add_parser("gen", help="emit a generated graph in edge-list format")
     sp.add_argument("family", choices=sorted(GEN_FAMILIES))

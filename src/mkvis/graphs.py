@@ -13,12 +13,13 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DisconnectedGraphError, GraphInputError
+from .errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 
 __all__ = [
     "INFINITE",
     "Graph",
     "Infinite",
+    "MAX_VERTICES",
     "MetricSummary",
     "all_pairs_distances",
     "bfs_distances",
@@ -68,6 +69,9 @@ class Infinite:
 
 INFINITE = Infinite()
 
+# Largest vertex count build_graph accepts: it allocates from n before reading edges.
+MAX_VERTICES = 10**6
+
 
 def is_infinite(value) -> bool:
     return value is INFINITE
@@ -112,10 +116,13 @@ def build_graph(n: int, edges) -> Graph:
     """Validate and build a Graph.
 
     Rejects out-of-range ids, self-loops and duplicate edges (in either
-    orientation), each reported with the offending pair.
+    orientation), each reported with the offending pair. Refuses more than
+    MAX_VERTICES vertices with SizeLimitError before allocating anything.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphInputError(f"vertex count must be a nonnegative integer, got {n!r}")
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices, got {n}")
     adj: list[list[int]] = [[] for _ in range(n)]
     seen = set()
     count = 0

@@ -1,7 +1,11 @@
 """Exact solvers and bounds for mutual k-visibility numbers.
 
-mu_k and visibility_polynomial walk the downward-closed family of mutual
-k-visible sets with filtered candidate lists; mu_k_variant enumerates plainly
+Mutual k-visible sets, general-position sets and the k-admissible node sets
+of a block-cut tree are downward-closed families, so one depth-first engine,
+_search, serves mu_k, gp_number, visibility_polynomial and blocks.mu_k_block:
+it grows a set along a filtered candidate list, keeps the incumbent, cuts a
+branch that cannot beat it and stops at a proven upper bound, or, without
+one, visits every member of the family once. mu_k_variant enumerates plainly
 because the dual family is not downward-closed. All solvers are desk-scale
 exhaustive searches with configurable size limits and refuse larger inputs.
 """
@@ -61,19 +65,69 @@ class SolveResult:
     nodes_explored: int
 
 
+def _search(order, fits, push, pop, weight, goal):
+    """Depth-first walk of a downward-closed family, heaviest set first.
+
+    order lists the candidates; fits(v) tells whether the current set plus v
+    stays in the family, with push(v) and pop(v) growing and shrinking the
+    state fits reads. weight[v] is v's nonnegative weight. A branch is cut
+    when its weight plus that of its remaining candidates cannot beat the
+    incumbent, and the walk stops once the incumbent reaches goal. With goal
+    None no incumbent is kept, so nothing is cut and every member is visited
+    exactly once.
+
+    Returns (best weight, a best set, sets visited, visited sets by size);
+    the best weight is -1 when goal is None.
+    """
+    best = -1
+    best_set: frozenset = frozenset()
+    nodes = 0
+    sizes = [0] * (len(order) + 1)
+    current: list = []
+
+    def walk(cands, cw) -> bool:
+        nonlocal best, best_set, nodes
+        nodes += 1
+        sizes[len(current)] += 1
+        if goal is not None and cw > best:
+            best = cw
+            best_set = frozenset(current)
+            if best >= goal:
+                return True
+        rest = sum(weight[v] for v in cands)
+        for idx, v in enumerate(cands):
+            if cw + rest <= best:
+                break
+            rest -= weight[v]
+            push(v)
+            current.append(v)
+            child = [w for w in cands[idx + 1 :] if fits(w)]
+            stop = walk(child, cw + weight[v])
+            current.pop()
+            pop(v)
+            if stop:
+                return True
+        return False
+
+    walk(list(order), 0)
+    return best, best_set, nodes, sizes
+
+
 class _IncrementalChecker:
     """Feasibility of growing a mutual k-visible set one vertex at a time.
 
     Built once per solve: every source's shortest-path DAG (_geodesic_dags)
     and through[a][v], the bitmask of vertices b such that v lies on some
-    a-b geodesic (v's descendants in a's DAG, v included). The set under
-    test is an int bitmask, so a probe allocates nothing but count lists.
+    a-b geodesic (v's descendants in a's DAG, v included). It holds the set
+    under test as a member list plus an int bitmask, grown and shrunk by
+    push and pop in _search's order, so a probe allocates nothing but count
+    lists.
 
-    Given a feasible current set, tests current + {v}: one sweep of v's DAG
-    covers the new pairs, then every member a with through[a][v] meeting the
-    current set is swept again, because adding v can raise the minimum count
-    of old pairs through a. Pairs with v on none of their geodesics keep
-    their counts, so their old verdict stands.
+    fits(v) tests members + {v} for a feasible member set: one sweep of v's
+    DAG covers the new pairs, then every member a with through[a][v] meeting
+    the set is swept again, because adding v can raise the minimum count of
+    old pairs through a. Pairs with v on none of their geodesics keep their
+    counts, so their old verdict stands.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -90,15 +144,26 @@ class _IncrementalChecker:
                     bits |= below[w]
                 below[u] = bits
             self.through.append(below)
+        self.members: list = []
+        self.mask = 0
 
-    def feasible_extension(self, current, mask: int, v: int) -> bool:
-        """current lists the members of the feasible set, mask holds the same
-        members as bits; v is not among them."""
+    def push(self, v: int) -> None:
+        self.members.append(v)
+        self.mask |= 1 << v
+
+    def pop(self, v: int) -> None:
+        self.members.pop()
+        self.mask ^= 1 << v
+
+    def fits(self, v: int) -> bool:
+        """v is not a member."""
+        current = self.members
         if len(current) + 1 <= self.k + 2:
             return True  # a geodesic holds at most |X|-2 internal members
         limit = self.k + 1  # every target is tracked, so cnt counts it too
         n = self.n
         dags = self.dags
+        mask = self.mask
         xs = mask | 1 << v
         cnt = _sweep(dags[v], xs, n)
         for q in current:
@@ -138,35 +203,11 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
         raise SizeLimitError(f"mu_k limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    ub = _cheap_upper_bound(g, k)
-    feasible = _IncrementalChecker(g, k).feasible_extension
+    checker = _IncrementalChecker(g, k)
     order = sorted(range(n), key=lambda u: (-g.degree(u), u))
-    best = 0
-    best_set: frozenset = frozenset()
-    nodes = 0
-    current: list = []
-
-    def walk(cands, mask) -> bool:
-        nonlocal best, best_set, nodes
-        nodes += 1
-        if len(current) > best:
-            best = len(current)
-            best_set = frozenset(current)
-            if best >= ub:
-                return True
-        for idx, v in enumerate(cands):
-            if len(current) + len(cands) - idx <= best:
-                break
-            current.append(v)
-            grown = mask | 1 << v
-            child = [w for w in cands[idx + 1 :] if feasible(current, grown, w)]
-            stop = walk(child, grown)
-            current.pop()
-            if stop:
-                return True
-        return False
-
-    walk(order, 0)
+    best, best_set, nodes, _ = _search(
+        order, checker.fits, checker.push, checker.pop, [1] * n, _cheap_upper_bound(g, k)
+    )
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
     return SolveResult(best, best_set, nodes)
@@ -207,9 +248,6 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
         return SolveResult(0, frozenset(), 0)
     dist = all_pairs_distances(g)
     order = sorted(range(n), key=lambda u: (-g.degree(u), u))
-    best = 0
-    best_set: frozenset = frozenset()
-    nodes = 0
     current: list = []
 
     def placeable(v) -> bool:
@@ -225,26 +263,9 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
                     return False  # b strictly between v and a
         return True
 
-    def walk(cands) -> bool:
-        nonlocal best, best_set, nodes
-        nodes += 1
-        if len(current) > best:
-            best = len(current)
-            best_set = frozenset(current)
-            if best >= n:
-                return True
-        for idx, v in enumerate(cands):
-            if len(current) + len(cands) - idx <= best:
-                break
-            current.append(v)
-            child = [w for w in cands[idx + 1 :] if placeable(w)]
-            stop = walk(child)
-            current.pop()
-            if stop:
-                return True
-        return False
-
-    walk(order)
+    best, best_set, nodes, _ = _search(
+        order, placeable, current.append, lambda v: current.pop(), [1] * n, n
+    )
     return SolveResult(best, best_set, nodes)
 
 
@@ -290,9 +311,12 @@ def bounds(g: Graph, k: int, isometric_path=None, gp_max_n: int = DEFAULT_GP_MAX
     if isometric_path is None:
         ell = d
     else:
-        if not is_isometric_path(g, isometric_path):
+        path = list(isometric_path)
+        if not path:
+            raise GraphInputError("an isometric path needs at least one vertex")
+        if not is_isometric_path(g, path):
             raise GraphInputError("supplied path is not isometric")
-        ell = len(list(isometric_path)) - 1
+        ell = len(path) - 1
     return BoundsRecord(
         diameter_bound=n - d + k + 1,
         girth_bound=INFINITE if is_infinite(ms.girth) else n - ms.girth + 2 * k + 3,
@@ -334,31 +358,17 @@ class Polynomial:
 def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> Polynomial:
     """Count every mutual k-visible set, grouped by cardinality.
 
-    The family is downward-closed, so a depth-first walk with filtered
-    candidate lists visits each feasible set exactly once.
+    The family is downward-closed, so _search without a goal visits each
+    feasible set exactly once and tallies them by size.
     """
     _check_tolerance(k)
     require_connected(g)
     n = g.n
     if n > max_n:
         raise SizeLimitError(f"visibility_polynomial limited to {max_n} vertices, got {n}; raise max_n to override")
-    coeffs = [0] * (n + 1)
-    if n == 0:
-        return Polynomial((1,))
-    feasible = _IncrementalChecker(g, k).feasible_extension
-    current: list = []
-
-    def walk(cands, mask):
-        coeffs[len(current)] += 1
-        for idx, v in enumerate(cands):
-            current.append(v)
-            grown = mask | 1 << v
-            child = [w for w in cands[idx + 1 :] if feasible(current, grown, w)]
-            walk(child, grown)
-            current.pop()
-
-    walk(list(range(n)), 0)
-    return Polynomial(tuple(coeffs))
+    checker = _IncrementalChecker(g, k)
+    _, _, _, sizes = _search(range(n), checker.fits, checker.push, checker.pop, [1] * n, None)
+    return Polynomial(tuple(sizes))
 
 
 def cycle_extremal_set(n: int, k: int) -> set[int]:

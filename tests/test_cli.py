@@ -190,6 +190,11 @@ class TestSolverCommands:
         assert rep["result"]["girth_bound"] is None  # INFINITE serializes as null
         assert rep["result"]["diameter_bound"] == 2
 
+    def test_bounds_rejects_empty_path(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["bounds", "-k", "0", "--path", ""],
+                             format_edge_list(path_graph(4)))
+        assert code == 2 and not out and "at least one vertex" in err
+
     def test_tau_partition_revalidates(self, capsys, monkeypatch):
         code, rep, _ = run_json(capsys, monkeypatch, ["tau", "-k", "1"], PATH5)
         assert code == 0 and rep["result"]["value"] == 2
@@ -268,6 +273,15 @@ class TestExitCodes:
         assert code == 3 and "refused" in err
         code, rep, _ = run_json(capsys, monkeypatch, ["mu", "-k", "0", "--max-n", "30"], big)
         assert code == 0 and rep["result"]["value"] == 2
+
+    @pytest.mark.parametrize("argv,text", [
+        (["mu", "-k", "0"], "100000000000 0\n"),
+        (["mu", "--json", "-k", "0"], '{"n": 100000000000, "edges": []}'),
+    ])
+    def test_vertex_count_limit(self, capsys, monkeypatch, argv, text):
+        code, out, err = run(capsys, monkeypatch, argv, text)
+        assert code == 3 and not out
+        assert err.startswith("mkvis: refused:") and "1000000 vertices" in err
 
     def test_disconnected_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["mu", "-k", "0"], "4 2\n0 1\n2 3\n")

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+from mkvis.blocks import mu_k_block
+from mkvis.covering import tau_k
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
     build_graph,
@@ -17,6 +19,8 @@ from mkvis.graphs import (
     induced_subgraph,
     metric_summary,
     path_graph,
+    random_block_graph,
+    random_connected,
 )
 from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, mkv_check
 from mkvis.solvers import (
@@ -164,6 +168,10 @@ class TestBounds:
         with pytest.raises(GraphInputError, match="not isometric"):
             bounds(cycle_graph(6), 0, isometric_path=[0, 1, 2, 3, 4])
 
+    def test_rejects_empty_isometric_path(self):
+        with pytest.raises(GraphInputError, match="at least one vertex"):
+            bounds(path_graph(4), 0, isometric_path=[])
+
     def test_gp_lower_omitted_above_limit(self):
         rec = bounds(path_graph(8), 0, gp_max_n=5)
         assert rec.gp_lower is None
@@ -237,6 +245,38 @@ def test_invariant_under_relabeling(g, k, rnd):
     h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert mu_k(h, k).value == mu_k(g, k).value
     assert visibility_polynomial(h, k) == visibility_polynomial(g, k)
+    assert gp_number(h).value == gp_number(g).value
+    assert tau_k(h, k).value == tau_k(g, k).value
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, edges)
+
+
+@pytest.mark.parametrize(
+    "solve,want",
+    [
+        (lambda: mu_k(_grid(3, 5), 0), (6, 459, [0, 4, 6, 7, 10, 14])),
+        (lambda: mu_k(_grid(3, 5), 1), (9, 886, [1, 2, 4, 6, 7, 9, 10, 11, 14])),
+        (lambda: mu_k(cycle_graph(9), 1), (5, 6, [0, 1, 2, 5, 6])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 249, [2, 3, 4, 5, 6, 8, 9, 11])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 52, [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13])),
+        (lambda: gp_number(random_connected(14, 0.25, 5)), (7, 94, [3, 5, 6, 8, 9, 10, 12])),
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 0), (9, 18, [0, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 1), (10, 35, [0, 1, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 2),
+         (12, 31, [0, 1, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14])),
+    ],
+    ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "gp-random14",
+         "block9-k0", "block9-k1", "block9-k2"],
+)
+def test_search_effort_is_pinned(solve, want):
+    """Search order and pruning fix the value, the witness and the node count
+    exactly; a change to any of them shows here first."""
+    res = solve()
+    assert (res.value, res.nodes_explored, sorted(res.witness)) == want
 
 
 class TestCycleExtremalSet:
