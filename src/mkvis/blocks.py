@@ -7,7 +7,10 @@ k-admissible when no tree path between two Z-nodes passes through more than k
 selected articulation nodes. Expanding a k-admissible Z (all non-cut vertices
 of its blocks plus its cut vertices) yields a mutual k-visible set, and every
 mutual k-visible set contracts back to a k-admissible Z, so the maximum
-expanded size equals mu_k.
+expanded size equals mu_k. mu_k_block finds it as a weighted mu_k on the
+leafed tree, the block-cut tree with a pendant leaf on every block node: a
+cut node stands for itself, a block node for its leaf, and Z is k-admissible
+exactly when these vertices are mutual k-visible there.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, SizeLimitError
-from .graphs import Graph, require_connected
+from .graphs import Graph, build_graph, require_connected
 from .kernel import _check_tolerance, mkv_check
-from .solvers import SolveResult, _search
+from .solvers import SolveResult, _IncrementalChecker, _search
 
 __all__ = [
     "AdmissibleWitness",
@@ -302,16 +305,35 @@ def contract_set(t: BlockCutTree, x) -> set:
     return z
 
 
+def _leafed_tree(t: BlockCutTree):
+    """The block-cut tree as a Graph with a pendant leaf on every block node,
+    and the vertex id that stands for each tree node in it.
+
+    Tree nodes keep their index in t.nodes as vertex ids, and the leaf of
+    block i is vertex node_count + i. A cut node is represented by its own
+    id, a block node by its leaf. A leaf is never inside a path and a block
+    node itself is never represented, so the represented vertices inside the
+    (unique) path between two ids are the selected cut nodes inside the tree
+    path of their nodes: Z is k-admissible exactly when its ids are mutual
+    k-visible in this graph. Ids ascend in _node_key order.
+    """
+    size = t.node_count
+    index = {node: i for i, node in enumerate(t.nodes)}
+    edges = [(index[cut_node(v)], index[block_node(i)]) for v, i in t.tree_edges]
+    edges += [(index[block_node(i)], size + i) for i in range(len(t.blocks))]
+    ids = {node: i if node[0] == "cut" else size + node[1] for node, i in index.items()}
+    return build_graph(size + len(t.blocks), edges), ids
+
+
 def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
     """Exact mu_k of a block graph via k-admissible subsets of its tree.
 
     |X_Z| is additive over nodes (cut nodes weigh 1, block nodes weigh their
-    non-articulation vertex count), and admissibility is downward-closed, so
-    solvers._search runs on the tree nodes with these weights, heaviest
-    first. The count of selected cut nodes inside each selected pair's tree
-    path is kept incrementally: push records what it changed on a stack and
-    pop undoes it. Zero-weight nodes sort last and the weight prune skips
-    them.
+    non-articulation vertex count), and admissibility is mutual k-visibility
+    of the node ids in _leafed_tree, so this is a weighted mu_k on that
+    graph: solvers._search runs on the ids, heaviest first, with
+    solvers._IncrementalChecker deciding each probe. Zero-weight nodes sort
+    last and the weight prune skips them.
     """
     _check_tolerance(k)
     t = block_decomposition(g)
@@ -321,65 +343,17 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
         raise SizeLimitError(
             f"mu_k_block limited to {max_nodes} tree nodes, got {t.node_count}; raise max_nodes to override"
         )
-    arts = t.articulation
-
-    def weight(node):
-        kind, idx = node
-        if kind == "cut":
-            return 1
-        return sum(1 for v in t.blocks[idx] if v not in arts)
-
-    order = sorted(t.nodes, key=lambda nd: (-weight(nd), _node_key(nd)))
-    wmap = {nd: weight(nd) for nd in t.nodes}
-
-    counts: dict = {}
-    zcut: set = set()
-    current: list = []
-    deltas: list = []
-
-    def internal_on(node, a, b) -> bool:
-        path = t.tree_path(a, b)
-        return node in path[1:-1]
-
-    def probe(node) -> bool:
-        for other in current:
-            path = t.tree_path(node, other)
-            if sum(1 for nd in path[1:-1] if nd in zcut) > k:
-                return False
-        if node[0] == "cut":
-            for (a, b), c in counts.items():
-                if c >= k and internal_on(node, a, b):
-                    return False
-        return True
-
-    def apply(node):
-        changed = []
-        added = []
-        if node[0] == "cut":
-            for pair in list(counts):
-                if internal_on(node, *pair):
-                    counts[pair] += 1
-                    changed.append(pair)
-        for other in current:
-            path = t.tree_path(node, other)
-            counts[node, other] = sum(1 for nd in path[1:-1] if nd in zcut)
-            added.append((node, other))
-        current.append(node)
-        if node[0] == "cut":
-            zcut.add(node)
-        deltas.append((changed, added))
-
-    def undo(node):
-        changed, added = deltas.pop()
-        for pair in changed:
-            counts[pair] -= 1
-        for pair in added:
-            del counts[pair]
-        current.pop()
-        zcut.discard(node)
-
-    best_w, best_z, nodes_explored, _ = _search(order, probe, apply, undo, wmap, sum(wmap.values()))
-    witness = expand_admissible(t, best_z)
+    tree, ids = _leafed_tree(t)
+    weights = [0] * tree.n
+    for (kind, idx), i in ids.items():
+        weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)
+    order = sorted(ids.values(), key=lambda i: (-weights[i], i))
+    checker = _IncrementalChecker(tree, k)
+    best_w, best_ids, nodes_explored, _ = _search(
+        order, checker.fits, checker.push, checker.pop, weights, sum(weights)
+    )
+    node_of = {i: node for node, i in ids.items()}
+    witness = expand_admissible(t, {node_of[i] for i in best_ids})
     if len(witness) != best_w:
         raise RuntimeError("internal error: expanded witness size mismatch")
     if not mkv_check(g, witness, k).verdict:

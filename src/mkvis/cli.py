@@ -87,16 +87,15 @@ def _parse_ids(text: str) -> list[int]:
 
 
 def _load_graph(args):
-    if args.input == "-":
-        text = sys.stdin.read()
-        source = "stdin"
-    else:
-        try:
+    source = "stdin" if args.input == "-" else args.input
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise GraphInputError(f"cannot read {args.input}: {exc}") from None
-        source = args.input
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphInputError(f"cannot read {source}: {exc}") from None
     if getattr(args, "json", False):
         try:
             payload = json.loads(text)

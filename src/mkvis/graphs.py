@@ -323,25 +323,25 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
 def path_graph(n: int) -> Graph:
     if not isinstance(n, int) or n < 1:
         raise GraphInputError(f"path needs at least one vertex, got {n!r}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if not isinstance(n, int) or n < 3:
         raise GraphInputError(f"cycle needs at least three vertices, got {n!r}")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
     if not isinstance(n, int) or n < 1:
         raise GraphInputError(f"complete graph needs at least one vertex, got {n!r}")
-    return build_graph(n, list(combinations(range(n), 2)))
+    return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise GraphInputError(f"both sides need at least one vertex, got {m!r}, {n!r}")
-    return build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return build_graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def random_connected(n: int, edge_probability: float, seed: int) -> Graph:
@@ -350,6 +350,8 @@ def random_connected(n: int, edge_probability: float, seed: int) -> Graph:
         raise GraphInputError(f"need at least one vertex, got {n!r}")
     if not 0.0 <= edge_probability <= 1.0:
         raise GraphInputError(f"edge probability must be in [0, 1], got {edge_probability!r}")
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices, got {n}")
     rng = random.Random(seed)
     edges = set()
     for v in range(1, n):
@@ -365,22 +367,27 @@ def random_block_graph(block_count: int, max_block_size: int, seed: int) -> Grap
     """Random connected graph in which every block is a clique.
 
     Grown by attaching clique blocks of random size at random existing
-    vertices, so consecutive blocks share exactly one cut vertex.
+    vertices, so consecutive blocks share exactly one cut vertex. Refuses
+    with SizeLimitError before the first block that would take the graph
+    past MAX_VERTICES vertices.
     """
     if not isinstance(block_count, int) or block_count < 1:
         raise GraphInputError(f"need at least one block, got {block_count!r}")
     if not isinstance(max_block_size, int) or max_block_size < 2:
         raise GraphInputError(f"blocks need at least two vertices, got {max_block_size!r}")
+    if block_count > MAX_VERTICES:
+        raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices, got {block_count} blocks")
     rng = random.Random(seed)
     edges = []
-    size = rng.randint(2, max_block_size)
-    edges.extend(combinations(range(size), 2))
-    total = size
-    for _ in range(block_count - 1):
-        anchor = rng.randrange(total)
+    total = 1
+    for b in range(block_count):
+        anchor = rng.randrange(total) if b else 0
         size = rng.randint(2, max_block_size)
-        members = [anchor] + list(range(total, total + size - 1))
-        edges.extend(combinations(members, 2))
+        if total + size - 1 > MAX_VERTICES:
+            raise SizeLimitError(
+                f"graphs are limited to {MAX_VERTICES} vertices, block {b + 1} would make {total + size - 1}"
+            )
+        edges.extend(combinations([anchor, *range(total, total + size - 1)], 2))
         total += size - 1
     return build_graph(total, edges)
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 import support
 from mkvis.blocks import (
+    _leafed_tree,
     block_decomposition,
     block_node,
     contract_set,
@@ -158,6 +159,20 @@ class TestAdmissibility:
         t = block_decomposition(bowtie())
         with pytest.raises(GraphInputError):
             is_k_admissible(t, {cut_node(99)}, 0)
+
+    @given(
+        st.integers(1, 8), st.integers(2, 4), st.integers(0, 10**6), st.integers(0, 3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_leafed_tree_encodes_admissibility(self, blocks, size, seed, k, rnd):
+        """mu_k_block's reduction: Z is k-admissible exactly when its ids are
+        mutual k-visible in the leafed tree, and ids keep the tree's order."""
+        t = block_decomposition(random_block_graph(blocks, size, seed))
+        tree, ids = _leafed_tree(t)
+        assert [ids[nd] for nd in t.nodes] == sorted(ids.values())
+        z = {nd for nd in t.nodes if rnd.random() < 0.5}
+        assert mkv_check(tree, [ids[nd] for nd in z], k).verdict == is_k_admissible(t, z, k).admissible
 
 
 class TestExpandContract:

@@ -1,10 +1,19 @@
 """Command line interface: subcommands, report shape, exit codes, round trips."""
 
+import contextlib
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+import mkvis
 from mkvis import __version__
 from mkvis.cli import main
 from mkvis.graphs import format_edge_list, parse_edge_list, path_graph
@@ -252,6 +261,13 @@ class TestExitCodes:
         code, _, err = run(capsys, monkeypatch, ["mu", "-i", "/no/such/file", "-k", "0"])
         assert code == 2 and "cannot read" in err
 
+    def test_non_utf8_file(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "g.bin"
+        f.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, monkeypatch, ["check", "-i", str(f), "-k", "0", "--set", "0"])
+        assert code == 2 and not out
+        assert err.startswith("mkvis: error: cannot read") and "Traceback" not in err
+
     def test_bad_json(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["mu", "--json", "-k", "0"], "{short")
         assert code == 2 and "JSON" in err
@@ -283,6 +299,33 @@ class TestExitCodes:
         assert code == 3 and not out
         assert err.startswith("mkvis: refused:") and "1000000 vertices" in err
 
+    @pytest.mark.parametrize("params", [
+        ["path", "100000000000"],
+        ["cycle", "100000000000"],
+        ["complete", "100000000000"],
+        ["bipartite", "1", "100000000000"],
+        ["random", "100000000000", "0.5", "--seed", "1"],
+        ["block", "100000000000", "3", "--seed", "1"],
+        ["block", "2", "100000000000", "--seed", "1"],
+    ])
+    def test_gen_refuses_before_allocating(self, params):
+        """Run under a 256 MiB address-space cap, so building the edges first
+        ends in a MemoryError at once instead of filling the machine."""
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from mkvis.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "gen", *params],
+            env={**os.environ, "PYTHONPATH": str(Path(mkvis.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3 and not proc.stdout
+        assert proc.stderr.startswith("mkvis: refused:") and "1000000 vertices" in proc.stderr
+
     def test_disconnected_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["mu", "-k", "0"], "4 2\n0 1\n2 3\n")
         assert code == 2 and "connected" in err
@@ -294,3 +337,59 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys, monkeypatch):
         assert run(capsys, monkeypatch, ["--help"])[0] == 0
         assert run(capsys, monkeypatch, ["check", "--help"])[0] == 0
+
+
+GRAPH_COMMANDS = [
+    ["check", "-k", "1", "--set", "0,1"],
+    ["mu", "-k", "1"],
+    ["mu-variant", "-k", "1", "--variant", "dual"],
+    ["gp"],
+    ["poly", "-k", "1"],
+    ["bounds", "-k", "1"],
+    ["tau", "-k", "1"],
+    ["cover-greedy", "-k", "1"],
+    ["blocks"],
+    ["mu-block", "-k", "1"],
+    ["oracle", "--set", "0"],
+]
+
+_json_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 8) | st.just(10**11)
+    | st.floats() | st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_json_graphs = st.fixed_dictionaries({
+    "n": st.integers(-1, 6) | _json_values,
+    "edges": st.lists(st.lists(st.integers(-1, 6), max_size=3) | _json_values, max_size=8),
+})
+
+
+_fuzz_files = itertools.count()
+
+
+def _main_on_file(directory, data: bytes, argv):
+    """main(argv) reading a new file that holds data, its output discarded."""
+    f = directory / f"fuzz-{next(_fuzz_files)}"  # a new name: truncating in place is slow on some filesystems
+    f.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([*argv, "-i", str(f)])
+
+
+class TestContractFuzz:
+    """Whatever a graph-reading subcommand is fed, main returns an exit code
+    of the documented contract and raises nothing."""
+
+    @given(st.sampled_from(GRAPH_COMMANDS), st.binary(max_size=48))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_file(self, tmp_path_factory, argv, data):
+        assert _main_on_file(tmp_path_factory.getbasetemp(), data, argv) in (0, 1, 2, 3)
+
+    @given(st.sampled_from(GRAPH_COMMANDS), _json_graphs | _json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_json(self, tmp_path_factory, argv, payload):
+        data = json.dumps(payload).encode()
+        assert _main_on_file(tmp_path_factory.getbasetemp(), data, [*argv, "--json"]) in (0, 1, 2, 3)

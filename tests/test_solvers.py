@@ -268,9 +268,12 @@ def _grid(rows, cols):
         (lambda: mu_k_block(random_block_graph(9, 4, 2), 1), (10, 35, [0, 1, 5, 7, 9, 10, 11, 12, 13, 14])),
         (lambda: mu_k_block(random_block_graph(9, 4, 2), 2),
          (12, 31, [0, 1, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14])),
+        # interior bridge blocks of a path weigh 0 and are never branched on
+        (lambda: mu_k_block(path_graph(12), 1), (3, 220, [1, 2, 3])),
+        (lambda: mu_k_block(path_graph(12), 2), (4, 495, [1, 2, 3, 4])),
     ],
     ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "gp-random14",
-         "block9-k0", "block9-k1", "block9-k2"],
+         "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2"],
 )
 def test_search_effort_is_pinned(solve, want):
     """Search order and pruning fix the value, the witness and the node count
