@@ -22,6 +22,7 @@ from .covering import DEFAULT_TAU_MAX_N, greedy_cover, tau_k
 from .errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from .graphs import (
     INFINITE,
+    all_pairs_distances,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -37,10 +38,10 @@ from .graphs import (
 from .kernel import (
     DEFAULT_GEODESIC_CAP,
     VARIANTS,
+    _oracle_count,
     check_variant,
     internal_counts,
     mkv_check,
-    oracle_min_internal_count,
 )
 from .solvers import (
     DEFAULT_ENUM_MAX_N,
@@ -255,6 +256,7 @@ def _cmd_mu_block(args, started):
 def _cmd_oracle(args, started):
     g, source = _load_graph(args)
     members = check_vertex_set(g, _parse_ids(args.set))
+    dist = all_pairs_distances(g)
     mismatches = []
     pairs = 0
     for u in range(g.n - 1):
@@ -262,7 +264,7 @@ def _cmd_oracle(args, started):
         for w in range(u + 1, g.n):
             pairs += 1
             fast = counts[w]
-            slow = oracle_min_internal_count(g, members, u, w, cap=args.cap)
+            slow = _oracle_count(g, members, u, w, dist[u], dist[w], args.cap)
             if fast != slow:
                 mismatches.append({"u": u, "w": w, "kernel": fast, "oracle": slow})
     _emit(args, g, source, {"set": sorted(members), "cap": args.cap},

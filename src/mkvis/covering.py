@@ -1,9 +1,9 @@
 """Partitioning the vertex set into mutual k-visible parts.
 
-tau_k is the least number of parts; it is found by backtracking over part
-counts from the ceil(n/mu_k) lower bound upward, with part feasibility
-memoized per search and symmetric part labelings broken by only ever opening
-the next fresh part.
+tau_k is the least number of parts, found by backtracking over part counts
+from the ceil(n/mu_k) lower bound upward; only ever opening the next fresh
+part breaks symmetric labelings. Every part is a solvers._IncrementalChecker
+over geodesic tables built once per call, grown only by a vertex that fits.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import GraphInputError, SizeLimitError
 from .graphs import Graph, check_vertex_set, require_connected
 from .kernel import _check_tolerance, mkv_check
-from .solvers import DEFAULT_MU_MAX_N, mu_k
+from .solvers import DEFAULT_MU_MAX_N, _IncrementalChecker, mu_k
 
 __all__ = [
     "CoverResult",
@@ -81,8 +81,8 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N, mu_max_n: int = DEFA
     """Least number of mutual k-visible parts partitioning V(g), with a witness.
 
     Exact backtracking: vertices in descending degree order are assigned to
-    existing parts or to one fresh part; a part that fails mkv_check is never
-    extended (feasibility is downward-hereditary, so the prune is sound).
+    existing parts or to one fresh part; a vertex joins a part only when it
+    fits there (feasibility is downward-hereditary, so the prune is sound).
     """
     require_connected(g)
     _check_tolerance(k)
@@ -94,17 +94,10 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N, mu_max_n: int = DEFA
     mu = mu_k(g, k, max_n=max(mu_max_n, max_n)).value
     lower = (n + mu - 1) // mu
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    memo: dict = {}
-
-    def feasible(part_fs) -> bool:
-        got = memo.get(part_fs)
-        if got is None:
-            got = mkv_check(g, part_fs, k).verdict
-            memo[part_fs] = got
-        return got
+    checker = _IncrementalChecker(g, k)
 
     for target in range(max(lower, 1), n + 1):
-        parts: list[set] = []
+        parts: list = []
 
         def place(i) -> bool:
             if i == n:
@@ -113,18 +106,19 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N, mu_max_n: int = DEFA
             limit = len(parts) + (1 if len(parts) < target else 0)
             for j in range(limit):
                 if j == len(parts):
-                    parts.append(set())
+                    parts.append(checker.fresh())
                 part = parts[j]
-                part.add(v)
-                if feasible(frozenset(part)) and place(i + 1):
-                    return True
-                part.remove(v)
-                if j == len(parts) - 1 and not part:
+                if part.fits(v):
+                    part.push(v)
+                    if place(i + 1):
+                        return True
+                    part.pop(v)
+                if j == len(parts) - 1 and not part.members:
                     parts.pop()
             return False
 
         if place(0):
-            partition = tuple(tuple(sorted(p)) for p in parts)
+            partition = tuple(tuple(sorted(p.members)) for p in parts)
             used = LOWER_CEIL_MU if target == lower else LOWER_SEARCH
             return CoverResult(target, partition, used)
     raise RuntimeError("unreachable: n singleton parts always cover")
@@ -135,16 +129,14 @@ def greedy_cover(g: Graph, k: int) -> list[list[int]]:
     k-visible, else opens a new one. Valid by construction, not optimal."""
     require_connected(g)
     _check_tolerance(k)
-    parts: list[set] = []
+    checker = _IncrementalChecker(g, k)
+    parts: list = []
     for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u)):
-        for part in parts:
-            part.add(v)
-            if mkv_check(g, part, k).verdict:
-                break
-            part.remove(v)
-        else:
-            parts.append({v})
-    return [sorted(p) for p in parts]
+        part = next((p for p in parts if p.fits(v)), None)
+        if part is None:
+            parts.append(part := checker.fresh())
+        part.push(v)
+    return [sorted(p.members) for p in parts]
 
 
 def cycle_cover_partition(n: int, k: int) -> list[list[int]]:

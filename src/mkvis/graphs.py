@@ -19,6 +19,7 @@ __all__ = [
     "INFINITE",
     "Graph",
     "Infinite",
+    "MAX_EDGES",
     "MAX_VERTICES",
     "MetricSummary",
     "all_pairs_distances",
@@ -71,6 +72,8 @@ INFINITE = Infinite()
 
 # Largest vertex count build_graph accepts: it allocates from n before reading edges.
 MAX_VERTICES = 10**6
+# Largest edge count a generator builds; it refuses before generating the first edge.
+MAX_EDGES = 10**7
 
 
 def is_infinite(value) -> bool:
@@ -320,6 +323,14 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
 # generators
 # ---------------------------------------------------------------------------
 
+def _check_size(n: int, m: int) -> None:
+    """Refuse a graph of n vertices and m edges before any edge is generated."""
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices, got {n}")
+    if m > MAX_EDGES:
+        raise SizeLimitError(f"graphs are limited to {MAX_EDGES} edges, got {m}")
+
+
 def path_graph(n: int) -> Graph:
     if not isinstance(n, int) or n < 1:
         raise GraphInputError(f"path needs at least one vertex, got {n!r}")
@@ -335,23 +346,27 @@ def cycle_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if not isinstance(n, int) or n < 1:
         raise GraphInputError(f"complete graph needs at least one vertex, got {n!r}")
+    _check_size(n, n * (n - 1) // 2)
     return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise GraphInputError(f"both sides need at least one vertex, got {m!r}, {n!r}")
+    _check_size(m + n, m * n)
     return build_graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def random_connected(n: int, edge_probability: float, seed: int) -> Graph:
-    """Random connected graph: random spanning tree plus Bernoulli extra edges."""
+    """Random connected graph: random spanning tree plus Bernoulli extra edges.
+
+    Refuses with SizeLimitError when the expected edge count exceeds MAX_EDGES.
+    """
     if not isinstance(n, int) or n < 1:
         raise GraphInputError(f"need at least one vertex, got {n!r}")
     if not 0.0 <= edge_probability <= 1.0:
         raise GraphInputError(f"edge probability must be in [0, 1], got {edge_probability!r}")
-    if n > MAX_VERTICES:
-        raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices, got {n}")
+    _check_size(n, round(n - 1 + edge_probability * (n - 1) * (n - 2) / 2))
     rng = random.Random(seed)
     edges = set()
     for v in range(1, n):
@@ -369,7 +384,7 @@ def random_block_graph(block_count: int, max_block_size: int, seed: int) -> Grap
     Grown by attaching clique blocks of random size at random existing
     vertices, so consecutive blocks share exactly one cut vertex. Refuses
     with SizeLimitError before the first block that would take the graph
-    past MAX_VERTICES vertices.
+    past MAX_VERTICES vertices or MAX_EDGES edges.
     """
     if not isinstance(block_count, int) or block_count < 1:
         raise GraphInputError(f"need at least one block, got {block_count!r}")
@@ -383,10 +398,7 @@ def random_block_graph(block_count: int, max_block_size: int, seed: int) -> Grap
     for b in range(block_count):
         anchor = rng.randrange(total) if b else 0
         size = rng.randint(2, max_block_size)
-        if total + size - 1 > MAX_VERTICES:
-            raise SizeLimitError(
-                f"graphs are limited to {MAX_VERTICES} vertices, block {b + 1} would make {total + size - 1}"
-            )
+        _check_size(total + size - 1, len(edges) + size * (size - 1) // 2)
         edges.extend(combinations([anchor, *range(total, total + size - 1)], 2))
         total += size - 1
     return build_graph(total, edges)

@@ -344,10 +344,14 @@ def oracle_min_internal_count(g: Graph, x, u: int, w: int, cap: int = DEFAULT_GE
     check_vertex(g, w)
     if u == w:
         return 0
-    du = bfs_distances(g, u)
+    return _oracle_count(g, xs, u, w, bfs_distances(g, u), bfs_distances(g, w), cap)
+
+
+def _oracle_count(g: Graph, xs: frozenset, u: int, w: int, du: list, dw: list, cap: int) -> int:
+    """oracle_min_internal_count for u != w, given the distance rows du of u
+    and dw of w, so a caller covering many pairs runs one BFS per vertex."""
     if is_infinite(du[w]):
         raise DisconnectedGraphError(f"vertices {u} and {w} are in different components")
-    dw = bfs_distances(g, w)
     d = du[w]
     best = None
     paths = 0

@@ -12,6 +12,7 @@ exhaustive searches with configurable size limits and refuse larger inputs.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -120,14 +121,15 @@ class _IncrementalChecker:
     and through[a][v], the bitmask of vertices b such that v lies on some
     a-b geodesic (v's descendants in a's DAG, v included). It holds the set
     under test as a member list plus an int bitmask, grown and shrunk by
-    push and pop in _search's order, so a probe allocates nothing but count
-    lists.
+    push and pop, so a probe allocates nothing but count lists; fresh()
+    gives an empty checker over the same tables.
 
-    fits(v) tests members + {v} for a feasible member set: one sweep of v's
-    DAG covers the new pairs, then every member a with through[a][v] meeting
-    the set is swept again, because adding v can raise the minimum count of
-    old pairs through a. Pairs with v on none of their geodesics keep their
-    counts, so their old verdict stands.
+    fits(v) tests members + {v}, given that the members are already mutual
+    k-visible (true when the set only ever grows by a v that fits): one
+    sweep of v's DAG covers the new pairs, then every member a with
+    through[a][v] meeting the set is swept again, because adding v can raise
+    the minimum count of old pairs through a. Pairs with v on none of their
+    geodesics keep their counts, so their old verdict stands.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -146,6 +148,11 @@ class _IncrementalChecker:
             self.through.append(below)
         self.members: list = []
         self.mask = 0
+
+    def fresh(self) -> "_IncrementalChecker":
+        other = copy(self)
+        other.members, other.mask = [], 0
+        return other
 
     def push(self, v: int) -> None:
         self.members.append(v)
@@ -216,10 +223,19 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
 def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_ENUM_MAX_N) -> SolveResult:
     """Largest total/outer/dual k-visibility set by plain enumeration.
 
-    The dual family is not downward-closed, so no heredity pruning is used;
-    subsets are tried in descending cardinality starting from the plain upper
+    Subsets are tried in descending cardinality starting from the plain upper
     bound (every variant set must have all its internal pairs visible, so the
     plain bounds cap the variants too).
+
+    Total and outer sets are downward-closed. Let X' = X - {x}. Every path
+    carries no more X'-members than X-members, so a pair that had a geodesic
+    with at most k internal members still has one. Total asks this of the
+    same pairs for X' as for X. Outer asks it of the pairs inside X' and
+    from X' to V - X'; the only pairs new among those are (a, x) with a in
+    X', and they were pairs inside X. Dual is not downward-closed: dropping
+    x adds every pair (x, c) with c outside X, which X never had to pass. In
+    P4 with k = 0, {0, 1} is dual but {1} is not, since the pair (0, 2) now
+    runs through 1. Enumeration serves all three variants alike.
     """
     _check_tolerance(k)
     require_connected(g)

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import mkvis
+import mkvis.graphs
+import mkvis.kernel
 from mkvis import __version__
 from mkvis.cli import main
 from mkvis.graphs import format_edge_list, parse_edge_list, path_graph
@@ -243,6 +245,22 @@ class TestSolverCommands:
         assert rep["result"]["match"] is True
         assert rep["result"]["pairs_checked"] == 15
 
+    def test_oracle_runs_one_distance_bfs_per_vertex(self, capsys, monkeypatch):
+        runs = []
+        for module in (mkvis.graphs, mkvis.kernel):
+            counted = module.bfs_distances
+
+            def counting(g, v, counted=counted):
+                runs.append(v)
+                return counted(g, v)
+
+            monkeypatch.setattr(module, "bfs_distances", counting)
+        code, rep, _ = run_json(
+            capsys, monkeypatch, ["oracle", "--set", "1,3"], format_edge_list(path_graph(8)),
+        )
+        assert code == 0 and rep["result"]["pairs_checked"] == 28
+        assert len(runs) <= 8
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys, monkeypatch):
@@ -325,6 +343,30 @@ class TestExitCodes:
         )
         assert proc.returncode == 3 and not proc.stdout
         assert proc.stderr.startswith("mkvis: refused:") and "1000000 vertices" in proc.stderr
+
+    @pytest.mark.parametrize("params", [
+        ["complete", "100000"],
+        ["bipartite", "30000", "30000"],
+        ["random", "100000", "0.5", "--seed", "1"],
+        ["block", "2", "900000", "--seed", "1"],
+    ])
+    def test_gen_refuses_too_many_edges(self, params):
+        """Within the vertex limit but past MAX_EDGES: refused under the same
+        256 MiB address-space cap, before the first edge is generated."""
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from mkvis.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "gen", *params],
+            env={**os.environ, "PYTHONPATH": str(Path(mkvis.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3 and not proc.stdout
+        assert proc.stderr.startswith("mkvis: refused:") and "10000000 edges" in proc.stderr
 
     def test_disconnected_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["mu", "-k", "0"], "4 2\n0 1\n2 3\n")

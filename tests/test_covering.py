@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import support
 from mkvis.covering import (
     LOWER_CEIL_MU,
+    LOWER_SEARCH,
     cycle_cover_partition,
     greedy_cover,
     is_visibility_cover,
@@ -16,10 +17,13 @@ from mkvis.covering import (
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
     build_graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     metric_summary,
     path_graph,
+    random_block_graph,
+    random_connected,
 )
 from mkvis.kernel import mkv_check
 from mkvis.solvers import mu_k
@@ -81,6 +85,25 @@ class TestTauK:
         d = metric_summary(g).diameter
         assert (tau_k(g, k).value == 1) == (k >= d - 1)
 
+    @pytest.mark.parametrize(
+        "g,k,value,partition,used",
+        [
+            (path_graph(7), 1, 3, ((1, 2, 3), (0, 4, 5), (6,)), LOWER_CEIL_MU),
+            (cycle_graph(12), 1, 3, ((0, 1, 2, 6, 7), (3, 4, 5, 9, 10), (8, 11)), LOWER_CEIL_MU),
+            (complete_bipartite(3, 4), 0, 2, ((0, 1, 2, 3), (4, 5, 6)), LOWER_CEIL_MU),
+            (random_connected(10, 0.3, 2), 1, 2, ((0, 1, 2, 3, 4, 5, 6, 7, 8), (9,)), LOWER_CEIL_MU),
+            (random_block_graph(5, 4, 3), 1, 2, ((0, 2, 3, 4, 5, 6), (1, 7, 8, 9)), LOWER_CEIL_MU),
+            (random_connected(9, 0.2, 3), 0, 3, ((0, 2, 3, 6), (1, 4, 7, 8), (5,)), LOWER_SEARCH),
+            (random_connected(11, 0.2, 0), 0, 3, ((3, 4, 8), (0, 2, 7, 9, 10), (1, 5, 6)), LOWER_SEARCH),
+            (random_connected(12, 0.3, 2), 0, 3, ((1, 2, 3, 4), (0, 5, 6, 7, 8, 9, 11), (10,)), LOWER_SEARCH),
+        ],
+    )
+    def test_partition_is_pinned(self, g, k, value, partition, used):
+        """The exact partition, not only its size: the search order and the
+        part-opening rule decide which optimal cover comes back."""
+        res = tau_k(g, k)
+        assert (res.value, res.partition, res.lower_bound_used) == (value, partition, used)
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             tau_k(path_graph(17), 0)
@@ -125,6 +148,20 @@ class TestGreedyCover:
         parts = greedy_cover(g, k)
         assert is_visibility_cover(g, parts, k)
         assert len(parts) >= tau_k(g, k).value
+
+    @given(support.graphs(min_n=1, max_n=9), st.integers(0, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_is_first_fit_in_degree_order(self, g, k):
+        dist = support.distance_matrix(g)
+        parts: list = []
+        for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u)):
+            for part in parts:
+                if support.oracle_mkv_check(g, part + [v], k, dist):
+                    part.append(v)
+                    break
+            else:
+                parts.append([v])
+        assert greedy_cover(g, k) == [sorted(p) for p in parts]
 
     @given(support.graphs(min_n=2, max_n=9))
     @settings(max_examples=20, deadline=None)

@@ -1,5 +1,7 @@
 """Membership kernel: BFS counting, pair queries, set checks, variants."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -246,6 +248,25 @@ class TestCheckVariant:
         g, x = gs
         got = check_variant(g, x, k, variant).verdict
         assert got == support.oracle_variant_check(g, x, k, variant)
+
+    @given(support.graphs(min_n=2, max_n=6), st.integers(0, 2), st.sampled_from([TOTAL, OUTER]))
+    @settings(max_examples=40, deadline=None)
+    def test_total_and_outer_are_hereditary(self, g, k, variant):
+        """Every member of either family stays in it when any vertex is dropped."""
+        for size in range(1, g.n + 1):
+            for x in itertools.combinations(range(g.n), size):
+                if check_variant(g, x, k, variant).verdict:
+                    for drop in x:
+                        rest = [v for v in x if v != drop]
+                        assert check_variant(g, rest, k, variant).verdict, (x, drop)
+
+    def test_dual_is_not_hereditary(self):
+        # In P4, {0, 1} is dual at k = 0, but dropping 0 leaves the
+        # complement pair (0, 2), whose only geodesic runs through 1.
+        g = path_graph(4)
+        assert check_variant(g, {0, 1}, 0, DUAL).verdict
+        rep = check_variant(g, {1}, 0, DUAL)
+        assert not rep.verdict and rep.offending_pair == (0, 2)
 
     @given(support.graph_and_set(min_n=2, max_n=8), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
