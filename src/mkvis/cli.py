@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .blocks import DEFAULT_TREE_MAX_NODES, block_decomposition, is_block_graph, mu_k_block
-from .covering import DEFAULT_TAU_MAX_N, greedy_cover, tau_k
+from .covering import DEFAULT_COVER_MAX_N, DEFAULT_TAU_MAX_N, greedy_cover, tau_k
 from .errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from .graphs import (
     INFINITE,
@@ -228,8 +228,8 @@ def _cmd_tau(args, started):
 
 def _cmd_cover_greedy(args, started):
     g, source = _load_graph(args)
-    parts = greedy_cover(g, args.k)
-    _emit(args, g, source, {"k": args.k},
+    parts = greedy_cover(g, args.k, max_n=args.max_n)
+    _emit(args, g, source, {"k": args.k, "max_n": args.max_n},
           {"part_count": len(parts), "partition": parts}, started)
     return 0
 
@@ -375,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cover-greedy", help="first-fit k-visibility cover")
     _add_input_options(sp)
     sp.add_argument("-k", type=int, required=True)
+    sp.add_argument("--max-n", type=int, default=DEFAULT_COVER_MAX_N, dest="max_n",
+                    help=f"size refusal limit (default {DEFAULT_COVER_MAX_N})")
 
     sp = sub.add_parser("blocks", help="block decomposition and block-graph test")
     _add_input_options(sp)

@@ -17,6 +17,7 @@ from .solvers import DEFAULT_MU_MAX_N, _IncrementalChecker, mu_k
 
 __all__ = [
     "CoverResult",
+    "DEFAULT_COVER_MAX_N",
     "DEFAULT_TAU_MAX_N",
     "TauBounds",
     "cycle_cover_partition",
@@ -27,6 +28,8 @@ __all__ = [
 ]
 
 DEFAULT_TAU_MAX_N = 16
+# greedy_cover's geodesic tables hold n^2 masks of n bits: about 260 MB at n = 1000
+DEFAULT_COVER_MAX_N = 1000
 
 LOWER_CEIL_MU = "ceil(n/mu_k)"
 LOWER_SEARCH = "exhausted-smaller-part-counts"
@@ -124,11 +127,13 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N, mu_max_n: int = DEFA
     raise RuntimeError("unreachable: n singleton parts always cover")
 
 
-def greedy_cover(g: Graph, k: int) -> list[list[int]]:
+def greedy_cover(g: Graph, k: int, max_n: int = DEFAULT_COVER_MAX_N) -> list[list[int]]:
     """First-fit cover: each vertex joins the first part that stays mutual
     k-visible, else opens a new one. Valid by construction, not optimal."""
     require_connected(g)
     _check_tolerance(k)
+    if g.n > max_n:
+        raise SizeLimitError(f"greedy_cover limited to {max_n} vertices, got {g.n}; raise max_n to override")
     checker = _IncrementalChecker(g, k)
     parts: list = []
     for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u)):

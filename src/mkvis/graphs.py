@@ -360,13 +360,19 @@ def complete_bipartite(m: int, n: int) -> Graph:
 def random_connected(n: int, edge_probability: float, seed: int) -> Graph:
     """Random connected graph: random spanning tree plus Bernoulli extra edges.
 
-    Refuses with SizeLimitError when the expected edge count exceeds MAX_EDGES.
+    One trial is drawn per vertex pair whatever the edge probability, so it
+    refuses with SizeLimitError when the expected edge count or the number of
+    pairs exceeds MAX_EDGES.
     """
     if not isinstance(n, int) or n < 1:
         raise GraphInputError(f"need at least one vertex, got {n!r}")
     if not 0.0 <= edge_probability <= 1.0:
         raise GraphInputError(f"edge probability must be in [0, 1], got {edge_probability!r}")
     _check_size(n, round(n - 1 + edge_probability * (n - 1) * (n - 2) / 2))
+    if n * (n - 1) // 2 > MAX_EDGES:
+        raise SizeLimitError(
+            f"random graphs draw one trial per vertex pair, limited to {MAX_EDGES} pairs, got {n * (n - 1) // 2}"
+        )
     rng = random.Random(seed)
     edges = set()
     for v in range(1, n):

@@ -74,6 +74,12 @@ def _check_tolerance(k) -> int:
     return k
 
 
+def _check_variant_name(variant) -> str:
+    if not isinstance(variant, str) or variant.lower() not in VARIANTS:
+        raise GraphInputError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return variant.lower()
+
+
 @dataclass(frozen=True)
 class KernelResult:
     """Per-source output of the counting BFS.
@@ -293,9 +299,7 @@ def check_variant(g: Graph, x, k: int, variant: str) -> CheckReport:
     All pair tests use minimum internal counts, endpoints never counted.
     """
     _check_tolerance(k)
-    if not isinstance(variant, str) or variant.lower() not in VARIANTS:
-        raise GraphInputError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    variant = variant.lower()
+    variant = _check_variant_name(variant)
     require_connected(g)
     xs = check_vertex_set(g, x)
     n = g.n

@@ -1,20 +1,22 @@
 """Exact solvers and bounds for mutual k-visibility numbers.
 
-Mutual k-visible sets, general-position sets and the k-admissible node sets
-of a block-cut tree are downward-closed families, so one depth-first engine,
-_search, serves mu_k, gp_number, visibility_polynomial and blocks.mu_k_block:
-it grows a set along a filtered candidate list, keeps the incumbent, cuts a
+Mutual k-visible sets, general-position sets, total and outer sets, and the
+k-admissible node sets of a block-cut tree are downward-closed families, so
+one depth-first engine, _search, serves every exact maximiser: mu_k,
+mu_k_variant, gp_number, visibility_polynomial and blocks.mu_k_block. It
+grows a set along a filtered candidate list, keeps the incumbent, cuts a
 branch that cannot beat it and stops at a proven upper bound, or, without
-one, visits every member of the family once. mu_k_variant enumerates plainly
-because the dual family is not downward-closed. All solvers are desk-scale
-exhaustive searches with configurable size limits and refuse larger inputs.
+one, visits every member of the family once. mu_k tightens the cut with
+convex paths, and dual sets, which are not downward-closed, are searched
+within the mutual k-visible family and accepted one by one. All solvers are
+desk-scale exhaustive searches with configurable size limits and refuse
+larger inputs.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import GraphInputError, SizeLimitError
 from .graphs import (
@@ -31,7 +33,10 @@ from .graphs import (
     require_connected,
 )
 from .kernel import (
+    DUAL,
+    TOTAL,
     _check_tolerance,
+    _check_variant_name,
     _geodesic_dags,
     _sweep,
     check_variant,
@@ -66,16 +71,19 @@ class SolveResult:
     nodes_explored: int
 
 
-def _search(order, fits, push, pop, weight, goal):
+def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
     """Depth-first walk of a downward-closed family, heaviest set first.
 
     order lists the candidates; fits(v) tells whether the current set plus v
     stays in the family, with push(v) and pop(v) growing and shrinking the
-    state fits reads. weight[v] is v's nonnegative weight. A branch is cut
-    when its weight plus that of its remaining candidates cannot beat the
-    incumbent, and the walk stops once the incumbent reaches goal. With goal
-    None no incumbent is kept, so nothing is cut and every member is visited
-    exactly once.
+    state fits reads. The root's candidates are filtered by fits like every
+    other level's. weight[v] is v's nonnegative weight. A branch is cut when
+    its weight plus the most its remaining candidates cands[idx:] can add
+    cannot beat the incumbent; that most is bound(cands, idx) when given,
+    else their total weight. The walk stops once the incumbent reaches goal.
+    accept(current), when given, decides which visited sets may become the
+    incumbent. With goal None no incumbent is kept, so nothing is cut and
+    every member is visited exactly once.
 
     Returns (best weight, a best set, sets visited, visited sets by size);
     the best weight is -1 when goal is None.
@@ -90,14 +98,14 @@ def _search(order, fits, push, pop, weight, goal):
         nonlocal best, best_set, nodes
         nodes += 1
         sizes[len(current)] += 1
-        if goal is not None and cw > best:
+        if goal is not None and cw > best and (accept is None or accept(current)):
             best = cw
             best_set = frozenset(current)
             if best >= goal:
                 return True
         rest = sum(weight[v] for v in cands)
         for idx, v in enumerate(cands):
-            if cw + rest <= best:
+            if cw + (rest if bound is None else bound(cands, idx)) <= best:
                 break
             rest -= weight[v]
             push(v)
@@ -110,7 +118,7 @@ def _search(order, fits, push, pop, weight, goal):
                 return True
         return False
 
-    walk(list(order), 0)
+    walk([v for v in order if fits(v)], 0)
     return best, best_set, nodes, sizes
 
 
@@ -195,13 +203,60 @@ def _cheap_upper_bound(g: Graph, k: int) -> int:
     return ub
 
 
+def _convex_paths(dags, size: int) -> list:
+    """Vertex-disjoint paths of more than size vertices, each the unique
+    geodesic between its ends, picked greedily longest first.
+
+    Geodesics are counted per pair along the DAGs of _geodesic_dags; a
+    target reached by exactly one geodesic has exactly one DAG predecessor,
+    so its path is read back through those. Every subpath of a unique geodesic is the unique
+    geodesic between its own ends, so the path is geodesically convex.
+    """
+    n = len(dags)
+    found = []
+    for s, dag in enumerate(dags):
+        sigma = [0] * n
+        pred = [s] * n
+        depth = [0] * n
+        sigma[s] = 1
+        for u, forward in dag:
+            for w in forward:
+                sigma[w] += sigma[u]
+                pred[w] = u
+                depth[w] = depth[u] + 1
+        for t in range(s + 1, n):
+            if sigma[t] == 1 and depth[t] >= size:
+                path = [t]
+                while path[-1] != s:
+                    path.append(pred[path[-1]])
+                found.append(path)
+    found.sort(key=len, reverse=True)
+    parts = []
+    used = 0
+    for path in found:
+        bits = sum(1 << v for v in path)
+        if not bits & used:
+            used |= bits
+            parts.append(path)
+    return parts
+
+
 def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     """Exact mutual k-visibility number with a verified witness.
 
     Branch and bound over the downward-closed family: candidates are filtered
     at every level, branches are cut when the surviving candidates cannot beat
-    the incumbent, and the whole search stops once the incumbent meets the
-    cheap diameter/girth upper bound.
+    the incumbent, and the whole search stops once the incumbent meets an
+    upper bound.
+
+    The cut uses the convex-part argument: when a part C of V(g) is
+    geodesically convex, a mutual k-visible X has |X & C| <= mu_k(g[C]). On
+    a path that is the unique geodesic between its ends, the two extreme
+    members of X see each other only along it, past every other member there,
+    so it holds at most k + 2 members. With such paths from _convex_paths, a
+    candidate whose path is full is dropped, a branch can add at most its free
+    candidates plus, per path, the fewer of its candidates left and its free
+    room, and the same sum over V(g) caps the cheap diameter/girth bound.
     """
     _check_tolerance(k)
     require_connected(g)
@@ -211,47 +266,104 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     if n == 0:
         return SolveResult(0, frozenset(), 0)
     checker = _IncrementalChecker(g, k)
+    parts = _convex_paths(checker.dags, k + 2)
+    part_of = [len(parts)] * n  # the last slot holds the vertices on no path
+    for i, path in enumerate(parts):
+        for v in path:
+            part_of[v] = i
+    room = [k + 2] * len(parts) + [n]
+
+    def fits(v) -> bool:
+        return room[part_of[v]] > 0 and checker.fits(v)
+
+    def push(v) -> None:
+        room[part_of[v]] -= 1
+        checker.push(v)
+
+    def pop(v) -> None:
+        room[part_of[v]] += 1
+        checker.pop(v)
+
+    def bound(cands, idx) -> int:
+        left = [0] * len(room)
+        for v in cands[idx:]:
+            left[part_of[v]] += 1
+        return sum(map(min, left, room))
+
     order = sorted(range(n), key=lambda u: (-g.degree(u), u))
-    best, best_set, nodes, _ = _search(
-        order, checker.fits, checker.push, checker.pop, [1] * n, _cheap_upper_bound(g, k)
-    )
+    goal = min(_cheap_upper_bound(g, k), bound(order, 0))
+    best, best_set, nodes, _ = _search(order, fits, push, pop, [1] * n, goal, bound)
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
     return SolveResult(best, best_set, nodes)
 
 
 def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_ENUM_MAX_N) -> SolveResult:
-    """Largest total/outer/dual k-visibility set by plain enumeration.
+    """Largest total/outer/dual k-visibility set, with a verified witness.
 
-    Subsets are tried in descending cardinality starting from the plain upper
-    bound (every variant set must have all its internal pairs visible, so the
-    plain bounds cap the variants too).
+    Every variant set has all its internal pairs visible, so it is mutual
+    k-visible and the plain diameter/girth bound caps the search.
 
     Total and outer sets are downward-closed. Let X' = X - {x}. Every path
     carries no more X'-members than X-members, so a pair that had a geodesic
     with at most k internal members still has one. Total asks this of the
     same pairs for X' as for X. Outer asks it of the pairs inside X' and
     from X' to V - X'; the only pairs new among those are (a, x) with a in
-    X', and they were pairs inside X. Dual is not downward-closed: dropping
-    x adds every pair (x, c) with c outside X, which X never had to pass. In
-    P4 with k = 0, {0, 1} is dual but {1} is not, since the pair (0, 2) now
-    runs through 1. Enumeration serves all three variants alike.
+    X', and they were pairs inside X. So both run on _search with a fits
+    that sweeps the geodesic DAGs of the sources whose pairs can change:
+    adding v changes only pairs with v strictly inside one of their
+    geodesics, that is, pairs (s, t) with t in through[s][v] and s, t != v.
+    Total sweeps every such source; outer sweeps the members among them plus
+    v, whose pairs to the complement are new.
+
+    Dual is not downward-closed: dropping x adds every pair (x, c) with c
+    outside X, which X never had to pass. In P4 with k = 0, {0, 1} is dual
+    but {1} is not, since the pair (0, 2) now runs through 1. Dual sets are
+    mutual k-visible, so dual searches that family with _IncrementalChecker
+    and accepts a set as incumbent only when every pair inside its
+    complement passes as well.
     """
     _check_tolerance(k)
+    variant = _check_variant_name(variant)
     require_connected(g)
     n = g.n
     if n > max_n:
         raise SizeLimitError(f"mu_k_variant limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    cap = _cheap_upper_bound(g, k)
-    nodes = 0
-    for size in range(cap, -1, -1):
-        for comb in combinations(range(n), size):
-            nodes += 1
-            if check_variant(g, comb, k, variant).verdict:
-                return SolveResult(size, frozenset(comb), nodes)
-    raise RuntimeError("unreachable: the empty set satisfies every variant")
+    checker = _IncrementalChecker(g, k)
+    dags, through = checker.dags, checker.through
+
+    def sees(s, xs, targets) -> bool:
+        """Every s-t pair, t in targets, has a geodesic with at most k
+        internal members of xs (the sweep counts a tracked target too)."""
+        cnt = _sweep(dags[s], xs, n)
+        return all(cnt[t] - (xs >> t & 1) <= k for t in targets)
+
+    def keeps(v) -> bool:
+        """The members plus v stay a total or outer set."""
+        xs = checker.mask | 1 << v
+        if variant == TOTAL:
+            sources = range(n)
+        else:  # outer: the pairs from v to the complement are new
+            if not sees(v, xs, range(n)):
+                return False
+            sources = checker.members
+        return all(sees(s, xs, range(n)) for s in sources if s != v and through[s][v] != 1 << v)
+
+    def complement_sees(current) -> bool:
+        xs = checker.mask
+        outside = [c for c in range(n) if not xs >> c & 1]
+        return all(sees(c, xs, outside) for c in outside)
+
+    order = sorted(range(n), key=lambda u: (-g.degree(u), u))
+    fits, accept = (checker.fits, complement_sees) if variant == DUAL else (keeps, None)
+    best, best_set, nodes, _ = _search(
+        order, fits, checker.push, checker.pop, [1] * n, _cheap_upper_bound(g, k), accept=accept
+    )
+    if not check_variant(g, best_set, k, variant).verdict:
+        raise RuntimeError("internal error: mu_k_variant witness failed verification")
+    return SolveResult(best, best_set, nodes)
 
 
 def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:

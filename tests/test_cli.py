@@ -38,6 +38,25 @@ def run_json(capsys, monkeypatch, argv, stdin_text=None):
 PATH5 = format_edge_list(path_graph(5))
 
 
+def run_capped(argv, limit, stdin_text=None):
+    """Run the CLI in a subprocess under an address-space cap of limit bytes,
+    so an allocation the size limits should have refused ends in a
+    MemoryError at once instead of filling the machine."""
+    pytest.importorskip("resource")
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from mkvis.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        input=stdin_text,
+        env={**os.environ, "PYTHONPATH": str(Path(mkvis.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestReports:
     def test_report_shape_and_version(self, capsys, monkeypatch):
         code, rep, _ = run_json(capsys, monkeypatch, ["mu", "-k", "1"], PATH5)
@@ -329,18 +348,7 @@ class TestExitCodes:
     def test_gen_refuses_before_allocating(self, params):
         """Run under a 256 MiB address-space cap, so building the edges first
         ends in a MemoryError at once instead of filling the machine."""
-        pytest.importorskip("resource")
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
-            "from mkvis.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "gen", *params],
-            env={**os.environ, "PYTHONPATH": str(Path(mkvis.__file__).parents[1])},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_capped(["gen", *params], 256 << 20)
         assert proc.returncode == 3 and not proc.stdout
         assert proc.stderr.startswith("mkvis: refused:") and "1000000 vertices" in proc.stderr
 
@@ -353,20 +361,26 @@ class TestExitCodes:
     def test_gen_refuses_too_many_edges(self, params):
         """Within the vertex limit but past MAX_EDGES: refused under the same
         256 MiB address-space cap, before the first edge is generated."""
-        pytest.importorskip("resource")
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
-            "from mkvis.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "gen", *params],
-            env={**os.environ, "PYTHONPATH": str(Path(mkvis.__file__).parents[1])},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_capped(["gen", *params], 256 << 20)
         assert proc.returncode == 3 and not proc.stdout
         assert proc.stderr.startswith("mkvis: refused:") and "10000000 edges" in proc.stderr
+
+    def test_gen_random_refuses_too_many_trials(self, capsys, monkeypatch):
+        """Few expected edges, but one Bernoulli trial per pair: 17,997,000
+        pairs exceed MAX_EDGES, so it is refused before the first draw."""
+        code, out, err = run(capsys, monkeypatch, ["gen", "random", "6000", "0.0001", "--seed", "1"])
+        assert code == 3 and not out
+        assert err.startswith("mkvis: refused:") and "10000000 pairs" in err
+
+    def test_cover_greedy_size_limit(self, capsys, monkeypatch):
+        """The default limit refuses before the n x n geodesic tables are
+        built: under a 1 GiB address-space cap a 3000-vertex path exits 3,
+        where building the tables ends in a MemoryError."""
+        proc = run_capped(["cover-greedy", "-k", "1"], 1 << 30, format_edge_list(path_graph(3000)))
+        assert proc.returncode == 3 and not proc.stdout
+        assert proc.stderr.startswith("mkvis: refused:") and "1000 vertices" in proc.stderr
+        code, _, err = run(capsys, monkeypatch, ["cover-greedy", "-k", "0", "--max-n", "4"], PATH5)
+        assert code == 3 and "refused" in err
 
     def test_disconnected_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["mu", "-k", "0"], "4 2\n0 1\n2 3\n")

@@ -1,5 +1,6 @@
 """Exact solvers: mu_k, variants, gp, polynomial, bounds, constructions."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -22,9 +23,10 @@ from mkvis.graphs import (
     random_block_graph,
     random_connected,
 )
-from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, mkv_check
+from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _geodesic_dags, mkv_check
 from mkvis.solvers import (
     Polynomial,
+    _convex_paths,
     bounds,
     cycle_extremal_set,
     gp_number,
@@ -73,6 +75,24 @@ class TestMuK:
         d = metric_summary(g).diameter
         assert (mu_k(g, k).value == g.n) == (k >= d - 1)
 
+    @given(support.graphs(min_n=5, max_n=9), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_convex_paths_hold_at_most_k_plus_2(self, g, k):
+        """The premise of mu_k's bound: each greedy part is a path that is the
+        unique geodesic between its ends, the parts are disjoint, and no
+        mutual k-visible set holds more than k + 2 vertices of one part."""
+        parts = _convex_paths(_geodesic_dags(g), k + 2)
+        dist = support.distance_matrix(g)
+        seen: set = set()
+        for path in parts:
+            assert len(path) > k + 2 and not seen & set(path)
+            seen |= set(path)
+            assert support.all_geodesics(g, path[0], path[-1], dist) == [tuple(path)]
+        for size in range(k + 3, g.n + 1):
+            for x in combinations(range(g.n), size):
+                if any(len(set(x) & set(path)) > k + 2 for path in parts):
+                    assert not support.oracle_mkv_check(g, x, k, dist)
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             mu_k(path_graph(30), 0)
@@ -90,7 +110,7 @@ class TestMuKVariant:
     def test_total_on_complete(self):
         assert mu_k_variant(complete_graph(5), 0, TOTAL).value == 5
 
-    @given(support.graphs(min_n=2, max_n=6), st.integers(0, 2), st.sampled_from(VARIANTS))
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 2), st.sampled_from(VARIANTS))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g, k, variant):
         res = mu_k_variant(g, k, variant)
@@ -258,11 +278,11 @@ def _grid(rows, cols):
 @pytest.mark.parametrize(
     "solve,want",
     [
-        (lambda: mu_k(_grid(3, 5), 0), (6, 459, [0, 4, 6, 7, 10, 14])),
-        (lambda: mu_k(_grid(3, 5), 1), (9, 886, [1, 2, 4, 6, 7, 9, 10, 11, 14])),
+        (lambda: mu_k(_grid(3, 5), 0), (6, 23, [0, 4, 6, 7, 10, 14])),
+        (lambda: mu_k(_grid(3, 5), 1), (9, 68, [1, 2, 4, 6, 7, 9, 10, 11, 14])),
         (lambda: mu_k(cycle_graph(9), 1), (5, 6, [0, 1, 2, 5, 6])),
-        (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 249, [2, 3, 4, 5, 6, 8, 9, 11])),
-        (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 52, [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 136, [2, 3, 4, 5, 6, 8, 9, 11])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 29, [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13])),
         (lambda: gp_number(random_connected(14, 0.25, 5)), (7, 94, [3, 5, 6, 8, 9, 10, 12])),
         (lambda: mu_k_block(random_block_graph(9, 4, 2), 0), (9, 18, [0, 5, 7, 9, 10, 11, 12, 13, 14])),
         (lambda: mu_k_block(random_block_graph(9, 4, 2), 1), (10, 35, [0, 1, 5, 7, 9, 10, 11, 12, 13, 14])),
@@ -271,9 +291,14 @@ def _grid(rows, cols):
         # interior bridge blocks of a path weigh 0 and are never branched on
         (lambda: mu_k_block(path_graph(12), 1), (3, 220, [1, 2, 3])),
         (lambda: mu_k_block(path_graph(12), 2), (4, 495, [1, 2, 3, 4])),
+        (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, TOTAL), (2, 3, [2, 10])),
+        (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, OUTER), (7, 92, [2, 3, 5, 6, 10, 11, 17])),
+        (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL),
+         (7, 10532, [5, 8, 10, 11, 14, 15, 16])),
     ],
     ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "gp-random14",
-         "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2"],
+         "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2",
+         "total-random18-k0", "outer-random18-k0", "dual-random18-k0"],
 )
 def test_search_effort_is_pinned(solve, want):
     """Search order and pruning fix the value, the witness and the node count
