@@ -7,10 +7,12 @@ k-admissible when no tree path between two Z-nodes passes through more than k
 selected articulation nodes. Expanding a k-admissible Z (all non-cut vertices
 of its blocks plus its cut vertices) yields a mutual k-visible set, and every
 mutual k-visible set contracts back to a k-admissible Z, so the maximum
-expanded size equals mu_k. mu_k_block finds it as a weighted mu_k on the
-leafed tree, the block-cut tree with a pendant leaf on every block node: a
-cut node stands for itself, a block node for its leaf, and Z is k-admissible
-exactly when these vertices are mutual k-visible there.
+expanded size equals mu_k. mu_k_block works on the leafed tree, the
+block-cut tree with a pendant leaf on every block node: a cut node stands
+for itself, a block node for its leaf, and Z is k-admissible exactly when
+these vertices are mutual k-visible there. Admissibility then only limits
+how many chosen vertices lie inside each tree path, so the heaviest such
+set comes from a linear post-order DP over the tree, not a search.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .errors import GraphInputError, SizeLimitError
 from .graphs import Graph, build_graph, require_connected
 from .kernel import _check_tolerance, mkv_check
-from .solvers import SolveResult, _IncrementalChecker, _search
+from .solvers import SolveResult
 
 __all__ = [
     "AdmissibleWitness",
@@ -36,7 +38,7 @@ __all__ = [
     "mu_k_block",
 ]
 
-DEFAULT_TREE_MAX_NODES = 30
+DEFAULT_TREE_MAX_NODES = 1000
 
 
 def cut_node(v: int) -> tuple:
@@ -325,15 +327,94 @@ def _leafed_tree(t: BlockCutTree):
     return build_graph(size + len(t.blocks), edges), ids
 
 
+def _heaviest_admissible(tree: Graph, weights, k: int):
+    """Heaviest set X of positive-weight vertices of a tree in which every
+    pair has at most k members of X strictly inside its path.
+
+    A post-order DP from root 0, walked with an explicit stack. The state of
+    a vertex u is the largest count of members strictly between a member in
+    u's subtree and u's parent, or None when the subtree holds no member.
+    With s = 1 when u is a member, u merges its children one at a time under
+    their running maximum m: a child of state b joins when m + b + s <= k,
+    a member u starts m at -1 (so every member below is within k of u), and
+    u's state is m + s. So a member takes no child state above k and no
+    state exceeds k + 1, the value that bars any member outside the subtree.
+    Tables are dicts of the states that occur, so the tree's height bounds
+    their size, not k. Dropping a zero-weight member keeps a set feasible,
+    so none is chosen.
+
+    Returns (weight, members, DP table entries filled).
+    """
+    parent = [-1] * tree.n
+    kids = [[] for _ in range(tree.n)]
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in tree.adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                kids[u].append(w)
+                stack.append(w)
+    table = [None] * tree.n  # state -> (weight, s, running maximum m)
+    trails = [None] * tree.n  # trails[u][s][i][m after child i] = (m before, child state)
+    filled = 0
+    for u in reversed(order):
+        table[u] = {}
+        trails[u] = []
+        for s in (0, 1) if weights[u] > 0 else (0,):
+            run = {-1: weights[u]} if s else {None: 0}
+            trail = []
+            for c in kids[u]:
+                merged, back = {}, {}
+                for m, wm in run.items():
+                    for b, (wb, _, _) in table[c].items():
+                        if b is None:
+                            mb = m
+                        elif m is None:
+                            mb = b
+                        elif m + b + s <= k:
+                            mb = max(m, b)
+                        else:
+                            continue
+                        if wm + wb > merged.get(mb, -1):
+                            merged[mb] = wm + wb
+                            back[mb] = (m, b)
+                filled += len(merged)
+                run = merged
+                trail.append(back)
+            trails[u].append(trail)
+            for m, wm in run.items():
+                d = m + 1 if s else m
+                if wm > table[u].get(d, (-1,))[0]:
+                    table[u][d] = (wm, s, m)
+        filled += len(table[u])
+    best = max(table[0], key=lambda d: table[0][d][0])
+    members = []
+    stack = [(0, best)]
+    while stack:
+        u, d = stack.pop()
+        if d is None:
+            continue
+        _, s, m = table[u][d]
+        if s:
+            members.append(u)
+        for c, back in zip(reversed(kids[u]), reversed(trails[u][s])):
+            m, b = back[m]
+            stack.append((c, b))
+    return table[0][best][0], members, filled
+
+
 def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
     """Exact mu_k of a block graph via k-admissible subsets of its tree.
 
     |X_Z| is additive over nodes (cut nodes weigh 1, block nodes weigh their
-    non-articulation vertex count), and admissibility is mutual k-visibility
-    of the node ids in _leafed_tree, so this is a weighted mu_k on that
-    graph: solvers._search runs on the ids, heaviest first, with
-    solvers._IncrementalChecker deciding each probe. Zero-weight nodes sort
-    last and the weight prune skips them.
+    non-articulation vertex count), and Z is k-admissible exactly when its
+    ids are mutual k-visible in _leafed_tree. That graph is a tree, so the
+    maximum is the tree DP _heaviest_admissible on the ids, O(N k^2) time
+    for N tree nodes; nodes_explored is the number of DP table entries it
+    filled. The witness is expanded and verified with mkv_check.
     """
     _check_tolerance(k)
     t = block_decomposition(g)
@@ -347,15 +428,11 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
     weights = [0] * tree.n
     for (kind, idx), i in ids.items():
         weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)
-    order = sorted(ids.values(), key=lambda i: (-weights[i], i))
-    checker = _IncrementalChecker(tree, k)
-    best_w, best_ids, nodes_explored, _ = _search(
-        order, checker.fits, checker.push, checker.pop, weights, sum(weights)
-    )
+    best_w, best_ids, filled = _heaviest_admissible(tree, weights, k)
     node_of = {i: node for node, i in ids.items()}
     witness = expand_admissible(t, {node_of[i] for i in best_ids})
     if len(witness) != best_w:
         raise RuntimeError("internal error: expanded witness size mismatch")
     if not mkv_check(g, witness, k).verdict:
         raise RuntimeError("internal error: mu_k_block witness failed verification")
-    return SolveResult(best_w, frozenset(witness), nodes_explored)
+    return SolveResult(best_w, frozenset(witness), filled)

@@ -1,16 +1,16 @@
 """Exact solvers and bounds for mutual k-visibility numbers.
 
-Mutual k-visible sets, general-position sets, total and outer sets, and the
-k-admissible node sets of a block-cut tree are downward-closed families, so
-one depth-first engine, _search, serves every exact maximiser: mu_k,
-mu_k_variant, gp_number, visibility_polynomial and blocks.mu_k_block. It
-grows a set along a filtered candidate list, keeps the incumbent, cuts a
-branch that cannot beat it and stops at a proven upper bound, or, without
-one, visits every member of the family once. mu_k tightens the cut with
-convex paths, and dual sets, which are not downward-closed, are searched
-within the mutual k-visible family and accepted one by one. All solvers are
-desk-scale exhaustive searches with configurable size limits and refuse
-larger inputs.
+Mutual k-visible sets, general-position sets, and total and outer sets are
+downward-closed families, so one depth-first engine, _search, serves every
+exact maximiser here: mu_k, mu_k_variant, gp_number and
+visibility_polynomial. (blocks.mu_k_block does not search: on a block graph
+a tree DP finds mu_k.) The engine grows a set along a filtered candidate
+list, keeps the incumbent, cuts a branch that cannot beat it and stops at a
+proven upper bound, or, without one, visits every member of the family
+once. mu_k tightens the cut with convex paths, and dual sets, which are not
+downward-closed, are searched within the mutual k-visible family and
+accepted one by one. All solvers are desk-scale exhaustive searches with
+configurable size limits and refuse larger inputs.
 """
 
 from __future__ import annotations

@@ -3,7 +3,12 @@
 Everything here recomputes from first principles: Floyd-Warshall distances,
 explicit materialization of whole shortest paths, raw subset scans over the
 power set. No logic is shared with the package internals, so agreement
-between the two sides is evidence, not tautology.
+between the two sides is evidence, not tautology. The one exception is
+bnb_mu_k_block, the retired branch-and-bound solver for block graphs: it
+runs the package's search engine and incremental checker on the leafed
+block-cut tree, so it checks the tree DP that replaced it, and both rest
+on the same _leafed_tree reduction (tested on its own against
+is_k_admissible).
 """
 
 from __future__ import annotations
@@ -15,7 +20,11 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
+from mkvis.blocks import _blocks_are_cliques, _leafed_tree, block_decomposition, expand_admissible
+from mkvis.errors import GraphInputError
 from mkvis.graphs import Graph, random_connected
+from mkvis.kernel import _check_tolerance, mkv_check
+from mkvis.solvers import SolveResult, _IncrementalChecker, _search
 
 INF = math.inf
 
@@ -310,3 +319,34 @@ def graph_and_set(draw, min_n: int = 2, max_n: int = 9):
     g = draw(graphs(min_n, max_n))
     members = draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     return g, members
+
+
+def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
+    """The retired branch-and-bound mu_k_block, kept as the tree DP's oracle.
+
+    The one helper here that reuses package internals: a weighted mu_k on
+    the leafed block-cut tree (blocks._leafed_tree), solvers._search over
+    the node ids, heaviest first, with solvers._IncrementalChecker deciding
+    each probe. Zero-weight nodes sort last and the weight prune skips them.
+    It has no size limit; its time grows about 3x per 6 tree nodes at k = 1.
+    """
+    _check_tolerance(k)
+    t = block_decomposition(g)
+    if not _blocks_are_cliques(g, t):
+        raise GraphInputError("not a block graph: some block is not a clique")
+    tree, ids = _leafed_tree(t)
+    weights = [0] * tree.n
+    for (kind, idx), i in ids.items():
+        weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)
+    order = sorted(ids.values(), key=lambda i: (-weights[i], i))
+    checker = _IncrementalChecker(tree, k)
+    best_w, best_ids, nodes_explored, _ = _search(
+        order, checker.fits, checker.push, checker.pop, weights, sum(weights)
+    )
+    node_of = {i: node for node, i in ids.items()}
+    witness = expand_admissible(t, {node_of[i] for i in best_ids})
+    if len(witness) != best_w:
+        raise RuntimeError("internal error: expanded witness size mismatch")
+    if not mkv_check(g, witness, k).verdict:
+        raise RuntimeError("internal error: mu_k_block witness failed verification")
+    return SolveResult(best_w, frozenset(witness), nodes_explored)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import support
@@ -260,8 +260,37 @@ class TestMuKBlock:
 
     def test_tree_size_limit(self):
         with pytest.raises(SizeLimitError):
-            mu_k_block(path_graph(20), 0)  # 19 edge blocks + 18 cut vertices
-        assert mu_k_block(path_graph(20), 0, max_nodes=40).value == 2
+            mu_k_block(path_graph(502), 0)  # 501 edge blocks + 500 cut vertices
+        assert mu_k_block(path_graph(502), 0, max_nodes=1001).value == 2
+
+    @given(st.integers(9, 16), st.integers(2, 5), st.integers(0, 10**6), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_branch_and_bound(self, blocks, size, seed, k):
+        g = random_block_graph(blocks, size, seed)
+        t = block_decomposition(g)
+        assume(18 <= t.node_count <= 30)
+        res = mu_k_block(g, k)
+        assert res.value == support.bnb_mu_k_block(g, k).value
+        assert is_k_admissible(t, contract_set(t, res.witness), k).admissible
+
+    @given(st.integers(1, 8), st.integers(2, 4), st.integers(0, 10**6), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_generic_solver_when_small(self, blocks, size, seed, k):
+        g = random_block_graph(blocks, size, seed)
+        assume(g.n <= 14)
+        assert mu_k_block(g, k).value == mu_k(g, k).value
+
+    def test_long_path_needs_no_recursion(self):
+        # 5997 tree nodes: a recursive walk would pass the interpreter's limit
+        assert mu_k_block(path_graph(3000), 1, max_nodes=10**4).value == 3
+
+    def test_large_tolerance_stabilises_at_n(self):
+        # mu_k = n once k >= diam - 1, and past the tree's height k no longer
+        # adds reachable DP states
+        g = random_block_graph(60, 5, 11)
+        res = mu_k_block(g, 10**9)
+        assert res.value == g.n
+        assert res.nodes_explored == mu_k_block(g, g.n).nodes_explored
 
 
 class TestSerialization:

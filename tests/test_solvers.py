@@ -284,13 +284,23 @@ def _grid(rows, cols):
         (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 136, [2, 3, 4, 5, 6, 8, 9, 11])),
         (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 29, [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13])),
         (lambda: gp_number(random_connected(14, 0.25, 5)), (7, 94, [3, 5, 6, 8, 9, 10, 12])),
-        (lambda: mu_k_block(random_block_graph(9, 4, 2), 0), (9, 18, [0, 5, 7, 9, 10, 11, 12, 13, 14])),
-        (lambda: mu_k_block(random_block_graph(9, 4, 2), 1), (10, 35, [0, 1, 5, 7, 9, 10, 11, 12, 13, 14])),
-        (lambda: mu_k_block(random_block_graph(9, 4, 2), 2),
+        # the retired branch and bound, kept as the tree DP's oracle
+        (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 0),
+         (9, 18, [0, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 1),
+         (10, 35, [0, 1, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 2),
          (12, 31, [0, 1, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14])),
         # interior bridge blocks of a path weigh 0 and are never branched on
-        (lambda: mu_k_block(path_graph(12), 1), (3, 220, [1, 2, 3])),
-        (lambda: mu_k_block(path_graph(12), 2), (4, 495, [1, 2, 3, 4])),
+        (lambda: support.bnb_mu_k_block(path_graph(12), 1), (3, 220, [1, 2, 3])),
+        (lambda: support.bnb_mu_k_block(path_graph(12), 2), (4, 495, [1, 2, 3, 4])),
+        # the tree DP: nodes_explored counts DP table entries filled
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 0), (9, 136, [3, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 1), (10, 154, [3, 5, 7, 8, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 2),
+         (12, 163, [1, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k_block(path_graph(12), 1), (3, 238, [0, 10, 11])),
+        (lambda: mu_k_block(path_graph(12), 2), (4, 284, [0, 9, 10, 11])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, TOTAL), (2, 3, [2, 10])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, OUTER), (7, 92, [2, 3, 5, 6, 10, 11, 17])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL),
@@ -298,6 +308,7 @@ def _grid(rows, cols):
     ],
     ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "gp-random14",
          "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2",
+         "dp-block9-k0", "dp-block9-k1", "dp-block9-k2", "dp-path12-block-k1", "dp-path12-block-k2",
          "total-random18-k0", "outer-random18-k0", "dual-random18-k0"],
 )
 def test_search_effort_is_pinned(solve, want):
