@@ -17,12 +17,13 @@ import sys
 import time
 
 from . import __version__
-from .blocks import DEFAULT_TREE_MAX_NODES, block_decomposition, is_block_graph, mu_k_block
+# is_block_graph stays bound here because bench/tracing.py rebinds it by name.
+from .blocks import DEFAULT_TREE_MAX_NODES, _blocks_are_cliques, block_decomposition, is_block_graph, mu_k_block
 from .covering import DEFAULT_COVER_MAX_N, DEFAULT_TAU_MAX_N, greedy_cover, tau_k
 from .errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from .graphs import (
     INFINITE,
-    all_pairs_distances,
+    bfs_distances,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -237,7 +238,7 @@ def _cmd_cover_greedy(args, started):
 def _cmd_blocks(args, started):
     g, source = _load_graph(args)
     tree = block_decomposition(g)
-    verdict = is_block_graph(g)
+    verdict = _blocks_are_cliques(g, tree)
     result = tree.to_dict()
     result["is_block_graph"] = verdict
     _emit(args, g, source, {}, result, started)
@@ -256,15 +257,15 @@ def _cmd_mu_block(args, started):
 def _cmd_oracle(args, started):
     g, source = _load_graph(args)
     members = check_vertex_set(g, _parse_ids(args.set))
-    dist = all_pairs_distances(g)
     mismatches = []
     pairs = 0
     for u in range(g.n - 1):
+        du = bfs_distances(g, u)
         counts = internal_counts(g, members, u)
         for w in range(u + 1, g.n):
             pairs += 1
             fast = counts[w]
-            slow = _oracle_count(g, members, u, w, dist[u], dist[w], args.cap)
+            slow = _oracle_count(g, members, u, w, du, args.cap)
             if fast != slow:
                 mismatches.append({"u": u, "w": w, "kernel": fast, "oracle": slow})
     _emit(args, g, source, {"set": sorted(members), "cap": args.cap},

@@ -80,7 +80,7 @@ def tau_bounds(g: Graph, k: int, mu_value: int | None = None, mu_max_n: int = DE
     )
 
 
-def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N, mu_max_n: int = DEFAULT_MU_MAX_N) -> CoverResult:
+def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
     """Least number of mutual k-visible parts partitioning V(g), with a witness.
 
     Exact backtracking: vertices in descending degree order are assigned to
@@ -94,7 +94,7 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N, mu_max_n: int = DEFA
         raise SizeLimitError(f"tau_k limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return CoverResult(0, (), "empty graph")
-    mu = mu_k(g, k, max_n=max(mu_max_n, max_n)).value
+    mu = mu_k(g, k, max_n=max_n).value
     lower = (n + mu - 1) // mu
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     checker = _IncrementalChecker(g, k)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DisconnectedGraphError, GeodesicCapError, GraphInputError
+from .errors import DisconnectedGraphError, GeodesicCapError, GraphInputError, SizeLimitError
 from .graphs import (
     Graph,
     INFINITE,
@@ -44,6 +44,7 @@ __all__ = [
     "DEFAULT_GEODESIC_CAP",
     "DUAL",
     "KernelResult",
+    "MAX_PAIR_COUNT_MEMBERS",
     "OUTER",
     "REASON_DISCONNECTED",
     "REASON_PAIR",
@@ -63,6 +64,7 @@ DUAL = "dual"
 VARIANTS = (TOTAL, OUTER, DUAL)
 
 DEFAULT_GEODESIC_CAP = 10**6
+MAX_PAIR_COUNT_MEMBERS = 1000  # pair_counts holds one entry per member pair
 
 REASON_PAIR = "pair_exceeds_tolerance"
 REASON_DISCONNECTED = "members_in_different_components"
@@ -236,10 +238,13 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
 
     Members in different components fail with a structured reason instead of
     an infinite count. With collect_pair_counts the full matrix of pairwise
-    minimum internal counts is attached and no early exit happens.
+    minimum internal counts is attached and no early exit happens; it is
+    refused above MAX_PAIR_COUNT_MEMBERS members.
     """
     _check_tolerance(k)
     members = sorted(check_vertex_set(g, s))
+    if collect_pair_counts and len(members) > MAX_PAIR_COUNT_MEMBERS:
+        raise SizeLimitError(f"pair counts limited to {MAX_PAIR_COUNT_MEMBERS} members, got {len(members)}")
     pair_counts: dict | None = {} if collect_pair_counts else None
     if len(members) <= 1:
         return CheckReport(True, k, pair_counts=pair_counts)
@@ -338,7 +343,7 @@ def check_variant(g: Graph, x, k: int, variant: str) -> CheckReport:
 def oracle_min_internal_count(g: Graph, x, u: int, w: int, cap: int = DEFAULT_GEODESIC_CAP) -> int:
     """Exact minimum internal count by enumerating every geodesic explicitly.
 
-    Walks the shortest-path DAG between u and w by depth-first search with an
+    Walks every geodesic back from w to u by depth-first search with an
     explicit stack, so path length is not limited by the recursion limit, and
     takes the minimum over complete paths. Refuses with GeodesicCapError once
     more than cap geodesics have been enumerated; it never approximates.
@@ -348,29 +353,29 @@ def oracle_min_internal_count(g: Graph, x, u: int, w: int, cap: int = DEFAULT_GE
     check_vertex(g, w)
     if u == w:
         return 0
-    return _oracle_count(g, xs, u, w, bfs_distances(g, u), bfs_distances(g, w), cap)
+    return _oracle_count(g, xs, u, w, bfs_distances(g, u), cap)
 
 
-def _oracle_count(g: Graph, xs: frozenset, u: int, w: int, du: list, dw: list, cap: int) -> int:
-    """oracle_min_internal_count for u != w, given the distance rows du of u
-    and dw of w, so a caller covering many pairs runs one BFS per vertex."""
+def _oracle_count(g: Graph, xs: frozenset, u: int, w: int, du: list, cap: int) -> int:
+    """oracle_min_internal_count for u != w, given u's distance row du, so a
+    caller covering many pairs holds one row at a time. Every walk back from
+    w through neighbours one step closer to u is a u-w geodesic."""
     if is_infinite(du[w]):
         raise DisconnectedGraphError(f"vertices {u} and {w} are in different components")
-    d = du[w]
     best = None
     paths = 0
-    stack = [(u, 0)]
+    stack = [(w, 0)]
     while stack:
         vertex, count = stack.pop()
-        if vertex == w:
+        if vertex == u:
             paths += 1
             if paths > cap:
                 raise GeodesicCapError(f"more than {cap} geodesics between {u} and {w}")
             if best is None or count < best:
                 best = count
             continue
-        nd = du[vertex] + 1
+        nd = du[vertex] - 1
         for nb in g.adj[vertex]:
-            if du[nb] == nd and dw[nb] == d - nd:
-                stack.append((nb, count + (1 if (nb in xs and nb != w) else 0)))
+            if du[nb] == nd:
+                stack.append((nb, count + (1 if (nb in xs and nb != u) else 0)))
     return best

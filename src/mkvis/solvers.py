@@ -19,6 +19,7 @@ from copy import copy
 from dataclasses import dataclass
 
 from .errors import GraphInputError, SizeLimitError
+# bench/tracing.py rebinds all_pairs_distances and metric_summary here by name.
 from .graphs import (
     Graph,
     INFINITE,
@@ -138,6 +139,10 @@ class _IncrementalChecker:
     through[a][v] meeting the set is swept again, because adding v can raise
     the minimum count of old pairs through a. Pairs with v on none of their
     geodesics keep their counts, so their old verdict stands.
+
+    Only the mutual k-visible searches call fits. gp_number and the total
+    and outer searches of mu_k_variant read through and the held set
+    (push, pop, members, mask) with tests of their own.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -374,26 +379,16 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
         raise SizeLimitError(f"gp_number limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    dist = all_pairs_distances(g)
+    checker = _IncrementalChecker(g, 0)
+    through = checker.through
     order = sorted(range(n), key=lambda u: (-g.degree(u), u))
-    current: list = []
 
     def placeable(v) -> bool:
-        dv = dist[v]
-        for i, a in enumerate(current):
-            da = dist[a]
-            for b in current[i + 1 :]:
-                if da[v] + dv[b] == da[b]:
-                    return False  # v strictly between a and b
-                if dv[a] + da[b] == dv[b]:
-                    return False  # a strictly between v and b
-                if dv[b] + dist[b][a] == dv[a]:
-                    return False  # b strictly between v and a
-        return True
+        """No member is strictly between v and a member, nor v between two."""
+        mask = checker.mask
+        return all(not through[a][v] & mask and through[v][a] & mask == 1 << a for a in checker.members)
 
-    best, best_set, nodes, _ = _search(
-        order, placeable, current.append, lambda v: current.pop(), [1] * n, n
-    )
+    best, best_set, nodes, _ = _search(order, placeable, checker.push, checker.pop, [1] * n, n)
     return SolveResult(best, best_set, nodes)
 
 

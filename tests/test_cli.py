@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import mkvis.graphs
 import mkvis.kernel
 from mkvis import __version__
 from mkvis.cli import main
-from mkvis.graphs import format_edge_list, parse_edge_list, path_graph
+from mkvis.graphs import build_graph, format_edge_list, parse_edge_list, path_graph
 
 
 def run(capsys, monkeypatch, argv, stdin_text=None):
@@ -280,6 +281,35 @@ class TestSolverCommands:
         assert code == 0 and rep["result"]["pairs_checked"] == 28
         assert len(runs) <= 8
 
+    def test_oracle_takes_one_distance_row_per_source(self, capsys, monkeypatch):
+        rows = []
+        counted = mkvis.cli.bfs_distances
+
+        def counting(g, v):
+            rows.append(v)
+            return counted(g, v)
+
+        monkeypatch.setattr(mkvis.cli, "bfs_distances", counting)
+        code, rep, _ = run_json(
+            capsys, monkeypatch, ["oracle", "--set", "1,3"], format_edge_list(path_graph(8)),
+        )
+        assert code == 0 and rep["result"]["pairs_checked"] == 28
+        assert rows == list(range(7))
+
+    def test_oracle_holds_one_distance_row(self, capsys, monkeypatch):
+        """On a 600-leaf star the n x n distance table alone is about 2.9 MB;
+        the oracle's peak stays under half of it."""
+        n = 601
+        text = format_edge_list(build_graph(n, [(0, leaf) for leaf in range(1, n)]))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, monkeypatch, ["oracle", "--set", "0"], text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["result"]["match"] is True
+        assert peak < n * sys.getsizeof([0] * n) // 2
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys, monkeypatch):
@@ -381,6 +411,17 @@ class TestExitCodes:
         assert proc.stderr.startswith("mkvis: refused:") and "1000 vertices" in proc.stderr
         code, _, err = run(capsys, monkeypatch, ["cover-greedy", "-k", "0", "--max-n", "4"], PATH5)
         assert code == 3 and "refused" in err
+
+    def test_pair_counts_member_limit(self):
+        """All 20,000 vertices of a path as the set: refused before the first
+        BFS, where the pair count table ends in a MemoryError under 512 MiB."""
+        n = 20000
+        proc = run_capped(
+            ["check", "-k", "0", "--pair-counts", "--set", ",".join(map(str, range(n)))],
+            512 << 20, format_edge_list(path_graph(n)),
+        )
+        assert proc.returncode == 3 and not proc.stdout
+        assert proc.stderr.startswith("mkvis: refused:") and "1000 members" in proc.stderr
 
     def test_disconnected_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["mu", "-k", "0"], "4 2\n0 1\n2 3\n")

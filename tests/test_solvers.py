@@ -155,6 +155,16 @@ class TestGpNumber:
     def test_matches_brute_force(self, g):
         assert gp_number(g).value == support.brute_gp(g)
 
+    @given(support.graphs(min_n=1, max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_witness_is_in_general_position(self, g):
+        res = gp_number(g)
+        assert len(res.witness) == res.value
+        dist = support.distance_matrix(g)
+        for a, b in combinations(res.witness, 2):
+            for m in res.witness - {a, b}:
+                assert dist[a][m] + dist[m][b] != dist[a][b], (a, m, b)
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             gp_number(path_graph(21))
