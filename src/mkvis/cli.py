@@ -48,6 +48,7 @@ from .solvers import (
     DEFAULT_ENUM_MAX_N,
     DEFAULT_GP_MAX_N,
     DEFAULT_MU_MAX_N,
+    DEFAULT_VARIANT_MAX_N,
     bounds,
     gp_number,
     mu_k,
@@ -345,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(sp)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--variant", choices=VARIANTS, required=True)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_ENUM_MAX_N, dest="max_n",
-                    help=f"size refusal limit (default {DEFAULT_ENUM_MAX_N})")
+    sp.add_argument("--max-n", type=int, default=DEFAULT_VARIANT_MAX_N, dest="max_n",
+                    help=f"size refusal limit (default {DEFAULT_VARIANT_MAX_N})")
 
     sp = sub.add_parser("gp", help="exact general position number")
     _add_input_options(sp)

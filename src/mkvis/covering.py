@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 DEFAULT_TAU_MAX_N = 16
-# greedy_cover's geodesic tables hold n^2 masks of n bits: about 260 MB at n = 1000
+# greedy_cover's geodesic tables hold n^2 masks of n bits and its parts one
+# packed count per member and vertex: about 265-275 MB at n = 1000, k <= 1
 DEFAULT_COVER_MAX_N = 1000
 
 LOWER_CEIL_MU = "ceil(n/mu_k)"
@@ -112,10 +113,10 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
                     parts.append(checker.fresh())
                 part = parts[j]
                 if part.fits(v):
-                    part.push(v)
+                    undo = part.push(v)
                     if place(i + 1):
                         return True
-                    part.pop(v)
+                    part.pop(v, undo)
                 if j == len(parts) - 1 and not part.members:
                     parts.pop()
             return False

@@ -9,16 +9,19 @@ ways that share no code.
 bfs_mkv is the validated public kernel. One BFS pass discovers the vertices
 and relaxes the counts along the edges that advance one level; a count is
 final when its vertex leaves the queue, because every shortest-path
-predecessor sits one level up and left the queue earlier. mkv_check and
-check_variant run it once per source, so a single query pays nothing up
-front.
+predecessor sits one level up and left the queue earlier. check_variant
+runs it once per source, and mkv_check validates the set once and then runs
+its unvalidated core _bfs_mkv once per member, so a single query pays
+nothing up front.
 
 The exact solvers probe thousands of sets on one small graph. For them
 _geodesic_dags builds, once per solve, each source's shortest-path DAG: the
 BFS order with every vertex's forward neighbours (those one level further
-out). _sweep then walks a DAG with the tracked set as an int bitmask, one
-addition and one comparison per DAG edge, with no validation and no
-per-call allocation beyond the count list.
+out). _path_counts walks a DAG with the tracked set as an int bitmask and
+counts, per target, the geodesics with exactly j tracked vertices strictly
+inside, for each j up to a cap, packed into one int: one addition per DAG
+edge, with no validation. A target has a geodesic with at most that many
+tracked internal vertices exactly when its packed count is nonzero.
 
 oracle_min_internal_count recomputes the same quantity by enumerating every
 geodesic outright and exists to cross-check the kernel, never to replace it.
@@ -110,7 +113,11 @@ def bfs_mkv(g: Graph, s, v: int) -> KernelResult:
     is dequeued, before it is propagated.
     """
     check_vertex(g, v)
-    members = check_vertex_set(g, s)
+    return _bfs_mkv(g, check_vertex_set(g, s), v)
+
+
+def _bfs_mkv(g: Graph, members: frozenset, v: int) -> KernelResult:
+    """bfs_mkv for ids the caller has validated."""
     n = g.n
     adj = g.adj
     in_s = [False] * n
@@ -168,22 +175,29 @@ def _geodesic_dags(g: Graph) -> list:
     return dags
 
 
-def _sweep(dag, mask: int, n: int) -> list:
-    """bfs_mkv's cnt over one source's DAG, with the tracked set as a bitmask.
+def _path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
+    """Per target, its geodesics from dag's source by tracked internal count.
 
-    The source itself is never counted. Unreachable vertices keep the
-    sentinel n, which exceeds every real count. Inputs are trusted: callers
-    build dag with _geodesic_dags and mask from validated ids.
+    Field j of counts[t], bits j*width up to (j+1)*width, is the number of
+    source-t geodesics with exactly j vertices of mask strictly inside; the
+    fields run up to the one full still covers, and geodesics with more
+    tracked vertices are dropped. A tracked vertex shifts what passes through
+    it up one field. Neither endpoint counts, and an unreachable target reads
+    0. width must exceed the bit length of every pair's geodesic count, so no
+    field carries into the next. Inputs are trusted: callers build dag with
+    _geodesic_dags and mask from validated ids.
     """
-    cnt = [n] * n
-    cnt[dag[0][0]] = 0
+    counts = [0] * n
+    source = dag[0][0]
+    counts[source] = 1
+    mask &= ~(1 << source)
     for u, forward in dag:
-        cu = cnt[u]
+        c = counts[u]
+        if mask >> u & 1:
+            c = c << width & full
         for w in forward:
-            c = cu + (mask >> w & 1)
-            if c < cnt[w]:
-                cnt[w] = c
-    return cnt
+            counts[w] += c
+    return counts
 
 
 def _counts_and_touches(g: Graph, xs: frozenset, source: int):
@@ -242,14 +256,15 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     refused above MAX_PAIR_COUNT_MEMBERS members.
     """
     _check_tolerance(k)
-    members = sorted(check_vertex_set(g, s))
+    xs = check_vertex_set(g, s)
+    members = sorted(xs)
     if collect_pair_counts and len(members) > MAX_PAIR_COUNT_MEMBERS:
         raise SizeLimitError(f"pair counts limited to {MAX_PAIR_COUNT_MEMBERS} members, got {len(members)}")
     pair_counts: dict | None = {} if collect_pair_counts else None
     if len(members) <= 1:
         return CheckReport(True, k, pair_counts=pair_counts)
     ops = 0
-    first_run = bfs_mkv(g, s, members[0])
+    first_run = _bfs_mkv(g, xs, members[0])
     ops += first_run.edge_touches
     for q in members[1:]:
         if is_infinite(first_run.dist[q]):
@@ -262,7 +277,7 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     offending = None
     offending_count = None
     for v in members:
-        run = first_run if v == members[0] else bfs_mkv(g, s, v)
+        run = first_run if v == members[0] else _bfs_mkv(g, xs, v)
         if v != members[0]:
             ops += run.edge_touches
         ops += len(members)

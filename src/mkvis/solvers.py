@@ -39,7 +39,7 @@ from .kernel import (
     _check_tolerance,
     _check_variant_name,
     _geodesic_dags,
-    _sweep,
+    _path_counts,
     check_variant,
     mkv_check,
 )
@@ -49,6 +49,7 @@ __all__ = [
     "DEFAULT_ENUM_MAX_N",
     "DEFAULT_GP_MAX_N",
     "DEFAULT_MU_MAX_N",
+    "DEFAULT_VARIANT_MAX_N",
     "Polynomial",
     "SolveResult",
     "bounds",
@@ -63,6 +64,8 @@ __all__ = [
 DEFAULT_MU_MAX_N = 24
 DEFAULT_ENUM_MAX_N = 18
 DEFAULT_GP_MAX_N = 20
+# the slowest variant, dual at k = 0, took up to 1.3 s at n = 22 and 4 s at n = 24
+DEFAULT_VARIANT_MAX_N = 22
 
 
 @dataclass(frozen=True)
@@ -76,12 +79,13 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
     """Depth-first walk of a downward-closed family, heaviest set first.
 
     order lists the candidates; fits(v) tells whether the current set plus v
-    stays in the family, with push(v) and pop(v) growing and shrinking the
-    state fits reads. The root's candidates are filtered by fits like every
-    other level's. weight[v] is v's nonnegative weight. A branch is cut when
-    its weight plus the most its remaining candidates cands[idx:] can add
-    cannot beat the incumbent; that most is bound(cands, idx) when given,
-    else their total weight. The walk stops once the incumbent reaches goal.
+    stays in the family, with push(v) growing the state fits reads and
+    pop(v, undo) shrinking it again, given what that push returned. The
+    root's candidates are filtered by fits like every other level's.
+    weight[v] is v's nonnegative weight. A branch is cut when its weight plus
+    the most its remaining candidates cands[idx:] can add cannot beat the
+    incumbent; that most is bound(cands, idx) when given, else their total
+    weight. The walk stops once the incumbent reaches goal.
     accept(current), when given, decides which visited sets may become the
     incumbent. With goal None no incumbent is kept, so nothing is cut and
     every member is visited exactly once.
@@ -109,12 +113,12 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
             if cw + (rest if bound is None else bound(cands, idx)) <= best:
                 break
             rest -= weight[v]
-            push(v)
+            undo = push(v)
             current.append(v)
             child = [w for w in cands[idx + 1 :] if fits(w)]
             stop = walk(child, cw + weight[v])
             current.pop()
-            pop(v)
+            pop(v, undo)
             if stop:
                 return True
         return False
@@ -123,26 +127,21 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
     return best, best_set, nodes, sizes
 
 
-class _IncrementalChecker:
-    """Feasibility of growing a mutual k-visible set one vertex at a time.
+class _GeodesicTables:
+    """Geodesic tables of one graph, plus a vertex set held over them.
 
     Built once per solve: every source's shortest-path DAG (_geodesic_dags)
     and through[a][v], the bitmask of vertices b such that v lies on some
-    a-b geodesic (v's descendants in a's DAG, v included). It holds the set
-    under test as a member list plus an int bitmask, grown and shrunk by
-    push and pop, so a probe allocates nothing but count lists; fresh()
-    gives an empty checker over the same tables.
+    a-b geodesic (v's descendants in a's DAG, v included). width and full
+    pack _path_counts for tolerance k: width is one bit more than the
+    largest geodesic count of any pair, and full keeps fields 0..k', where
+    k' = min(k, n - 2) since no geodesic has more internal vertices.
 
-    fits(v) tests members + {v}, given that the members are already mutual
-    k-visible (true when the set only ever grows by a v that fits): one
-    sweep of v's DAG covers the new pairs, then every member a with
-    through[a][v] meeting the set is swept again, because adding v can raise
-    the minimum count of old pairs through a. Pairs with v on none of their
-    geodesics keep their counts, so their old verdict stands.
-
-    Only the mutual k-visible searches call fits. gp_number and the total
-    and outer searches of mu_k_variant read through and the held set
-    (push, pop, members, mask) with tests of their own.
+    The held set is a member list plus an int bitmask. push(v) adds v and
+    returns what pop(v, undo) needs to take it out again; fresh() gives an
+    empty set over the same tables. gp_number and the total and outer
+    searches of mu_k_variant read the tables and the held set with tests of
+    their own.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -151,6 +150,7 @@ class _IncrementalChecker:
         self.k = k
         self.dags = _geodesic_dags(g)
         self.through = []
+        most = 1
         for dag in self.dags:
             below = [0] * n
             for u, forward in reversed(dag):
@@ -159,43 +159,128 @@ class _IncrementalChecker:
                     bits |= below[w]
                 below[u] = bits
             self.through.append(below)
+            # with nothing tracked, field 0 holds every geodesic
+            most = max(most, max(_path_counts(dag, 0, n, 0, 0)))
+        self.width = most.bit_length() + 1
+        self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
         self.members: list = []
         self.mask = 0
 
-    def fresh(self) -> "_IncrementalChecker":
+    def fresh(self):
         other = copy(self)
         other.members, other.mask = [], 0
         return other
 
-    def push(self, v: int) -> None:
+    def push(self, v: int):
         self.members.append(v)
         self.mask |= 1 << v
 
-    def pop(self, v: int) -> None:
+    def pop(self, v: int, undo) -> None:
         self.members.pop()
         self.mask ^= 1 << v
+
+
+class _IncrementalChecker(_GeodesicTables):
+    """Feasibility of growing a mutual k-visible set one vertex at a time.
+
+    Besides the tables it keeps a count row per member: rows[a][t] is
+    _path_counts from a with the members tracked, so field j counts the a-t
+    geodesics with exactly j members strictly inside, for j <= k'. A pair
+    passes while its vector is nonzero. fits(v) assumes the members are
+    already mutual k-visible (true when the set only ever grows by a v that
+    fits) and sweeps nothing:
+
+    - a new pair (q, v) keeps its geodesics' counts, so it passes iff
+      rows[q][v] != 0;
+    - an old pair (a, q) changes only if v is on one of its geodesics, that
+      is, q in through[a][v]. Then T = rows[a][v] * rows[q][v] & full counts
+      the a-q geodesics through v by members inside (the product of two
+      packed vectors convolves their fields, and no field carries), each
+      of those gains v, and every other geodesic keeps its count:
+
+          new = (rows[a][q] - T + (T << width)) & full
+
+      new is zero iff every geodesic with at most k members inside has
+      exactly k and passes through v: rows[a][q] == T with no field below
+      k'. The test reads it that way.
+
+    push(v) sweeps v's DAG once for rows[v] and applies the update above to
+    rows[a][t] for every member a and t in through[a][v]. It replaces each
+    changed row by an updated copy and returns the old rows, so pop(v, undo)
+    restores them and nothing outlives the pop; a caller that never pops
+    (greedy_cover) drops them at once.
+
+    Memory on top of through: a row of n packed ints per member, each at
+    most (k' + 1) * width bits (an int holds only the bits up to its top
+    nonzero field), so n^2 (k' + 1) width bits once all n vertices are
+    members, as they are across greedy_cover's parts.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        super().__init__(g, k)
+        self.rows = [None] * self.n
+        self.low = self.full >> self.width  # the fields below k'
+
+    def fresh(self):
+        other = super().fresh()
+        other.rows = [None] * self.n
+        return other
+
+    def push(self, v: int):
+        width, full, rows = self.width, self.full, self.rows
+        vrow = _path_counts(self.dags[v], self.mask, self.n, width, full)
+        undo = []
+        for a in self.members:
+            bits = self.through[a][v] ^ 1 << v
+            if not bits:
+                continue
+            old = rows[a]
+            row = old[:]
+            av = old[v]
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                t = bit.bit_length() - 1
+                vt = vrow[t]
+                if vt:
+                    via = av * vt & full
+                    row[t] = (row[t] - via + (via << width)) & full
+            rows[a] = row
+            undo.append((a, old))
+        rows[v] = vrow
+        super().push(v)
+        return undo
+
+    def pop(self, v: int, undo) -> None:
+        rows = self.rows
+        for a, old in undo:
+            rows[a] = old
+        rows[v] = None
+        super().pop(v, undo)
 
     def fits(self, v: int) -> bool:
         """v is not a member."""
         current = self.members
         if len(current) + 1 <= self.k + 2:
             return True  # a geodesic holds at most |X|-2 internal members
-        limit = self.k + 1  # every target is tracked, so cnt counts it too
-        n = self.n
-        dags = self.dags
-        mask = self.mask
-        xs = mask | 1 << v
-        cnt = _sweep(dags[v], xs, n)
+        rows = self.rows
         for q in current:
-            if cnt[q] > limit:
+            if not rows[q][v]:
                 return False
-        through = self.through
+        through, mask, full, low = self.through, self.mask, self.full, self.low
         for a in current:
-            if through[a][v] & mask:
-                cnt = _sweep(dags[a], xs, n)
-                for q in current:  # the pair a, v was settled by v's sweep
-                    if cnt[q] > limit:
-                        return False
+            inner = through[a][v] & mask & -(2 << a)  # each pair once, from its smaller end
+            if not inner:
+                continue
+            row = rows[a]
+            av = row[v]
+            while inner:
+                bit = inner & -inner
+                inner ^= bit
+                q = bit.bit_length() - 1
+                c = row[q]
+                if not c & low and c == av * rows[q][v] & full:
+                    return False
         return True
 
 
@@ -281,13 +366,13 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     def fits(v) -> bool:
         return room[part_of[v]] > 0 and checker.fits(v)
 
-    def push(v) -> None:
+    def push(v):
         room[part_of[v]] -= 1
-        checker.push(v)
+        return checker.push(v)
 
-    def pop(v) -> None:
+    def pop(v, undo) -> None:
         room[part_of[v]] += 1
-        checker.pop(v)
+        checker.pop(v, undo)
 
     def bound(cands, idx) -> int:
         left = [0] * len(room)
@@ -303,7 +388,7 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     return SolveResult(best, best_set, nodes)
 
 
-def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_ENUM_MAX_N) -> SolveResult:
+def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MAX_N) -> SolveResult:
     """Largest total/outer/dual k-visibility set, with a verified witness.
 
     Every variant set has all its internal pairs visible, so it is mutual
@@ -336,14 +421,14 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_ENUM_MAX_N
         raise SizeLimitError(f"mu_k_variant limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _IncrementalChecker(g, k)
-    dags, through = checker.dags, checker.through
+    checker = (_IncrementalChecker if variant == DUAL else _GeodesicTables)(g, k)
+    dags, through, width, full = checker.dags, checker.through, checker.width, checker.full
 
     def sees(s, xs, targets) -> bool:
         """Every s-t pair, t in targets, has a geodesic with at most k
-        internal members of xs (the sweep counts a tracked target too)."""
-        cnt = _sweep(dags[s], xs, n)
-        return all(cnt[t] - (xs >> t & 1) <= k for t in targets)
+        internal members of xs."""
+        counts = _path_counts(dags[s], xs, n, width, full)
+        return all(counts[t] for t in targets)
 
     def keeps(v) -> bool:
         """The members plus v stay a total or outer set."""
@@ -379,7 +464,7 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
         raise SizeLimitError(f"gp_number limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _IncrementalChecker(g, 0)
+    checker = _GeodesicTables(g, 0)
     through = checker.through
     order = sorted(range(n), key=lambda u: (-g.degree(u), u))
 

@@ -1,10 +1,13 @@
 """Visibility covers: exact tau, bounds, greedy heuristic, cycle construction."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+from mkvis import covering
 from mkvis.covering import (
     LOWER_CEIL_MU,
     LOWER_SEARCH,
@@ -26,7 +29,7 @@ from mkvis.graphs import (
     random_connected,
 )
 from mkvis.kernel import mkv_check
-from mkvis.solvers import mu_k
+from mkvis.solvers import _IncrementalChecker, mu_k
 
 
 class TestIsVisibilityCover:
@@ -168,6 +171,28 @@ class TestGreedyCover:
     def test_saturated_tolerance_single_part(self, g):
         k = max(metric_summary(g).diameter - 1, 0)
         assert len(greedy_cover(g, k)) == 1
+
+    def test_keeps_no_undo_state(self, monkeypatch):
+        """push hands back the count rows it replaced, and greedy_cover never
+        pops, so by the next push nothing but this test may hold them."""
+        replaced = []
+        leaked = []
+
+        def still_held():
+            # references: replaced, the loop variable and getrefcount's argument
+            return [old for old in replaced if sys.getrefcount(old) > 3]
+
+        class Spy(_IncrementalChecker):
+            def push(self, v):
+                leaked.extend(still_held())
+                undo = super().push(v)
+                replaced.extend(old for _, old in undo)
+                return undo
+
+        monkeypatch.setattr(covering, "_IncrementalChecker", Spy)
+        g = random_connected(30, 0.15, 4)
+        assert len(greedy_cover(g, 1)) > 1
+        assert replaced and not leaked and not still_held()
 
 
 class TestCycleCoverPartition:

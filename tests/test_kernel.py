@@ -7,8 +7,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+from mkvis import kernel
 from mkvis.errors import DisconnectedGraphError, GeodesicCapError, GraphInputError
-from mkvis.graphs import build_graph, complete_graph, cycle_graph, path_graph
+from mkvis.graphs import build_graph, check_vertex_set, complete_graph, cycle_graph, path_graph
 from mkvis.kernel import (
     DUAL,
     OUTER,
@@ -17,7 +18,7 @@ from mkvis.kernel import (
     TOTAL,
     VARIANTS,
     _geodesic_dags,
-    _sweep,
+    _path_counts,
     bfs_mkv,
     check_variant,
     internal_counts,
@@ -89,26 +90,34 @@ class TestGeodesicDags:
         dags = _geodesic_dags(path_graph(3))
         assert dags[1] == ((1, (0, 2)), (0, ()), (2, ()))
 
-    @given(support.graph_and_set(min_n=2, max_n=9))
+    @given(support.graph_and_set(min_n=2, max_n=9), st.integers(0, 8))
     @settings(max_examples=80, deadline=None)
-    def test_sweep_and_fused_kernel_match_enumeration(self, gs):
+    def test_sweep_and_fused_kernel_match_enumeration(self, gs, cap):
         g, x = gs
         dist = support.distance_matrix(g)
         dags = _geodesic_dags(g)
         mask = sum(1 << v for v in x)
+        geodesics = {(u, w): support.all_geodesics(g, u, w, dist) for u in range(g.n) for w in range(g.n)}
+        width = max(len(paths) for paths in geodesics.values()).bit_length() + 1
+        full = (1 << (cap + 1) * width) - 1  # fields 0..cap
         for u in range(g.n):
             assert sorted(v for v, _ in dags[u]) == list(range(g.n))
             for v, forward in dags[u]:
                 assert forward == tuple(w for w in g.adj[v] if dist[u][w] == dist[u][v] + 1)
-            swept = _sweep(dags[u], mask, g.n)
+            counts = _path_counts(dags[u], mask, g.n, width, full)
             fused = bfs_mkv(g, x, u).cnt
             for w in range(g.n):
                 if w == u:
-                    assert swept[w] == fused[w] == 0
+                    assert counts[w] == 1 and fused[w] == 0
                     continue
+                by_inside = [0] * (cap + 1)
+                for path in geodesics[u, w]:
+                    inside = sum(1 for v in path[1:-1] if v in x)
+                    if inside <= cap:
+                        by_inside[inside] += 1
+                assert counts[w] == sum(c << j * width for j, c in enumerate(by_inside)), (u, w)
                 want = support.pair_min_internal(g, x, u, w, dist)
-                target = 1 if w in x else 0  # both kernels count a tracked target
-                assert swept[w] - target == want, (u, w)
+                target = 1 if w in x else 0  # the fused kernel counts a tracked target
                 assert fused[w] - target == want, (u, w)
 
     def test_fused_kernel_touches_each_adjacency_once(self):
@@ -193,6 +202,19 @@ class TestMkvCheck:
         small = mkv_check(g, {0, 4}, 11).ops
         large = mkv_check(g, {0, 2, 4, 6, 8, 10}, 11).ops
         assert 0 < small < large
+
+    def test_validates_members_once(self, monkeypatch):
+        calls = []
+
+        def counting(g, vertices):
+            calls.append(1)
+            return check_vertex_set(g, vertices)
+
+        monkeypatch.setattr(kernel, "check_vertex_set", counting)
+        rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
+        assert len(calls) == 1
+        # one counting BFS per member (12 + 24 touches) plus one step per member pair
+        assert rep.verdict and rep.ops == 6 * (12 + 24 + 6)
 
     @given(support.graph_and_set(min_n=2, max_n=9), st.integers(0, 3))
     @settings(max_examples=120, deadline=None)

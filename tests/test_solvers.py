@@ -23,9 +23,12 @@ from mkvis.graphs import (
     random_block_graph,
     random_connected,
 )
-from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _geodesic_dags, mkv_check
+from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _geodesic_dags, _path_counts, mkv_check
 from mkvis.solvers import (
+    DEFAULT_VARIANT_MAX_N,
     Polynomial,
+    _GeodesicTables,
+    _IncrementalChecker,
     _convex_paths,
     bounds,
     cycle_extremal_set,
@@ -133,7 +136,8 @@ class TestMuKVariant:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            mu_k_variant(path_graph(19), 0, TOTAL)
+            mu_k_variant(path_graph(DEFAULT_VARIANT_MAX_N + 1), 0, TOTAL)
+        assert mu_k_variant(path_graph(DEFAULT_VARIANT_MAX_N), 0, TOTAL).value == 2
 
 
 class TestGpNumber:
@@ -277,6 +281,54 @@ def test_invariant_under_relabeling(g, k, rnd):
     assert visibility_polynomial(h, k) == visibility_polynomial(g, k)
     assert gp_number(h).value == gp_number(g).value
     assert tau_k(h, k).value == tau_k(g, k).value
+
+
+class TestIncrementalChecker:
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.lists(st.integers(0, 7), max_size=14))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_a_rebuild_after_push_and_pop(self, g, k, steps):
+        """A step pushes vertex step % n when it is no member (after checking
+        fits against the oracle whenever the members are mutual k-visible),
+        else pops the last member; the count rows must then equal rows
+        rebuilt by _path_counts for the held set."""
+        checker = _IncrementalChecker(g, k)
+        undos = []
+        dist = support.distance_matrix(g)
+        for step in steps:
+            v = step % g.n
+            if v in checker.members:
+                checker.pop(checker.members[-1], undos.pop())
+            else:
+                if support.oracle_mkv_check(g, checker.members, k, dist):
+                    assert checker.fits(v) == support.oracle_mkv_check(g, checker.members + [v], k, dist)
+                undos.append(checker.push(v))
+            for a in range(g.n):
+                if a in checker.members:
+                    want = _path_counts(checker.dags[a], checker.mask, g.n, checker.width, checker.full)
+                    assert checker.rows[a] == want, (a, checker.members)
+                else:
+                    assert checker.rows[a] is None
+
+    def test_diamond_chain_counts_past_64_bits(self):
+        """70 diamonds in a row: 2^70 geodesics between the end hubs, so a
+        field needs 72 bits and the packed ints exceed machine words."""
+        hubs = 71
+        edges = []
+        for i in range(hubs - 1):
+            for middle in (hubs + 2 * i, hubs + 2 * i + 1):
+                edges += [(i, middle), (middle, i + 1)]
+        g = build_graph(hubs + 2 * (hubs - 1), edges)
+        tables = _GeodesicTables(g, 1)
+        assert tables.width == 72
+        assert _path_counts(tables.dags[0], 0, g.n, tables.width, tables.full)[hubs - 1] == 2**70
+        # a tracked middle hub moves every geodesic to field 1
+        counts = _path_counts(tables.dags[0], 1 << 35, g.n, tables.width, tables.full)
+        assert counts[hubs - 1] == 2**70 << 72
+        checker = _IncrementalChecker(g, 0)
+        for v in (0, hubs - 1):
+            checker.push(v)
+        assert not checker.fits(35)  # every end-to-end geodesic runs through hub 35
+        assert checker.fits(hubs)  # half of them avoid this diamond's middle vertex
 
 
 def _grid(rows, cols):
