@@ -65,6 +65,9 @@ GEN_FAMILIES = {
     "block": (("blocks", int), ("max_block_size", int)),
 }
 SEEDED_FAMILIES = ("random", "block")
+# oracle enumerates the geodesics of all n(n-1)/2 pairs: at n = 1000 about 5 s on a
+# star and 17 s on a path
+MAX_ORACLE_VERTICES = 1000
 
 
 def _jsonable(value):
@@ -257,6 +260,8 @@ def _cmd_mu_block(args, started):
 
 def _cmd_oracle(args, started):
     g, source = _load_graph(args)
+    if g.n > MAX_ORACLE_VERTICES:
+        raise SizeLimitError(f"oracle limited to {MAX_ORACLE_VERTICES} vertices, got {g.n}")
     members = check_vertex_set(g, _parse_ids(args.set))
     mismatches = []
     pairs = 0

@@ -17,11 +17,12 @@ nothing up front.
 The exact solvers probe thousands of sets on one small graph. For them
 _geodesic_dags builds, once per solve, each source's shortest-path DAG: the
 BFS order with every vertex's forward neighbours (those one level further
-out). _path_counts walks a DAG with the tracked set as an int bitmask and
-counts, per target, the geodesics with exactly j tracked vertices strictly
-inside, for each j up to a cap, packed into one int: one addition per DAG
-edge, with no validation. A target has a geodesic with at most that many
-tracked internal vertices exactly when its packed count is nonzero.
+out), gathered in the same BFS pass that discovers them. _path_counts walks
+a DAG with the tracked set as an int bitmask and counts, per target, the
+geodesics with exactly j tracked vertices strictly inside, for each j up to
+a cap, packed into one int: one addition per DAG edge, with no validation.
+A target has a geodesic with at most that many tracked internal vertices
+exactly when its packed count is nonzero.
 
 oracle_min_internal_count recomputes the same quantity by enumerating every
 geodesic outright and exists to cross-check the kernel, never to replace it.
@@ -153,8 +154,12 @@ def _bfs_mkv(g: Graph, members: frozenset, v: int) -> KernelResult:
 def _geodesic_dags(g: Graph) -> list:
     """Per source, the shortest-path DAG as (u, forward) pairs in BFS order.
 
-    forward holds the neighbours w of u with dist[w] == dist[u] + 1. Only
-    vertices reachable from the source appear. Cost O(n (n + m)).
+    forward holds the neighbours w of u with dist[w] == dist[u] + 1, in
+    adjacency order. It is gathered in the BFS pass itself: when u leaves the
+    queue every vertex up to u's level is discovered, so a neighbour one
+    level out is either undiscovered (and is discovered from u now) or
+    already at that level. Only vertices reachable from the source appear.
+    Cost O(n (n + m)).
     """
     n = g.n
     adj = g.adj
@@ -163,15 +168,20 @@ def _geodesic_dags(g: Graph) -> list:
         dist: list = [None] * n
         dist[source] = 0
         order = [source]
-        for u in order:
+        dag = []
+        for u in order:  # the list grows while it is walked: a FIFO queue
             du1 = dist[u] + 1
+            forward = []
             for w in adj[u]:
-                if dist[w] is None:
+                dw = dist[w]
+                if dw is None:
                     dist[w] = du1
                     order.append(w)
-        dags.append(tuple(
-            (u, tuple(w for w in adj[u] if dist[w] == dist[u] + 1)) for u in order
-        ))
+                    forward.append(w)
+                elif dw == du1:
+                    forward.append(w)
+            dag.append((u, tuple(forward)))
+        dags.append(tuple(dag))
     return dags
 
 

@@ -64,7 +64,7 @@ __all__ = [
 DEFAULT_MU_MAX_N = 24
 DEFAULT_ENUM_MAX_N = 18
 DEFAULT_GP_MAX_N = 20
-# the slowest variant, dual at k = 0, took up to 1.3 s at n = 22 and 4 s at n = 24
+# the slowest variant, dual at k = 0, took up to 1.3 s at n = 22 and 3.0 s at n = 24
 DEFAULT_VARIANT_MAX_N = 22
 
 
@@ -80,15 +80,19 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
 
     order lists the candidates; fits(v) tells whether the current set plus v
     stays in the family, with push(v) growing the state fits reads and
-    pop(v, undo) shrinking it again, given what that push returned. The
-    root's candidates are filtered by fits like every other level's.
+    pop(v, undo) shrinking it again, given what that push returned. v is
+    pushed only when a later candidate is left to probe: a set with none is
+    still visited, with current holding v, but nothing reads the state a
+    push would build for it. The root's candidates are filtered by fits like
+    every other level's.
     weight[v] is v's nonnegative weight. A branch is cut when its weight plus
     the most its remaining candidates cands[idx:] can add cannot beat the
     incumbent; that most is bound(cands, idx) when given, else their total
     weight. The walk stops once the incumbent reaches goal.
     accept(current), when given, decides which visited sets may become the
-    incumbent. With goal None no incumbent is kept, so nothing is cut and
-    every member is visited exactly once.
+    incumbent; it reads only current, never the pushed state. With goal None
+    no incumbent is kept, so nothing is cut and every member is visited
+    exactly once.
 
     Returns (best weight, a best set, sets visited, visited sets by size);
     the best weight is -1 when goal is None.
@@ -113,12 +117,14 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
             if cw + (rest if bound is None else bound(cands, idx)) <= best:
                 break
             rest -= weight[v]
-            undo = push(v)
+            later = cands[idx + 1 :]
+            undo = push(v) if later else None
             current.append(v)
-            child = [w for w in cands[idx + 1 :] if fits(w)]
+            child = [w for w in later if fits(w)]
             stop = walk(child, cw + weight[v])
             current.pop()
-            pop(v, undo)
+            if later:
+                pop(v, undo)
             if stop:
                 return True
         return False
@@ -411,7 +417,10 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     but {1} is not, since the pair (0, 2) now runs through 1. Dual sets are
     mutual k-visible, so dual searches that family with _IncrementalChecker
     and accepts a set as incumbent only when every pair inside its
-    complement passes as well.
+    complement passes as well. The accept check builds the set from current,
+    since _search pushes no set without a later candidate, and sweeps first
+    from the complement source that failed on the previous call: nearby sets
+    tend to fail on the same pair.
     """
     _check_tolerance(k)
     variant = _check_variant_name(variant)
@@ -441,10 +450,19 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
             sources = checker.members
         return all(sees(s, xs, range(n)) for s in sources if s != v and through[s][v] != 1 << v)
 
+    last = 0  # the complement source whose sweep failed on the previous call
+
     def complement_sees(current) -> bool:
-        xs = checker.mask
-        outside = [c for c in range(n) if not xs >> c & 1]
-        return all(sees(c, xs, outside) for c in outside)
+        nonlocal last
+        xs = sum(1 << v for v in current)
+        outside = [c for c in range(n) if c != last and not xs >> c & 1]
+        if not xs >> last & 1:
+            outside.insert(0, last)
+        for c in outside:
+            if not sees(c, xs, outside):
+                last = c
+                return False
+        return True
 
     order = sorted(range(n), key=lambda u: (-g.degree(u), u))
     fits, accept = (checker.fits, complement_sees) if variant == DUAL else (keeps, None)

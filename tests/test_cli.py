@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -309,6 +310,17 @@ class TestSolverCommands:
             tracemalloc.stop()
         assert code == 0 and json.loads(out)["result"]["match"] is True
         assert peak < n * sys.getsizeof([0] * n) // 2
+
+    def test_oracle_refuses_above_its_vertex_limit(self, capsys, monkeypatch):
+        """Above MAX_ORACLE_VERTICES the oracle refuses before its first BFS,
+        so the refusal costs no more than reading the graph."""
+        assert mkvis.cli.MAX_ORACLE_VERTICES == 1000
+        code, text, _ = run(capsys, monkeypatch, ["gen", "path", "1001"])
+        assert code == 0
+        started = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, ["oracle", "--set", "0"], text)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and not out and "oracle limited to 1000 vertices" in err
 
 
 class TestExitCodes:

@@ -2,12 +2,14 @@
 
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+import mkvis.solvers
 from mkvis.blocks import mu_k_block
 from mkvis.covering import tau_k
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
@@ -378,6 +380,80 @@ def test_search_effort_is_pinned(solve, want):
     exactly; a change to any of them shows here first."""
     res = solve()
     assert (res.value, res.nodes_explored, sorted(res.witness)) == want
+
+
+@pytest.mark.parametrize(
+    "solve,want",
+    [
+        (lambda: visibility_polynomial(random_connected(16, 0.2, 2), 1), (24937, 13, 49580)),
+        (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL), (6125, 7, 10532)),
+        (lambda: mu_k(random_connected(24, 0.15, 1), 1), (2614, 20, 2619)),
+    ],
+    ids=["poly-random16-k1", "dual-random18-k0", "mu-random24-k1"],
+)
+def test_push_count_is_pinned(solve, want):
+    """_search pushes a set only when a later candidate is probed, so the
+    pushes fall short of the sets visited; the polynomial's node count is
+    the sum of its coefficients."""
+    pushes = []
+    push = _IncrementalChecker.push
+
+    def counting(self, v):
+        pushes.append(v)
+        return push(self, v)
+
+    with mock.patch.object(_IncrementalChecker, "push", counting):
+        res = solve()
+    if isinstance(res, Polynomial):
+        assert (len(pushes), res.degree(), sum(res.coefficients)) == want
+    else:
+        assert (len(pushes), res.value, res.nodes_explored) == want
+
+
+class TestSearchPushes:
+    @given(support.graphs(min_n=1, max_n=9), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_every_push_is_probed_before_its_pop(self, g, k):
+        """Every push inside _search is read by at least one fits call before
+        the matching pop, for every solver that runs on it."""
+        search = mkvis.solvers._search
+        calls = []
+
+        def watched(order, fits, push, pop, *args, **kwargs):
+            open_pushes = []  # [vertex, probed since its push]
+
+            def watched_fits(v):
+                if open_pushes:
+                    open_pushes[-1][1] = True
+                return fits(v)
+
+            def watched_push(v):
+                open_pushes.append([v, False])
+                return push(v)
+
+            def watched_pop(v, undo):
+                assert open_pushes.pop() == [v, True]
+                pop(v, undo)
+
+            calls.append(open_pushes)
+            return search(order, watched_fits, watched_push, watched_pop, *args, **kwargs)
+
+        with mock.patch.object(mkvis.solvers, "_search", watched):
+            mu_k(g, k)
+            visibility_polynomial(g, k)
+            gp_number(g)
+            for variant in VARIANTS:
+                mu_k_variant(g, k, variant)
+        assert len(calls) == 6
+        assert all(not open_pushes for open_pushes in calls)
+
+    @given(support.graphs(min_n=9, max_n=10), st.integers(0, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_dual_matches_subset_enumeration(self, g, k):
+        res = mu_k_variant(g, k, DUAL)
+        assert res.value == support.brute_variant_mu(g, k, DUAL)
+        assert len(res.witness) == res.value
+        assert support.oracle_variant_check(g, res.witness, k, DUAL)
 
 
 class TestCycleExtremalSet:
