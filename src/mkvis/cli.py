@@ -12,6 +12,7 @@ errors, 3 size-limit refusals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,7 +23,6 @@ from .blocks import DEFAULT_TREE_MAX_NODES, _blocks_are_cliques, block_decomposi
 from .covering import DEFAULT_COVER_MAX_N, DEFAULT_TAU_MAX_N, greedy_cover, tau_k
 from .errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from .graphs import (
-    INFINITE,
     bfs_distances,
     complete_bipartite,
     complete_graph,
@@ -70,16 +70,13 @@ SEEDED_FAMILIES = ("random", "block")
 MAX_ORACLE_VERTICES = 1000
 
 
-def _jsonable(value):
+def _json_default(value):
+    """json.dumps hook for the values JSON has no type for."""
     if is_infinite(value):
         return None
     if isinstance(value, (frozenset, set)):
         return sorted(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -118,14 +115,13 @@ def _emit(args, g, source, parameters, result, started) -> None:
             "n": g.n,
             "m": g.m,
             "source": source,
-            "parameters": _jsonable(parameters),
+            "parameters": parameters,
         },
-        "result": _jsonable(result),
+        "result": result,
         "timing_seconds": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
 
 
 def _pair_counts_list(pair_counts):
@@ -426,10 +422,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # built by the first main call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     started = time.perf_counter()

@@ -70,7 +70,7 @@ class Infinite:
 
 INFINITE = Infinite()
 
-# Largest vertex count build_graph accepts: it allocates from n before reading edges.
+# Largest vertex count build_graph and parse_edge_list accept: both allocate from n before reading edges.
 MAX_VERTICES = 10**6
 # Largest edge count a generator builds; it refuses before generating the first edge.
 MAX_EDGES = 10**7
@@ -415,15 +415,18 @@ def random_block_graph(block_count: int, max_block_size: int, seed: int) -> Grap
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format, reporting 1-based line numbers on errors."""
+    """Parse the edge-list format, reporting 1-based line numbers on errors.
+
+    Each edge is checked once, as build_graph would, straight into the
+    adjacency lists; a header above MAX_VERTICES is refused at its line.
+    """
     n = declared_m = None
-    edges: list[tuple[int, int]] = []
+    adj: list = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise GraphInputError(f"line {lineno}: expected two whitespace-separated values")
         try:
@@ -433,24 +436,28 @@ def parse_edge_list(text: str) -> Graph:
         if n is None:
             if a < 0 or b < 0:
                 raise GraphInputError(f"line {lineno}: header 'n m' values must be nonnegative")
+            if a > MAX_VERTICES:
+                raise SizeLimitError(f"line {lineno}: graphs are limited to {MAX_VERTICES} vertices, got {a}")
             n, declared_m = a, b
+            adj = [[] for _ in range(n)]
             continue
-        if len(edges) == declared_m:
+        if len(seen) == declared_m:
             raise GraphInputError(f"line {lineno}: more edges than the declared {declared_m}")
         if not (0 <= a < n and 0 <= b < n):
             raise GraphInputError(f"line {lineno}: vertex id out of range [0, {n})")
         if a == b:
             raise GraphInputError(f"line {lineno}: self-loop ({a}, {b}) is not allowed")
-        key = (a, b) if a < b else (b, a)
+        key = a * n + b if a < b else b * n + a
         if key in seen:
             raise GraphInputError(f"line {lineno}: duplicate edge ({a}, {b})")
         seen.add(key)
-        edges.append((a, b))
+        adj[a].append(b)
+        adj[b].append(a)
     if n is None:
         raise GraphInputError("empty input: missing 'n m' header line")
-    if len(edges) != declared_m:
-        raise GraphInputError(f"declared {declared_m} edges but found {len(edges)}")
-    return build_graph(n, edges)
+    if len(seen) != declared_m:
+        raise GraphInputError(f"declared {declared_m} edges but found {len(seen)}")
+    return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in adj), m=len(seen))
 
 
 def format_edge_list(g: Graph, comments=()) -> str:

@@ -6,13 +6,11 @@ count). Everything rests on one quantity: from a source, the minimum number
 of tracked vertices on a shortest path to every target. It is computed two
 ways that share no code.
 
-bfs_mkv is the validated public kernel. One BFS pass discovers the vertices
-and relaxes the counts along the edges that advance one level; a count is
-final when its vertex leaves the queue, because every shortest-path
-predecessor sits one level up and left the queue earlier. check_variant
-runs it once per source, and mkv_check validates the set once and then runs
-its unvalidated core _bfs_mkv once per member, so a single query pays
-nothing up front.
+_count_bfs is the counting BFS: one pass discovers the vertices and relaxes
+the counts along the edges that advance one level. It trusts its input, a
+membership list built once per call, and returns plain lists. mkv_check runs
+it once per member, check_variant and internal_counts once per source, each
+after validating the set once; bfs_mkv is its validated public form.
 
 The exact solvers probe thousands of sets on one small graph. For them
 _geodesic_dags builds, once per solve, each source's shortest-path DAG: the
@@ -105,30 +103,39 @@ class KernelResult:
 
 
 def bfs_mkv(g: Graph, s, v: int) -> KernelResult:
-    """Counting BFS from v tracking the members of s.
-
-    A single pass: when the BFS discovers w from u it sets dist[w] and
-    cnt[w]; every later edge from the same level into w may lower cnt[w].
-    The step into w adds one exactly when w is tracked and is not the source.
-    Discovery order is nondecreasing in distance, so cnt[u] is final when u
-    is dequeued, before it is propagated.
-    """
+    """Counting BFS from v tracking the members of s: _count_bfs on
+    validated ids, its result wrapped in a KernelResult."""
     check_vertex(g, v)
-    return _bfs_mkv(g, check_vertex_set(g, s), v)
+    members = check_vertex_set(g, s)
+    dist, cnt, touches = _count_bfs(g.adj, _membership(g.n, members), v)
+    dist_t = tuple(INFINITE if d is None else d for d in dist)
+    cnt_t = tuple(INFINITE if d is None else c for d, c in zip(dist, cnt))
+    dp = {q: cnt_t[q] for q in members}
+    return KernelResult(source=v, dist=dist_t, cnt=cnt_t, dp=dp, edge_touches=touches)
 
 
-def _bfs_mkv(g: Graph, members: frozenset, v: int) -> KernelResult:
-    """bfs_mkv for ids the caller has validated."""
-    n = g.n
-    adj = g.adj
-    in_s = [False] * n
+def _membership(n: int, members) -> list:
+    """in_s for _count_bfs: 1 at the members, 0 elsewhere."""
+    in_s = [0] * n
     for q in members:
-        in_s[q] = True
-    in_s[v] = False
+        in_s[q] = 1
+    return in_s
+
+
+def _count_bfs(adj, in_s: list, v: int):
+    """Counting BFS from v on trusted input, as plain lists.
+
+    When the BFS discovers w from u it sets dist[w] and cnt[w]; every later
+    edge from the same level into w may lower cnt[w]. The step into w adds
+    in_s[w] (1 when w is tracked, else 0); no step enters v, so a tracked
+    source is not counted. Discovery order is nondecreasing in distance, so
+    cnt[u] is final when u is dequeued. Returns (dist, cnt, touches), dist
+    None and cnt 0 where unreached; touches is n plus the adjacency steps.
+    """
+    n = len(adj)
     dist: list = [None] * n
-    cnt: list = [None] * n
+    cnt = [0] * n
     dist[v] = 0
-    cnt[v] = 0
     order = [v]
     touches = n
     for u in order:  # the list grows while it is walked: a FIFO queue
@@ -145,10 +152,7 @@ def _bfs_mkv(g: Graph, members: frozenset, v: int) -> KernelResult:
                 cand = cu + in_s[w]
                 if cand < cnt[w]:
                     cnt[w] = cand
-    dist_t = tuple(INFINITE if d is None else d for d in dist)
-    cnt_t = tuple(INFINITE if c is None else c for c in cnt)
-    dp = {q: cnt_t[q] for q in members}
-    return KernelResult(source=v, dist=dist_t, cnt=cnt_t, dp=dp, edge_touches=touches)
+    return dist, cnt, touches
 
 
 def _geodesic_dags(g: Graph) -> list:
@@ -210,26 +214,15 @@ def _path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
     return counts
 
 
-def _counts_and_touches(g: Graph, xs: frozenset, source: int):
-    """Per-target minimum internal counts (endpoints excluded) from one source."""
-    res = bfs_mkv(g, xs | {source}, source)
-    counts: list = []
-    for w, c in enumerate(res.cnt):
-        if is_infinite(c):
-            counts.append(INFINITE)
-        elif w != source and w in xs:
-            counts.append(c - 1)  # the kernel counted the target itself
-        else:
-            counts.append(c)
-    return counts, res.edge_touches
-
-
 def internal_counts(g: Graph, x, source: int) -> list:
     """For every target, the minimum number of x-members strictly inside some
     shortest path from source; INFINITE where unreachable."""
-    xs = check_vertex_set(g, x)
+    in_s = _membership(g.n, check_vertex_set(g, x))
     check_vertex(g, source)
-    counts, _ = _counts_and_touches(g, xs, source)
+    dist, cnt, _ = _count_bfs(g.adj, in_s, source)
+    # cnt counts a tracked target itself
+    counts = [INFINITE if d is None else c - t for d, c, t in zip(dist, cnt, in_s)]
+    counts[source] = 0
     return counts
 
 
@@ -240,10 +233,10 @@ def min_internal_count(g: Graph, x, u: int, w: int) -> int:
     check_vertex(g, w)
     if u == w:
         return 0
-    counts, _ = _counts_and_touches(g, xs, u)
-    if is_infinite(counts[w]):
+    count = internal_counts(g, xs, u)[w]
+    if is_infinite(count):
         raise DisconnectedGraphError(f"vertices {u} and {w} are in different components")
-    return counts[w]
+    return count
 
 
 @dataclass(frozen=True)
@@ -266,58 +259,38 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     refused above MAX_PAIR_COUNT_MEMBERS members.
     """
     _check_tolerance(k)
-    xs = check_vertex_set(g, s)
-    members = sorted(xs)
+    members = sorted(check_vertex_set(g, s))
     if collect_pair_counts and len(members) > MAX_PAIR_COUNT_MEMBERS:
         raise SizeLimitError(f"pair counts limited to {MAX_PAIR_COUNT_MEMBERS} members, got {len(members)}")
     pair_counts: dict | None = {} if collect_pair_counts else None
     if len(members) <= 1:
         return CheckReport(True, k, pair_counts=pair_counts)
-    ops = 0
-    first_run = _bfs_mkv(g, xs, members[0])
-    ops += first_run.edge_touches
+    in_s = _membership(g.n, members)
+    dist, cnt, ops = _count_bfs(g.adj, in_s, members[0])
     for q in members[1:]:
-        if is_infinite(first_run.dist[q]):
-            return CheckReport(
-                False, k,
-                offending_pair=(members[0], q),
-                reason=REASON_DISCONNECTED,
-                ops=ops,
-            )
-    offending = None
-    offending_count = None
-    for v in members:
-        run = first_run if v == members[0] else _bfs_mkv(g, xs, v)
-        if v != members[0]:
-            ops += run.edge_touches
+        if dist[q] is None:
+            return CheckReport(False, k, offending_pair=(members[0], q), reason=REASON_DISCONNECTED, ops=ops)
+    offending = offending_count = None
+    for i, v in enumerate(members):
+        if i:
+            _, cnt, touches = _count_bfs(g.adj, in_s, v)
+            ops += touches
         ops += len(members)
-        for q in members:
-            if q == v:
-                continue
-            internal = run.dp[q] - 1  # dp counts the tracked target itself
-            if collect_pair_counts:
-                pair_counts[(v, q) if v < q else (q, v)] = internal
-            if internal > k and offending is None:
-                offending = (v, q)
-                offending_count = internal
+        # cnt[q] counts the tracked target q itself, and cnt[v] is 0
+        if collect_pair_counts:
+            for q in members:
+                if q != v:
+                    pair_counts[(v, q) if v < q else (q, v)] = cnt[q] - 1
+        if offending is None:
+            q = next((q for q in members if cnt[q] > k + 1), None)
+            if q is not None:
+                offending, offending_count = (v, q), cnt[q] - 1
                 if not collect_pair_counts:
-                    return CheckReport(
-                        False, k,
-                        offending_pair=offending,
-                        offending_count=internal,
-                        reason=REASON_PAIR,
-                        ops=ops,
-                    )
-    if offending is not None:
-        return CheckReport(
-            False, k,
-            offending_pair=offending,
-            offending_count=offending_count,
-            reason=REASON_PAIR,
-            pair_counts=pair_counts,
-            ops=ops,
-        )
-    return CheckReport(True, k, pair_counts=pair_counts, ops=ops)
+                    break
+    if offending is None:
+        return CheckReport(True, k, pair_counts=pair_counts, ops=ops)
+    return CheckReport(False, k, offending_pair=offending, offending_count=offending_count,
+                       reason=REASON_PAIR, pair_counts=pair_counts, ops=ops)
 
 
 def check_variant(g: Graph, x, k: int, variant: str) -> CheckReport:
@@ -347,21 +320,18 @@ def check_variant(g: Graph, x, k: int, variant: str) -> CheckReport:
             (outside, lambda v: (w for w in outside if w > v)),
         ]
 
+    in_s = _membership(n, xs)
     ops = 0
     for sources, targets in sweeps:
         for v in sources:
-            counts, touches = _counts_and_touches(g, xs, v)
+            _, cnt, touches = _count_bfs(g.adj, in_s, v)
             ops += touches
             for w in targets(v):
                 ops += 1
-                if counts[w] > k:
-                    return CheckReport(
-                        False, k,
-                        offending_pair=(v, w),
-                        offending_count=counts[w],
-                        reason=REASON_PAIR,
-                        ops=ops,
-                    )
+                count = cnt[w] - in_s[w]  # cnt counts a tracked target itself
+                if count > k:
+                    return CheckReport(False, k, offending_pair=(v, w), offending_count=count,
+                                       reason=REASON_PAIR, ops=ops)
     return CheckReport(True, k, ops=ops)
 
 

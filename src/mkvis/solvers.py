@@ -102,6 +102,7 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
     nodes = 0
     sizes = [0] * (len(order) + 1)
     current: list = []
+    tally = goal is not None and bound is None  # rest is summed only to cut with
 
     def walk(cands, cw) -> bool:
         nonlocal best, best_set, nodes
@@ -112,11 +113,12 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
             best_set = frozenset(current)
             if best >= goal:
                 return True
-        rest = sum(weight[v] for v in cands)
+        rest = sum(weight[v] for v in cands) if tally else 0
         for idx, v in enumerate(cands):
-            if cw + (rest if bound is None else bound(cands, idx)) <= best:
+            if goal is not None and cw + (rest if tally else bound(cands, idx)) <= best:
                 break
-            rest -= weight[v]
+            if tally:
+                rest -= weight[v]
             later = cands[idx + 1 :]
             undo = push(v) if later else None
             current.append(v)

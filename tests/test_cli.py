@@ -16,6 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import mkvis
+import mkvis.cli
 import mkvis.graphs
 import mkvis.kernel
 from mkvis import __version__
@@ -221,6 +222,10 @@ class TestSolverCommands:
         assert code == 0
         assert rep["result"]["girth_bound"] is None  # INFINITE serializes as null
         assert rep["result"]["diameter_bound"] == 2
+
+    def test_bounds_on_a_tree_emits_null_girth(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["bounds", "-k", "1"], "4 3\n0 1\n0 2\n0 3\n")
+        assert code == 0 and '\n    "girth_bound": null,\n' in out
 
     def test_bounds_rejects_empty_path(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["bounds", "-k", "0", "--path", ""],
@@ -435,6 +440,13 @@ class TestExitCodes:
         assert proc.returncode == 3 and not proc.stdout
         assert proc.stderr.startswith("mkvis: refused:") and "1000 members" in proc.stderr
 
+    @pytest.mark.parametrize("text", ["2000000 0\n", "2000000 1\n0 x\n"])
+    def test_header_above_vertex_limit(self, capsys, monkeypatch, text):
+        """Refused at the header line, before any edge line is read."""
+        code, out, err = run(capsys, monkeypatch, ["check", "-k", "0", "--set", "0"], text)
+        assert code == 3 and not out
+        assert err.startswith("mkvis: refused: line 1:") and "1000000 vertices" in err
+
     def test_disconnected_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["mu", "-k", "0"], "4 2\n0 1\n2 3\n")
         assert code == 2 and "connected" in err
@@ -446,6 +458,59 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys, monkeypatch):
         assert run(capsys, monkeypatch, ["--help"])[0] == 0
         assert run(capsys, monkeypatch, ["check", "--help"])[0] == 0
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    SEQUENCES = {
+        "strict failure, then plain check": [
+            ["check", "-k", "0", "--set", "0,2,4", "--strict"],
+            ["check", "-k", "0", "--set", "0,2,4"],
+        ],
+        "usage error, then a valid call": [
+            ["check", "-k", "0"],
+            ["check", "-k", "1", "--set", "0,2,4", "--pair-counts"],
+        ],
+        "version, then a valid call": [["--version"], ["mu", "-k", "1"]],
+        "help, then an unknown subcommand, then a variant check": [
+            ["check", "--help"], ["nope"], ["check", "-k", "2", "--set", "1,2", "--variant", "total"],
+        ],
+    }
+
+    @staticmethod
+    def _outcomes(capsys, monkeypatch, sequence):
+        outcomes = []
+        for argv in sequence:
+            code, out, err = run(capsys, monkeypatch, argv, PATH5)
+            if out.startswith("{"):
+                out = json.loads(out)
+                out.pop("timing_seconds")
+            outcomes.append((code, out, err))
+        return outcomes
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_interleaved_calls_match_a_fresh_parser(self, capsys, monkeypatch, name):
+        sequence = self.SEQUENCES[name]
+        shared = self._outcomes(capsys, monkeypatch, sequence)
+        monkeypatch.setattr(mkvis.cli, "_parser", mkvis.cli.build_parser)  # a new parser per call
+        fresh = self._outcomes(capsys, monkeypatch, sequence)
+        assert shared == fresh
+        assert shared[-1][0] == 0
+
+    def test_strict_exit_does_not_stick(self, capsys, monkeypatch):
+        codes = [c for c, _, _ in self._outcomes(capsys, monkeypatch, self.SEQUENCES["strict failure, then plain check"])]
+        assert codes == [1, 0]
+
+    def test_parser_built_once_and_not_at_import(self, capsys, monkeypatch):
+        probe = "import mkvis.cli; print(mkvis.cli._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(Path(mkvis.__file__).parents[1])})
+        assert proc.stdout.strip() == "0"
+        run(capsys, monkeypatch, ["--version"])
+        parser = mkvis.cli._parser()
+        run(capsys, monkeypatch, ["mu", "-k", "0"], PATH5)
+        assert mkvis.cli._parser() is parser
 
 
 GRAPH_COMMANDS = [

@@ -1,5 +1,6 @@
 """Graph container, metric summaries, generators, and the edge-list format."""
 
+import itertools
 import pickle
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
-from mkvis.errors import DisconnectedGraphError, GraphInputError
+from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
     INFINITE,
     bfs_distances,
@@ -361,3 +362,40 @@ class TestEdgeListFormat:
     def test_duplicate_edge_reports_line(self):
         with pytest.raises(GraphInputError, match="line 3: duplicate"):
             parse_edge_list("3 2\n0 1\n1 0\n")
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_equals_build_graph(self, data):
+        """Edges in any order and orientation, among comments and blank
+        lines, give the graph build_graph gives."""
+        n = data.draw(st.integers(0, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+        filler = st.sampled_from(["", "   ", "# note", "\t# indented note"])
+        lines = [*data.draw(st.lists(filler, max_size=2)), f"{n} {len(edges)}  # header"]
+        for u, v in edges:
+            lines += [f" {u}\t{v} ", *data.draw(st.lists(filler, max_size=1))]
+        assert parse_edge_list("\n".join(lines)) == build_graph(n, edges)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty input: missing 'n m' header line"),
+        ("3\n", "line 1: expected two whitespace-separated values"),
+        ("# c\n3 1\n0 x\n", "line 3: values must be integers"),
+        ("3 -1\n", "line 1: header 'n m' values must be nonnegative"),
+        ("3 1\n0 1\n\n1 2\n", "line 4: more edges than the declared 1"),
+        ("3 2\n0 1\n2 3\n", "line 3: vertex id out of range [0, 3)"),
+        ("3 2\n0 1\n-1 2\n", "line 3: vertex id out of range [0, 3)"),
+        ("3 1\n# c\n1 1\n", "line 3: self-loop (1, 1) is not allowed"),
+        ("3 2\n0 1\n1 0\n", "line 3: duplicate edge (1, 0)"),
+        ("3 2\n0 1\n", "declared 2 edges but found 1"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphInputError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+
+    def test_header_above_vertex_limit_refused_at_its_line(self):
+        # refused at the header, before a malformed edge line is read
+        with pytest.raises(SizeLimitError, match="^line 2: graphs are limited to 1000000 vertices"):
+            parse_edge_list("# c\n2000000 1\n0 x\n")

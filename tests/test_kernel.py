@@ -302,6 +302,140 @@ class TestCheckVariant:
             assert mkv_check(g, x, k).verdict
 
 
+@st.composite
+def loose_graph_and_set(draw, max_n=9):
+    """A graph that may be disconnected, with a vertex set drawn from it."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    members = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return build_graph(n, edges), members
+
+
+def _touches(g, dist, v):
+    """The counting BFS's closed-form work from v: n plus one step per
+    adjacency entry of every vertex it reaches."""
+    return g.n + sum(g.degree(u) for u in range(g.n) if dist[v][u] != support.INF)
+
+
+def _expected_check(g, s, k, collect):
+    """mkv_check's report rebuilt from per-pair geodesic enumeration: members
+    scanned in sorted order, one BFS and |S| pair steps per member."""
+    members = sorted(set(s))
+    pair_counts = {} if collect else None
+    if len(members) <= 1:
+        return kernel.CheckReport(True, k, pair_counts=pair_counts)
+    dist = support.distance_matrix(g)
+    first = members[0]
+    for q in members[1:]:
+        if dist[first][q] == support.INF:
+            return kernel.CheckReport(False, k, offending_pair=(first, q), reason=REASON_DISCONNECTED,
+                               ops=_touches(g, dist, first))
+    ops = 0
+    offending = offending_count = None
+    for v in members:
+        ops += _touches(g, dist, v) + len(members)
+        for q in members:
+            if q == v:
+                continue
+            count = support.pair_min_internal(g, members, v, q, dist)
+            if collect:
+                pair_counts[min(v, q), max(v, q)] = count
+            if count > k and offending is None:
+                offending, offending_count = (v, q), count
+        if offending is not None and not collect:
+            break
+    if offending is None:
+        return kernel.CheckReport(True, k, pair_counts=pair_counts, ops=ops)
+    return kernel.CheckReport(False, k, offending_pair=offending, offending_count=offending_count,
+                       reason=REASON_PAIR, pair_counts=pair_counts, ops=ops)
+
+
+def _expected_variant(g, x, k, variant):
+    """check_variant's report rebuilt from per-pair geodesic enumeration, in
+    its sweep order: one BFS (n + 2m steps) per source, one step per target."""
+    xs = set(x)
+    n = g.n
+    dist = support.distance_matrix(g)
+    inside = sorted(xs)
+    outside = [v for v in range(n) if v not in xs]
+    if variant == TOTAL:
+        sweep = [(v, range(v + 1, n)) for v in range(n)]
+    elif variant == OUTER:
+        sweep = [(v, [w for w in range(n) if w != v and (w not in xs or w > v)]) for v in inside]
+    else:
+        sweep = ([(v, [w for w in inside if w > v]) for v in inside]
+                 + [(v, [w for w in outside if w > v]) for v in outside])
+    ops = 0
+    for v, targets in sweep:
+        ops += n + 2 * g.m
+        for w in targets:
+            ops += 1
+            count = support.pair_min_internal(g, xs, v, w, dist)
+            if count > k:
+                return kernel.CheckReport(False, k, offending_pair=(v, w), offending_count=count,
+                                   reason=REASON_PAIR, ops=ops)
+    return kernel.CheckReport(True, k, ops=ops)
+
+
+class TestLeanKernel:
+    """Every field of mkv_check and check_variant against per-pair geodesic
+    enumeration, ops against the closed-form touch count."""
+
+    @given(support.graph_and_set(min_n=1) | loose_graph_and_set(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_mkv_check_matches_enumeration(self, gs, k, collect):
+        g, s = gs
+        assert mkv_check(g, s, k, collect_pair_counts=collect) == _expected_check(g, s, k, collect)
+
+    @given(support.graph_and_set(min_n=2, max_n=9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_tolerance_at_the_diameter_passes(self, gs, collect):
+        g, s = gs
+        diameter = max(max(row) for row in support.distance_matrix(g))
+        size = len(s)
+        for k in (diameter, diameter + 3):
+            rep = mkv_check(g, s, k, collect_pair_counts=collect)
+            assert rep == _expected_check(g, s, k, collect)
+            assert rep.verdict and rep.ops == (size * (g.n + 2 * g.m + size) if size > 1 else 0)
+
+    def test_members_in_different_components(self):
+        # the first member's component holds 0, 1 and 2; member 4 lies outside it
+        g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        for collect in (False, True):
+            rep = mkv_check(g, {0, 2, 4, 5}, 0, collect_pair_counts=collect)
+            assert rep == kernel.CheckReport(False, 0, offending_pair=(0, 4), reason=REASON_DISCONNECTED,
+                                      ops=6 + 4)
+            assert rep == _expected_check(g, {0, 2, 4, 5}, 0, collect)
+
+    def test_at_most_one_member(self):
+        for s in (set(), {3}):
+            assert mkv_check(path_graph(5), s, 0) == kernel.CheckReport(True, 0)
+            assert mkv_check(path_graph(5), s, 0, collect_pair_counts=True) == kernel.CheckReport(True, 0, pair_counts={})
+
+    @given(
+        support.graph_and_set(min_n=2, max_n=8),
+        st.integers(0, 3),
+        st.sampled_from(VARIANTS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_check_variant_matches_enumeration(self, gs, k, variant):
+        g, x = gs
+        rep = check_variant(g, x, k, variant)
+        assert rep == _expected_variant(g, x, k, variant)
+        assert rep.verdict == support.oracle_variant_check(g, x, k, variant)
+
+    def test_check_variant_all_three_on_one_set(self):
+        # C6 with x = {0, 1, 3}: every variant decided and located the same way
+        g = cycle_graph(6)
+        x = {0, 1, 3}
+        for variant in VARIANTS:
+            for k in (0, 1):
+                rep = check_variant(g, x, k, variant)
+                assert rep == _expected_variant(g, x, k, variant), (variant, k)
+                assert rep.verdict == support.oracle_variant_check(g, x, k, variant), (variant, k)
+
+
 class TestOracle:
     def test_two_blocked_geodesics(self):
         assert oracle_min_internal_count(cycle_graph(4), {1, 3}, 0, 2) == 1
