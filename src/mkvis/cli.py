@@ -424,7 +424,10 @@ _HANDLERS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    return build_parser()  # built by the first main call, not at import
+    """The parser, built by the first main call, not at import. Reuse only
+    pays when main runs many times in one process (a library caller, the
+    benchmark's in-process loop); the console script builds it once anyway."""
+    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -115,6 +115,19 @@ def check_vertex_set(g: Graph, vertices) -> frozenset[int]:
     return frozenset(check_vertex(g, v) for v in vertices)
 
 
+def _empty_adjacency(n: int, where: str = "") -> list:
+    """Empty adjacency lists for n vertices, refusing more than MAX_VERTICES
+    before allocating; where prefixes the error (a line number)."""
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"{where}graphs are limited to {MAX_VERTICES} vertices, got {n}")
+    return [[] for _ in range(n)]
+
+
+def _assemble(n: int, adj: list, m: int) -> Graph:
+    """The Graph of adjacency lists whose m edges are already validated."""
+    return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in adj), m=m)
+
+
 def build_graph(n: int, edges) -> Graph:
     """Validate and build a Graph.
 
@@ -124,9 +137,7 @@ def build_graph(n: int, edges) -> Graph:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphInputError(f"vertex count must be a nonnegative integer, got {n!r}")
-    if n > MAX_VERTICES:
-        raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices, got {n}")
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj = _empty_adjacency(n)
     seen = set()
     count = 0
     for edge in edges:
@@ -151,7 +162,7 @@ def build_graph(n: int, edges) -> Graph:
         adj[u].append(v)
         adj[v].append(u)
         count += 1
-    return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in adj), m=count)
+    return _assemble(n, adj, count)
 
 
 def bfs_distances(g: Graph, v: int) -> list:
@@ -436,10 +447,8 @@ def parse_edge_list(text: str) -> Graph:
         if n is None:
             if a < 0 or b < 0:
                 raise GraphInputError(f"line {lineno}: header 'n m' values must be nonnegative")
-            if a > MAX_VERTICES:
-                raise SizeLimitError(f"line {lineno}: graphs are limited to {MAX_VERTICES} vertices, got {a}")
+            adj = _empty_adjacency(a, f"line {lineno}: ")
             n, declared_m = a, b
-            adj = [[] for _ in range(n)]
             continue
         if len(seen) == declared_m:
             raise GraphInputError(f"line {lineno}: more edges than the declared {declared_m}")
@@ -457,7 +466,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphInputError("empty input: missing 'n m' header line")
     if len(seen) != declared_m:
         raise GraphInputError(f"declared {declared_m} edges but found {len(seen)}")
-    return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in adj), m=len(seen))
+    return _assemble(n, adj, len(seen))
 
 
 def format_edge_list(g: Graph, comments=()) -> str:

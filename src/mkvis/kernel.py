@@ -8,9 +8,11 @@ ways that share no code.
 
 _count_bfs is the counting BFS: one pass discovers the vertices and relaxes
 the counts along the edges that advance one level. It trusts its input, a
-membership list built once per call, and returns plain lists. mkv_check runs
-it once per member, check_variant and internal_counts once per source, each
-after validating the set once; bfs_mkv is its validated public form.
+membership list built once per call, and returns plain lists. mkv_check
+validates the set once and runs it once per member. bfs_mkv is its validated
+public form, wrapped in a KernelResult; check_variant and internal_counts
+sweep through bfs_mkv once per source, so a caller that rebinds
+kernel.bfs_mkv (the benchmark's tracer does) sees their sweeps.
 
 The exact solvers probe thousands of sets on one small graph. For them
 _geodesic_dags builds, once per solve, each source's shortest-path DAG: the
@@ -217,12 +219,11 @@ def _path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
 def internal_counts(g: Graph, x, source: int) -> list:
     """For every target, the minimum number of x-members strictly inside some
     shortest path from source; INFINITE where unreachable."""
-    in_s = _membership(g.n, check_vertex_set(g, x))
-    check_vertex(g, source)
-    dist, cnt, _ = _count_bfs(g.adj, in_s, source)
-    # cnt counts a tracked target itself
-    counts = [INFINITE if d is None else c - t for d, c, t in zip(dist, cnt, in_s)]
-    counts[source] = 0
+    xs = check_vertex_set(g, x)
+    counts = list(bfs_mkv(g, xs, source).cnt)
+    for q in xs:  # cnt counts a tracked target itself, never the source
+        if q != source and not is_infinite(counts[q]):
+            counts[q] -= 1
     return counts
 
 
@@ -324,8 +325,9 @@ def check_variant(g: Graph, x, k: int, variant: str) -> CheckReport:
     ops = 0
     for sources, targets in sweeps:
         for v in sources:
-            _, cnt, touches = _count_bfs(g.adj, in_s, v)
-            ops += touches
+            run = bfs_mkv(g, xs, v)
+            ops += run.edge_touches
+            cnt = run.cnt
             for w in targets(v):
                 ops += 1
                 count = cnt[w] - in_s[w]  # cnt counts a tracked target itself

@@ -498,10 +498,6 @@ class TestParserReuse:
         assert shared == fresh
         assert shared[-1][0] == 0
 
-    def test_strict_exit_does_not_stick(self, capsys, monkeypatch):
-        codes = [c for c, _, _ in self._outcomes(capsys, monkeypatch, self.SEQUENCES["strict failure, then plain check"])]
-        assert codes == [1, 0]
-
     def test_parser_built_once_and_not_at_import(self, capsys, monkeypatch):
         probe = "import mkvis.cli; print(mkvis.cli._parser.cache_info().currsize)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
