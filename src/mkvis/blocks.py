@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, SizeLimitError
-from .graphs import Graph, build_graph, require_connected
+from .graphs import Graph, build_graph, check_vertex, check_vertex_set, require_connected
 from .kernel import _check_tolerance, mkv_check
 from .solvers import SolveResult
 
@@ -120,9 +120,7 @@ class BlockCutTree:
 
     def projection(self, v: int) -> tuple:
         """Tree node a vertex maps to: its cut node, or its unique block."""
-        if not isinstance(v, int) or not 0 <= v < self.n:
-            raise GraphInputError(f"vertex id {v!r} out of range [0, {self.n})")
-        return self._projection[v]
+        return self._projection[check_vertex(self, v)]
 
     def _check_node(self, node):
         if node not in self._adjacency:
@@ -293,10 +291,7 @@ def expand_admissible(t: BlockCutTree, z) -> set[int]:
 def contract_set(t: BlockCutTree, x) -> set:
     """Tree nodes of a vertex set: its articulation vertices as cut nodes plus
     every block owning one of its non-articulation vertices."""
-    xs = frozenset(x)
-    for v in xs:
-        if not isinstance(v, int) or not 0 <= v < t.n:
-            raise GraphInputError(f"vertex id {v!r} out of range [0, {t.n})")
+    xs = check_vertex_set(t, x)
     z: set = set()
     for v in xs:
         if v in t.articulation:

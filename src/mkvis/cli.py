@@ -56,13 +56,14 @@ from .solvers import (
     visibility_polynomial,
 )
 
+# family: its generator and parameters; a seeded family's generator takes the seed last
 GEN_FAMILIES = {
-    "path": (("n", int),),
-    "cycle": (("n", int),),
-    "complete": (("n", int),),
-    "bipartite": (("m", int), ("n", int)),
-    "random": (("n", int), ("p", float)),
-    "block": (("blocks", int), ("max_block_size", int)),
+    "path": (path_graph, (("n", int),)),
+    "cycle": (cycle_graph, (("n", int),)),
+    "complete": (complete_graph, (("n", int),)),
+    "bipartite": (complete_bipartite, (("m", int), ("n", int))),
+    "random": (random_connected, (("n", int), ("p", float))),
+    "block": (random_block_graph, (("blocks", int), ("max_block_size", int))),
 }
 SEEDED_FAMILIES = ("random", "block")
 # oracle enumerates the geodesics of all n(n-1)/2 pairs: at n = 1000 about 5 s on a
@@ -278,7 +279,7 @@ def _cmd_oracle(args, started):
 
 def _cmd_gen(args, started):
     family = args.family
-    spec = GEN_FAMILIES[family]
+    generate, spec = GEN_FAMILIES[family]
     if len(args.params) != len(spec):
         names = " ".join(name for name, _ in spec)
         raise GraphInputError(f"gen {family} expects parameters: {names}")
@@ -291,20 +292,11 @@ def _cmd_gen(args, started):
     if family in SEEDED_FAMILIES:
         if args.seed is None:
             raise GraphInputError(f"gen {family} requires --seed")
+        g = generate(*values, args.seed)
     elif args.seed is not None:
         raise GraphInputError(f"gen {family} takes no --seed")
-    if family == "path":
-        g = path_graph(values[0])
-    elif family == "cycle":
-        g = cycle_graph(values[0])
-    elif family == "complete":
-        g = complete_graph(values[0])
-    elif family == "bipartite":
-        g = complete_bipartite(values[0], values[1])
-    elif family == "random":
-        g = random_connected(values[0], values[1], args.seed)
     else:
-        g = random_block_graph(values[0], values[1], args.seed)
+        g = generate(*values)
     comments = [f"mkvis gen {family} " + " ".join(str(v) for v in values)]
     if args.seed is not None:
         comments.append(f"seed {args.seed}")

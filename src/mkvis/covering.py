@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphInputError, SizeLimitError
+from .errors import GraphInputError
 from .graphs import Graph, check_vertex_set, require_connected
 from .kernel import _check_tolerance, mkv_check
-from .solvers import DEFAULT_MU_MAX_N, _IncrementalChecker, mu_k
+from .solvers import DEFAULT_MU_MAX_N, _IncrementalChecker, _admit, mu_k
 
 __all__ = [
     "CoverResult",
@@ -68,12 +68,18 @@ def is_visibility_cover(g: Graph, parts, k: int) -> bool:
 
 
 def tau_bounds(g: Graph, k: int, mu_value: int | None = None, mu_max_n: int = DEFAULT_MU_MAX_N) -> TauBounds:
-    require_connected(g)
+    """Bounds on tau_k from mu_k, given as mu_value or solved within mu_max_n."""
     _check_tolerance(k)
+    require_connected(g)
     n = g.n
     if n == 0:
         raise GraphInputError("covering bounds need at least one vertex")
-    mu = mu_value if mu_value is not None else mu_k(g, k, max_n=mu_max_n).value
+    if mu_value is None:
+        mu = mu_k(g, k, max_n=mu_max_n).value
+    elif isinstance(mu_value, int) and not isinstance(mu_value, bool) and 1 <= mu_value <= n:
+        mu = mu_value
+    else:
+        raise GraphInputError(f"mu_value must be an integer in [1, {n}], got {mu_value!r}")
     return TauBounds(
         lower=(n + mu - 1) // mu,
         upper_uniform=(n + k + 1) // (k + 2),
@@ -88,19 +94,14 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
     existing parts or to one fresh part; a vertex joins a part only when it
     fits there (feasibility is downward-hereditary, so the prune is sound).
     """
-    require_connected(g)
-    _check_tolerance(k)
+    order = _admit("tau_k", g, k, max_n)
     n = g.n
-    if n > max_n:
-        raise SizeLimitError(f"tau_k limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return CoverResult(0, (), "empty graph")
-    mu = mu_k(g, k, max_n=max_n).value
-    lower = (n + mu - 1) // mu
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    lower = tau_bounds(g, k, mu_max_n=max_n).lower
     checker = _IncrementalChecker(g, k)
 
-    for target in range(max(lower, 1), n + 1):
+    for target in range(lower, n + 1):
         parts: list = []
 
         def place(i) -> bool:
@@ -131,13 +132,10 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
 def greedy_cover(g: Graph, k: int, max_n: int = DEFAULT_COVER_MAX_N) -> list[list[int]]:
     """First-fit cover: each vertex joins the first part that stays mutual
     k-visible, else opens a new one. Valid by construction, not optimal."""
-    require_connected(g)
-    _check_tolerance(k)
-    if g.n > max_n:
-        raise SizeLimitError(f"greedy_cover limited to {max_n} vertices, got {g.n}; raise max_n to override")
+    order = _admit("greedy_cover", g, k, max_n)
     checker = _IncrementalChecker(g, k)
     parts: list = []
-    for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u)):
+    for v in order:
         part = next((p for p in parts if p.fits(v)), None)
         if part is None:
             parts.append(part := checker.fresh())

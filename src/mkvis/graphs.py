@@ -106,6 +106,7 @@ class Graph:
 
 
 def check_vertex(g: Graph, v) -> int:
+    """v, if it is a vertex id of g (anything with n: a Graph, a BlockCutTree)."""
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
         raise GraphInputError(f"vertex id {v!r} out of range [0, {g.n})")
     return v

@@ -292,13 +292,18 @@ class _IncrementalChecker(_GeodesicTables):
         return True
 
 
-def _cheap_upper_bound(g: Graph, k: int) -> int:
+def _admit(name: str, g: Graph, k, max_n: int) -> list:
+    """Entry checks of every exact solver, in one order: the tolerance k
+    (None when the solver has none or checked it already), connectivity,
+    then the size limit, refused under the solver's name. Returns the search
+    order: vertices by descending degree, ties by id."""
+    if k is not None:
+        _check_tolerance(k)
+    require_connected(g)
     n = g.n
-    ms = metric_summary(g)
-    ub = min(n, n - ms.diameter + k + 1)
-    if not is_infinite(ms.girth):
-        ub = min(ub, n - ms.girth + 2 * k + 3)
-    return ub
+    if n > max_n:
+        raise SizeLimitError(f"{name} limited to {max_n} vertices, got {n}; raise max_n to override")
+    return sorted(range(n), key=lambda u: (-g.degree(u), u))
 
 
 def _convex_paths(dags, size: int) -> list:
@@ -356,11 +361,8 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     candidates plus, per path, the fewer of its candidates left and its free
     room, and the same sum over V(g) caps the cheap diameter/girth bound.
     """
-    _check_tolerance(k)
-    require_connected(g)
+    order = _admit("mu_k", g, k, max_n)
     n = g.n
-    if n > max_n:
-        raise SizeLimitError(f"mu_k limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
     checker = _IncrementalChecker(g, k)
@@ -388,8 +390,7 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
             left[part_of[v]] += 1
         return sum(map(min, left, room))
 
-    order = sorted(range(n), key=lambda u: (-g.degree(u), u))
-    goal = min(_cheap_upper_bound(g, k), bound(order, 0))
+    goal = min(bounds(g, k, gp_max_n=0).upper(), bound(order, 0))
     best, best_set, nodes, _ = _search(order, fits, push, pop, [1] * n, goal, bound)
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
@@ -426,10 +427,8 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     """
     _check_tolerance(k)
     variant = _check_variant_name(variant)
-    require_connected(g)
+    order = _admit("mu_k_variant", g, None, max_n)
     n = g.n
-    if n > max_n:
-        raise SizeLimitError(f"mu_k_variant limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
     checker = (_IncrementalChecker if variant == DUAL else _GeodesicTables)(g, k)
@@ -466,11 +465,9 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
                 return False
         return True
 
-    order = sorted(range(n), key=lambda u: (-g.degree(u), u))
     fits, accept = (checker.fits, complement_sees) if variant == DUAL else (keeps, None)
-    best, best_set, nodes, _ = _search(
-        order, fits, checker.push, checker.pop, [1] * n, _cheap_upper_bound(g, k), accept=accept
-    )
+    goal = bounds(g, k, gp_max_n=0).upper()
+    best, best_set, nodes, _ = _search(order, fits, checker.push, checker.pop, [1] * n, goal, accept=accept)
     if not check_variant(g, best_set, k, variant).verdict:
         raise RuntimeError("internal error: mu_k_variant witness failed verification")
     return SolveResult(best, best_set, nodes)
@@ -478,15 +475,12 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
 
 def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
     """Largest set with no member on any geodesic between two other members."""
-    require_connected(g)
+    order = _admit("gp_number", g, None, max_n)
     n = g.n
-    if n > max_n:
-        raise SizeLimitError(f"gp_number limited to {max_n} vertices, got {n}; raise max_n to override")
     if n == 0:
         return SolveResult(0, frozenset(), 0)
     checker = _GeodesicTables(g, 0)
     through = checker.through
-    order = sorted(range(n), key=lambda u: (-g.degree(u), u))
 
     def placeable(v) -> bool:
         """No member is strictly between v and a member, nor v between two."""
@@ -589,11 +583,8 @@ def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> 
     The family is downward-closed, so _search without a goal visits each
     feasible set exactly once and tallies them by size.
     """
-    _check_tolerance(k)
-    require_connected(g)
+    _admit("visibility_polynomial", g, k, max_n)
     n = g.n
-    if n > max_n:
-        raise SizeLimitError(f"visibility_polynomial limited to {max_n} vertices, got {n}; raise max_n to override")
     checker = _IncrementalChecker(g, k)
     _, _, _, sizes = _search(range(n), checker.fits, checker.push, checker.pop, [1] * n, None)
     return Polynomial(tuple(sizes))

@@ -190,6 +190,14 @@ class TestExpandContract:
         assert contract_set(t, {0, 4}) == {b1, cut_node(4)}
         assert contract_set(t, set()) == set()
 
+    @pytest.mark.parametrize("v", [True, -1, 4, 1.0])
+    def test_vertex_ids_follow_the_package_rule(self, v):
+        t = block_decomposition(path_graph(4))
+        with pytest.raises(GraphInputError, match=r"vertex id .* out of range \[0, 4\)"):
+            t.projection(v)
+        with pytest.raises(GraphInputError, match=r"vertex id .* out of range \[0, 4\)"):
+            contract_set(t, {v})
+
     def test_all_blocks_give_non_articulation_vertices(self):
         g = random_block_graph(5, 4, 9)
         t = block_decomposition(g)

@@ -127,6 +127,11 @@ class TestTauBounds:
         tb = tau_bounds(cycle_graph(7), 0, mu_value=3)
         assert tb.lower == 3 and tb.upper() == 3
 
+    @pytest.mark.parametrize("mu_value", [0, -2, 99, True, 2.0])
+    def test_rejects_mu_value_outside_1_to_n(self, mu_value):
+        with pytest.raises(GraphInputError, match=r"mu_value must be an integer in \[1, 5\]"):
+            tau_bounds(cycle_graph(5), 0, mu_value=mu_value)
+
     def test_path_uniform_bound_is_exact(self):
         for n in (4, 7, 11):
             for k in (0, 1, 2):

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import support
 import mkvis.solvers
 from mkvis.blocks import mu_k_block
-from mkvis.covering import tau_k
+from mkvis.covering import greedy_cover, tau_bounds, tau_k
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
     build_graph,
@@ -271,6 +271,41 @@ class TestPolynomial:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             visibility_polynomial(path_graph(19), 0)
+
+
+# (name in the size refusal, call(g, k, max_n)); gp_number takes no k and ignores it
+_ENTRY_POINTS = [
+    ("mu_k", lambda g, k, m: mu_k(g, k, max_n=m)),
+    ("mu_k_variant", lambda g, k, m: mu_k_variant(g, k, TOTAL, max_n=m)),
+    ("gp_number", lambda g, k, m: gp_number(g, max_n=m)),
+    ("visibility_polynomial", lambda g, k, m: visibility_polynomial(g, k, max_n=m)),
+    ("tau_k", lambda g, k, m: tau_k(g, k, max_n=m)),
+    ("greedy_cover", lambda g, k, m: greedy_cover(g, k, max_n=m)),
+    ("mu_k", lambda g, k, m: tau_bounds(g, k, mu_max_n=m)),  # the refusal of the mu_k it solves
+]
+
+
+@pytest.mark.parametrize("name,call", _ENTRY_POINTS, ids=[
+    "mu_k", "mu_k_variant", "gp_number", "visibility_polynomial", "tau_k", "greedy_cover", "tau_bounds"])
+class TestEntryCheckOrder:
+    """Every solver checks the tolerance, then connectivity, then its size limit."""
+
+    disconnected = build_graph(6, [(0, 1), (2, 3), (4, 5)])
+
+    def test_bad_tolerance_comes_first(self, name, call):
+        if name == "gp_number":
+            pytest.skip("gp_number takes no tolerance")
+        with pytest.raises(GraphInputError, match="tolerance k must be a nonnegative integer"):
+            call(self.disconnected, -1, 4)
+
+    def test_disconnected_comes_before_size(self, name, call):
+        with pytest.raises(DisconnectedGraphError):
+            call(self.disconnected, 0, 4)
+
+    def test_size_refusal_message(self, name, call):
+        with pytest.raises(SizeLimitError) as info:
+            call(path_graph(6), 0, 4)
+        assert str(info.value) == f"{name} limited to 4 vertices, got 6; raise max_n to override"
 
 
 @given(support.graphs(min_n=2, max_n=9), st.integers(0, 2), st.randoms(use_true_random=False))
