@@ -100,11 +100,11 @@ def _load_graph(args):
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphInputError(f"cannot read {source}: {exc}") from None
-    if getattr(args, "json", False):
+    if args.json:
         try:
             payload = json.loads(text)
             return build_graph(payload["n"], [tuple(e) for e in payload["edges"]]), source
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
             raise GraphInputError(f"bad JSON graph input: {exc}") from None
     return parse_edge_list(text), source
 
@@ -125,30 +125,17 @@ def _emit(args, g, source, parameters, result, started) -> None:
     sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
 
 
-def _pair_counts_list(pair_counts):
-    if pair_counts is None:
-        return None
-    return [[u, v, c] for (u, v), c in sorted(pair_counts.items())]
+def _solved(res) -> dict:
+    """The result of a maximiser: its value, a sorted witness and the work done."""
+    return {"value": res.value, "witness": sorted(res.witness), "nodes_explored": res.nodes_explored}
 
 
-def _check_report_result(report, members=None):
-    result = {
-        "verdict": report.verdict,
-        "k": report.k,
-        "offending_pair": list(report.offending_pair) if report.offending_pair else None,
-        "offending_count": report.offending_count,
-        "reason": report.reason,
-        "ops": report.ops,
-    }
-    if members is not None:
-        result["set"] = sorted(members)
-    if report.pair_counts is not None:
-        result["pair_counts"] = _pair_counts_list(report.pair_counts)
-    return result
+# Each graph handler takes the parsed arguments and the loaded graph and returns
+# (parameters, result, exit code); main loads the graph and writes the report.
+# Handlers look the solvers up as module globals when called, so rebinding a
+# name here (as the benchmark's tracer does) reaches every call.
 
-
-def _cmd_check(args, started):
-    g, source = _load_graph(args)
+def _cmd_check(args, g):
     members = _parse_ids(args.set)
     if args.variant is None:
         report = mkv_check(g, members, args.k, collect_pair_counts=args.pair_counts)
@@ -156,51 +143,43 @@ def _cmd_check(args, started):
         if args.pair_counts:
             raise GraphInputError("--pair-counts is only available for the plain check")
         report = check_variant(g, members, args.k, args.variant)
-    params = {"k": args.k, "set": sorted(set(members)), "variant": args.variant}
-    _emit(args, g, source, params, _check_report_result(report, members), started)
-    return 0 if report.verdict or not args.strict else 1
+    ids = sorted(set(members))
+    result = {
+        "verdict": report.verdict,
+        "k": report.k,
+        "offending_pair": list(report.offending_pair) if report.offending_pair else None,
+        "offending_count": report.offending_count,
+        "reason": report.reason,
+        "ops": report.ops,
+        "set": ids,
+    }
+    if report.pair_counts is not None:
+        result["pair_counts"] = [[u, v, c] for (u, v), c in sorted(report.pair_counts.items())]
+    code = 0 if report.verdict or not args.strict else 1
+    return {"k": args.k, "set": ids, "variant": args.variant}, result, code
 
 
-def _cmd_mu(args, started):
-    g, source = _load_graph(args)
-    res = mu_k(g, args.k, max_n=args.max_n)
-    _emit(args, g, source, {"k": args.k, "max_n": args.max_n},
-          {"value": res.value, "witness": sorted(res.witness), "nodes_explored": res.nodes_explored},
-          started)
-    return 0
+def _cmd_mu(args, g):
+    return {"k": args.k, "max_n": args.max_n}, _solved(mu_k(g, args.k, max_n=args.max_n)), 0
 
 
-def _cmd_mu_variant(args, started):
-    g, source = _load_graph(args)
+def _cmd_mu_variant(args, g):
     res = mu_k_variant(g, args.k, args.variant, max_n=args.max_n)
-    _emit(args, g, source, {"k": args.k, "variant": args.variant, "max_n": args.max_n},
-          {"variant": args.variant, "value": res.value, "witness": sorted(res.witness),
-           "nodes_explored": res.nodes_explored},
-          started)
-    return 0
+    return ({"k": args.k, "variant": args.variant, "max_n": args.max_n},
+            {"variant": args.variant, **_solved(res)}, 0)
 
 
-def _cmd_gp(args, started):
-    g, source = _load_graph(args)
-    res = gp_number(g, max_n=args.max_n)
-    _emit(args, g, source, {"max_n": args.max_n},
-          {"value": res.value, "witness": sorted(res.witness), "nodes_explored": res.nodes_explored},
-          started)
-    return 0
+def _cmd_gp(args, g):
+    return {"max_n": args.max_n}, _solved(gp_number(g, max_n=args.max_n)), 0
 
 
-def _cmd_poly(args, started):
-    g, source = _load_graph(args)
+def _cmd_poly(args, g):
     poly = visibility_polynomial(g, args.k, max_n=args.max_n)
-    _emit(args, g, source, {"k": args.k, "max_n": args.max_n},
-          {"coefficients": list(poly.coefficients), "degree": poly.degree(),
-           "pretty": str(poly)},
-          started)
-    return 0
+    return ({"k": args.k, "max_n": args.max_n},
+            {"coefficients": list(poly.coefficients), "degree": poly.degree(), "pretty": str(poly)}, 0)
 
 
-def _cmd_bounds(args, started):
-    g, source = _load_graph(args)
+def _cmd_bounds(args, g):
     path = _parse_ids(args.path) if args.path is not None else None
     rec = bounds(g, args.k, isometric_path=path, gp_max_n=args.gp_max_n)
     result = {
@@ -213,50 +192,35 @@ def _cmd_bounds(args, started):
         "upper": rec.upper(),
         "lower": rec.lower(),
     }
-    _emit(args, g, source, {"k": args.k, "path": path, "gp_max_n": args.gp_max_n},
-          result, started)
-    return 0
+    return {"k": args.k, "path": path, "gp_max_n": args.gp_max_n}, result, 0
 
 
-def _cmd_tau(args, started):
-    g, source = _load_graph(args)
+def _cmd_tau(args, g):
     res = tau_k(g, args.k, max_n=args.max_n)
-    _emit(args, g, source, {"k": args.k, "max_n": args.max_n},
-          {"value": res.value, "partition": [list(p) for p in res.partition],
-           "lower_bound_used": res.lower_bound_used},
-          started)
-    return 0
+    return ({"k": args.k, "max_n": args.max_n},
+            {"value": res.value, "partition": [list(p) for p in res.partition],
+             "lower_bound_used": res.lower_bound_used}, 0)
 
 
-def _cmd_cover_greedy(args, started):
-    g, source = _load_graph(args)
+def _cmd_cover_greedy(args, g):
     parts = greedy_cover(g, args.k, max_n=args.max_n)
-    _emit(args, g, source, {"k": args.k, "max_n": args.max_n},
-          {"part_count": len(parts), "partition": parts}, started)
-    return 0
+    return {"k": args.k, "max_n": args.max_n}, {"part_count": len(parts), "partition": parts}, 0
 
 
-def _cmd_blocks(args, started):
-    g, source = _load_graph(args)
+def _cmd_blocks(args, g):
     tree = block_decomposition(g)
     verdict = _blocks_are_cliques(g, tree)
     result = tree.to_dict()
     result["is_block_graph"] = verdict
-    _emit(args, g, source, {}, result, started)
-    return 0 if verdict or not args.strict else 1
+    return {}, result, 0 if verdict or not args.strict else 1
 
 
-def _cmd_mu_block(args, started):
-    g, source = _load_graph(args)
+def _cmd_mu_block(args, g):
     res = mu_k_block(g, args.k, max_nodes=args.max_nodes)
-    _emit(args, g, source, {"k": args.k, "max_nodes": args.max_nodes},
-          {"value": res.value, "witness": sorted(res.witness), "nodes_explored": res.nodes_explored},
-          started)
-    return 0
+    return {"k": args.k, "max_nodes": args.max_nodes}, _solved(res), 0
 
 
-def _cmd_oracle(args, started):
-    g, source = _load_graph(args)
+def _cmd_oracle(args, g):
     if g.n > MAX_ORACLE_VERTICES:
         raise SizeLimitError(f"oracle limited to {MAX_ORACLE_VERTICES} vertices, got {g.n}")
     members = check_vertex_set(g, _parse_ids(args.set))
@@ -271,13 +235,12 @@ def _cmd_oracle(args, started):
             slow = _oracle_count(g, members, u, w, du, args.cap)
             if fast != slow:
                 mismatches.append({"u": u, "w": w, "kernel": fast, "oracle": slow})
-    _emit(args, g, source, {"set": sorted(members), "cap": args.cap},
-          {"pairs_checked": pairs, "mismatches": mismatches, "match": not mismatches},
-          started)
-    return 0 if not mismatches or not args.strict else 1
+    return ({"set": sorted(members), "cap": args.cap},
+            {"pairs_checked": pairs, "mismatches": mismatches, "match": not mismatches},
+            0 if not mismatches or not args.strict else 1)
 
 
-def _cmd_gen(args, started):
+def _cmd_gen(args):
     family = args.family
     generate, spec = GEN_FAMILIES[family]
     if len(args.params) != len(spec):
@@ -304,13 +267,6 @@ def _cmd_gen(args, started):
     return 0
 
 
-def _add_input_options(sp):
-    sp.add_argument("--input", "-i", default="-", metavar="FILE",
-                    help="edge-list input file, '-' for stdin (default)")
-    sp.add_argument("--json", action="store_true",
-                    help='input is JSON: {"n": ..., "edges": [[u, v], ...]}')
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkvis",
@@ -320,66 +276,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mkvis {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("check", help="test whether a vertex set is mutual k-visible")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True, help="visibility tolerance")
+    def graph_command(name, handler, help, k=False, max_n=None):
+        """A subcommand that reads one graph; k adds -k, max_n adds --max-n with that default."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--input", "-i", default="-", metavar="FILE",
+                        help="edge-list input file, '-' for stdin (default)")
+        sp.add_argument("--json", action="store_true",
+                        help='input is JSON: {"n": ..., "edges": [[u, v], ...]}')
+        if k:
+            sp.add_argument("-k", type=int, required=True, help="visibility tolerance")
+        if max_n is not None:
+            sp.add_argument("--max-n", type=int, default=max_n, dest="max_n",
+                            help=f"size refusal limit (default {max_n})")
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = graph_command("check", _cmd_check, "test whether a vertex set is mutual k-visible", k=True)
     sp.add_argument("--set", required=True, metavar="IDS", help="comma-separated vertex ids")
     sp.add_argument("--variant", choices=VARIANTS, default=None,
                     help="check a total/outer/dual set instead of the plain one")
     sp.add_argument("--pair-counts", action="store_true", help="include the pairwise count matrix")
     sp.add_argument("--strict", action="store_true", help="exit 1 on a negative verdict")
 
-    sp = sub.add_parser("mu", help="exact mutual k-visibility number")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_MU_MAX_N, dest="max_n",
-                    help=f"size refusal limit (default {DEFAULT_MU_MAX_N})")
-
-    sp = sub.add_parser("mu-variant", help="exact total/outer/dual visibility number")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True)
+    graph_command("mu", _cmd_mu, "exact mutual k-visibility number", k=True, max_n=DEFAULT_MU_MAX_N)
+    sp = graph_command("mu-variant", _cmd_mu_variant, "exact total/outer/dual visibility number",
+                       k=True, max_n=DEFAULT_VARIANT_MAX_N)
     sp.add_argument("--variant", choices=VARIANTS, required=True)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_VARIANT_MAX_N, dest="max_n",
-                    help=f"size refusal limit (default {DEFAULT_VARIANT_MAX_N})")
+    graph_command("gp", _cmd_gp, "exact general position number", max_n=DEFAULT_GP_MAX_N)
+    graph_command("poly", _cmd_poly, "k-visibility polynomial coefficients", k=True, max_n=DEFAULT_ENUM_MAX_N)
 
-    sp = sub.add_parser("gp", help="exact general position number")
-    _add_input_options(sp)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_GP_MAX_N, dest="max_n",
-                    help=f"size refusal limit (default {DEFAULT_GP_MAX_N})")
-
-    sp = sub.add_parser("poly", help="k-visibility polynomial coefficients")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_ENUM_MAX_N, dest="max_n",
-                    help=f"size refusal limit (default {DEFAULT_ENUM_MAX_N})")
-
-    sp = sub.add_parser("bounds", help="upper and lower bounds for mu_k")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True)
+    sp = graph_command("bounds", _cmd_bounds, "upper and lower bounds for mu_k", k=True)
     sp.add_argument("--path", metavar="IDS", default=None,
                     help="comma-separated isometric path for the path bound")
     sp.add_argument("--gp-max-n", type=int, default=DEFAULT_GP_MAX_N, dest="gp_max_n",
                     help="skip the general-position lower bound above this size")
 
-    sp = sub.add_parser("tau", help="exact k-visibility covering number")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_TAU_MAX_N, dest="max_n",
-                    help=f"size refusal limit (default {DEFAULT_TAU_MAX_N})")
+    graph_command("tau", _cmd_tau, "exact k-visibility covering number", k=True, max_n=DEFAULT_TAU_MAX_N)
+    graph_command("cover-greedy", _cmd_cover_greedy, "first-fit k-visibility cover",
+                  k=True, max_n=DEFAULT_COVER_MAX_N)
 
-    sp = sub.add_parser("cover-greedy", help="first-fit k-visibility cover")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_COVER_MAX_N, dest="max_n",
-                    help=f"size refusal limit (default {DEFAULT_COVER_MAX_N})")
-
-    sp = sub.add_parser("blocks", help="block decomposition and block-graph test")
-    _add_input_options(sp)
+    sp = graph_command("blocks", _cmd_blocks, "block decomposition and block-graph test")
     sp.add_argument("--strict", action="store_true", help="exit 1 when not a block graph")
 
-    sp = sub.add_parser("mu-block", help="exact mu_k of a block graph via its tree")
-    _add_input_options(sp)
-    sp.add_argument("-k", type=int, required=True)
+    sp = graph_command("mu-block", _cmd_mu_block, "exact mu_k of a block graph via its tree", k=True)
     sp.add_argument("--max-nodes", type=int, default=DEFAULT_TREE_MAX_NODES, dest="max_nodes",
                     help=f"tree-node refusal limit (default {DEFAULT_TREE_MAX_NODES})")
 
@@ -388,30 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("params", nargs="*", help="family parameters, e.g. 'gen random 10 0.3 --seed 7'")
     sp.add_argument("--seed", type=int, default=None, help="required for random/block")
 
-    sp = sub.add_parser("oracle", help="compare the kernel against full geodesic enumeration")
-    _add_input_options(sp)
+    sp = graph_command("oracle", _cmd_oracle, "compare the kernel against full geodesic enumeration")
     sp.add_argument("--set", required=True, metavar="IDS", help="obstruction set, comma-separated ids")
     sp.add_argument("--cap", type=int, default=DEFAULT_GEODESIC_CAP,
                     help=f"geodesic enumeration cap (default {DEFAULT_GEODESIC_CAP})")
     sp.add_argument("--strict", action="store_true", help="exit 1 on any mismatch")
 
     return parser
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "mu": _cmd_mu,
-    "mu-variant": _cmd_mu_variant,
-    "gp": _cmd_gp,
-    "poly": _cmd_poly,
-    "bounds": _cmd_bounds,
-    "tau": _cmd_tau,
-    "cover-greedy": _cmd_cover_greedy,
-    "blocks": _cmd_blocks,
-    "mu-block": _cmd_mu_block,
-    "gen": _cmd_gen,
-    "oracle": _cmd_oracle,
-}
 
 
 @functools.cache
@@ -429,7 +351,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args, started)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        g, source = _load_graph(args)
+        parameters, result, code = args.handler(args, g)
+        _emit(args, g, source, parameters, result, started)
+        return code
     except SizeLimitError as exc:
         print(f"mkvis: refused: {exc}", file=sys.stderr)
         return 3

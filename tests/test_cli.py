@@ -143,6 +143,12 @@ class TestCheck:
         )
         assert code == 2 and "comma-separated" in err
 
+    def test_repeated_ids_reported_once(self, capsys, monkeypatch):
+        code, rep, _ = run_json(capsys, monkeypatch, ["check", "-k", "0", "--set", "3,1,1"], PATH5)
+        assert code == 0 and rep["result"]["verdict"] is True
+        assert rep["result"]["set"] == [1, 3]
+        assert rep["input_summary"]["parameters"]["set"] == [1, 3]
+
 
 class TestGen:
     def test_families_round_trip(self, capsys, monkeypatch):
@@ -356,6 +362,15 @@ class TestExitCodes:
         code, _, err = run(capsys, monkeypatch, ["mu", "--json", "-k", "0"], "{short")
         assert code == 2 and "JSON" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        f = tmp_path / "nested.json"
+        f.write_text("[" * 100000)
+        code = main(["mu", "-k", "0", "--json", "-i", str(f)])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out
+        assert err.startswith("mkvis: error: bad JSON graph input:") and "Traceback" not in err
+
     @pytest.mark.parametrize("edges", [[[0]], [[0, 1, 2]], [7], ["abc"]])
     def test_json_edge_not_a_pair(self, capsys, monkeypatch, edges):
         payload = json.dumps({"n": 3, "edges": edges})
@@ -458,6 +473,43 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys, monkeypatch):
         assert run(capsys, monkeypatch, ["--help"])[0] == 0
         assert run(capsys, monkeypatch, ["check", "--help"])[0] == 0
+
+
+class TestReportKeyOrder:
+    """The key order of every report, as json.dumps writes it; dict equality
+    would not notice a reordered result."""
+
+    REPORT = ["command", "input_summary", "result", "timing_seconds", "version"]
+    SUMMARY = ["n", "m", "source", "parameters"]
+    # argv on PATH5: (parameters keys, result keys)
+    CASES = {
+        "check": (["check", "-k", "0", "--set", "0,2,4"],
+                  ["k", "set", "variant"],
+                  ["verdict", "k", "offending_pair", "offending_count", "reason", "ops", "set"]),
+        "mu": (["mu", "-k", "1"], ["k", "max_n"], ["value", "witness", "nodes_explored"]),
+        "mu-variant": (["mu-variant", "--variant", "total", "-k", "0"],
+                       ["k", "variant", "max_n"], ["variant", "value", "witness", "nodes_explored"]),
+        "gp": (["gp"], ["max_n"], ["value", "witness", "nodes_explored"]),
+        "poly": (["poly", "-k", "0"], ["k", "max_n"], ["coefficients", "degree", "pretty"]),
+        "bounds": (["bounds", "-k", "1"], ["k", "path", "gp_max_n"],
+                   ["diameter_bound", "girth_bound", "trivial_bound", "isometric_bound",
+                    "degree_lower", "gp_lower", "upper", "lower"]),
+        "tau": (["tau", "-k", "0"], ["k", "max_n"], ["value", "partition", "lower_bound_used"]),
+        "cover-greedy": (["cover-greedy", "-k", "0"], ["k", "max_n"], ["part_count", "partition"]),
+        "blocks": (["blocks"], [], ["articulation", "blocks", "tree_edges", "projection", "is_block_graph"]),
+        "mu-block": (["mu-block", "-k", "0"], ["k", "max_nodes"], ["value", "witness", "nodes_explored"]),
+        "oracle": (["oracle", "--set", "1,3"], ["set", "cap"], ["pairs_checked", "mismatches", "match"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_key_order(self, capsys, monkeypatch, command):
+        argv, parameters, result = self.CASES[command]
+        code, rep, _ = run_json(capsys, monkeypatch, argv, PATH5)
+        assert code == 0
+        assert list(rep) == self.REPORT
+        assert list(rep["input_summary"]) == self.SUMMARY
+        assert list(rep["input_summary"]["parameters"]) == parameters
+        assert list(rep["result"]) == result
 
 
 class TestParserReuse:
