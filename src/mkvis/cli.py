@@ -80,6 +80,22 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _at_least(low: int):
+    """An argparse type for a limit: an integer no smaller than low. A limit
+    below it is a usage error (exit 2), not a size refusal."""
+
+    def limit(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return limit
+
+
 def _parse_ids(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -286,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         if k:
             sp.add_argument("-k", type=int, required=True, help="visibility tolerance")
         if max_n is not None:
-            sp.add_argument("--max-n", type=int, default=max_n, dest="max_n",
+            sp.add_argument("--max-n", type=_at_least(1), default=max_n, dest="max_n",
                             help=f"size refusal limit (default {max_n})")
         sp.set_defaults(handler=handler)
         return sp
@@ -308,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = graph_command("bounds", _cmd_bounds, "upper and lower bounds for mu_k", k=True)
     sp.add_argument("--path", metavar="IDS", default=None,
                     help="comma-separated isometric path for the path bound")
-    sp.add_argument("--gp-max-n", type=int, default=DEFAULT_GP_MAX_N, dest="gp_max_n",
-                    help="skip the general-position lower bound above this size")
+    sp.add_argument("--gp-max-n", type=_at_least(0), default=DEFAULT_GP_MAX_N, dest="gp_max_n",
+                    help="skip the general-position lower bound above this size (0: always)")
 
     graph_command("tau", _cmd_tau, "exact k-visibility covering number", k=True, max_n=DEFAULT_TAU_MAX_N)
     graph_command("cover-greedy", _cmd_cover_greedy, "first-fit k-visibility cover",
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strict", action="store_true", help="exit 1 when not a block graph")
 
     sp = graph_command("mu-block", _cmd_mu_block, "exact mu_k of a block graph via its tree", k=True)
-    sp.add_argument("--max-nodes", type=int, default=DEFAULT_TREE_MAX_NODES, dest="max_nodes",
+    sp.add_argument("--max-nodes", type=_at_least(1), default=DEFAULT_TREE_MAX_NODES, dest="max_nodes",
                     help=f"tree-node refusal limit (default {DEFAULT_TREE_MAX_NODES})")
 
     sp = sub.add_parser("gen", help="emit a generated graph in edge-list format")
@@ -329,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = graph_command("oracle", _cmd_oracle, "compare the kernel against full geodesic enumeration")
     sp.add_argument("--set", required=True, metavar="IDS", help="obstruction set, comma-separated ids")
-    sp.add_argument("--cap", type=int, default=DEFAULT_GEODESIC_CAP,
+    sp.add_argument("--cap", type=_at_least(1), default=DEFAULT_GEODESIC_CAP,
                     help=f"geodesic enumeration cap (default {DEFAULT_GEODESIC_CAP})")
     sp.add_argument("--strict", action="store_true", help="exit 1 on any mismatch")
 

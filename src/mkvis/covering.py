@@ -99,7 +99,7 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
     if n == 0:
         return CoverResult(0, (), "empty graph")
     lower = tau_bounds(g, k, mu_max_n=max_n).lower
-    checker = _IncrementalChecker(g, k)
+    checker = _IncrementalChecker(g, k, order)
 
     for target in range(lower, n + 1):
         parts: list = []

@@ -11,6 +11,12 @@ once. mu_k tightens the cut with convex paths, and dual sets, which are not
 downward-closed, are searched within the mutual k-visible family and
 accepted one by one. All solvers are desk-scale exhaustive searches with
 configurable size limits and refuse larger inputs.
+
+Feasibility is probed by _IncrementalChecker without a sweep. mu_k, the dual
+search, visibility_polynomial and covering.tau_k hand it their search order,
+so it carries a geodesic count row for every vertex and no push sweeps;
+covering.greedy_cover grows its parts in no such order, so each push sweeps
+the new member's geodesic DAG once.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ __all__ = [
 DEFAULT_MU_MAX_N = 24
 DEFAULT_ENUM_MAX_N = 18
 DEFAULT_GP_MAX_N = 20
-# the slowest variant, dual at k = 0, took up to 1.3 s at n = 22 and 3.0 s at n = 24
+# the slowest variant, dual at k = 0, took up to 3.7 s at n = 22 and 9.5 s at n = 24
 DEFAULT_VARIANT_MAX_N = 22
 
 
@@ -143,7 +149,9 @@ class _GeodesicTables:
     a-b geodesic (v's descendants in a's DAG, v included). width and full
     pack _path_counts for tolerance k: width is one bit more than the
     largest geodesic count of any pair, and full keeps fields 0..k', where
-    k' = min(k, n - 2) since no geodesic has more internal vertices.
+    k' = min(k, n - 2) since no geodesic has more internal vertices. The
+    geodesic counts found on the way, sigma[s][t] for every pair, are kept
+    only when sigma is set.
 
     The held set is a member list plus an int bitmask. push(v) adds v and
     returns what pop(v, undo) needs to take it out again; fresh() gives an
@@ -152,12 +160,13 @@ class _GeodesicTables:
     their own.
     """
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, g: Graph, k: int, sigma: bool = False):
         n = g.n
         self.n = n
         self.k = k
         self.dags = _geodesic_dags(g)
         self.through = []
+        self.sigma = [] if sigma else None
         most = 1
         for dag in self.dags:
             below = [0] * n
@@ -168,7 +177,10 @@ class _GeodesicTables:
                 below[u] = bits
             self.through.append(below)
             # with nothing tracked, field 0 holds every geodesic
-            most = max(most, max(_path_counts(dag, 0, n, 0, 0)))
+            counts = _path_counts(dag, 0, n, 0, 0)
+            most = max(most, max(counts))
+            if sigma:
+                self.sigma.append(counts)
         self.width = most.bit_length() + 1
         self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
         self.members: list = []
@@ -191,12 +203,12 @@ class _GeodesicTables:
 class _IncrementalChecker(_GeodesicTables):
     """Feasibility of growing a mutual k-visible set one vertex at a time.
 
-    Besides the tables it keeps a count row per member: rows[a][t] is
-    _path_counts from a with the members tracked, so field j counts the a-t
-    geodesics with exactly j members strictly inside, for j <= k'. A pair
-    passes while its vector is nonzero. fits(v) assumes the members are
-    already mutual k-visible (true when the set only ever grows by a v that
-    fits) and sweeps nothing:
+    Besides the tables it keeps count rows: rows[a][t] is _path_counts from
+    a with the members tracked, so field j counts the a-t geodesics with
+    exactly j members strictly inside, for j <= k'. A pair passes while its
+    vector is nonzero. fits(v) assumes the members are already mutual
+    k-visible (true when the set only ever grows by a v that fits) and
+    sweeps nothing:
 
     - a new pair (q, v) keeps its geodesics' counts, so it passes iff
       rows[q][v] != 0;
@@ -212,29 +224,89 @@ class _IncrementalChecker(_GeodesicTables):
       exactly k and passes through v: rows[a][q] == T with no field below
       k'. The test reads it that way.
 
-    push(v) sweeps v's DAG once for rows[v] and applies the update above to
-    rows[a][t] for every member a and t in through[a][v]. It replaces each
-    changed row by an updated copy and returns the old rows, so pop(v, undo)
-    restores them and nothing outlives the pop; a caller that never pops
-    (greedy_cover) drops them at once.
+    How push(v) keeps the rows depends on how the set grows.
 
-    Memory on top of through: a row of n packed ints per member, each at
-    most (k' + 1) * width bits (an int holds only the bits up to its top
-    nonzero field), so n^2 (k' + 1) width bits once all n vertices are
-    members, as they are across greedy_cover's parts.
+    Without an order (greedy_cover, where every vertex not yet placed stays
+    a candidate of every part) there is a row per member only. push(v)
+    sweeps v's DAG once for rows[v] and applies the update above to
+    rows[a][t] for every member a and t in through[a][v]. It replaces each
+    changed row by an updated copy and returns the old rows, so pop(v,
+    undo) restores them and nothing outlives the pop; a caller that never
+    pops drops them at once.
+
+    With an order, a search order over all vertices, every vertex has a row
+    from the start, the geodesic counts sigma with nothing tracked, and no
+    push sweeps. The caller must push in that order: each pushed v comes
+    after every member. _search keeps this when it is handed the same
+    order, since it grows a set only along later candidates, and tau_k
+    pushes order[i] at step i. Then fits and every later push read only
+    pairs inside the live set, the members plus the vertices after the last
+    member, so rows[s][t] is kept correct only for s and t both live. push(v)
+    applies the update above to each pair {s, t} of mask | after[v] with t
+    in through[s][v], in both orientations, and returns the old values for
+    pop. A pair that drops out of the live set keeps its old value, which
+    is right again once v is popped.
+
+    Memory on top of through: packed ints of at most (k' + 1) * width bits
+    each (an int holds only the bits up to its top nonzero field), n per
+    member without an order, so n^2 once all n vertices are members, as
+    they are across greedy_cover's parts; n^2 per checker with an order.
     """
 
-    def __init__(self, g: Graph, k: int):
-        super().__init__(g, k)
-        self.rows = [None] * self.n
+    def __init__(self, g: Graph, k: int, order=None):
+        super().__init__(g, k, sigma=order is not None)
         self.low = self.full >> self.width  # the fields below k'
+        self.after = None
+        if order is not None:
+            self.after = [0] * self.n  # after[v]: the vertices after v in order
+            later = 0
+            for v in reversed(order):
+                self.after[v] = later
+                later |= 1 << v
+            # inside[v]: the sources s with v strictly inside some s-t geodesic
+            self.inside = [sum(1 << s for s, below in enumerate(self.through) if below[v] != 1 << v)
+                           for v in range(self.n)]
+        self.rows = self._empty_rows()
+
+    def _empty_rows(self) -> list:
+        """The rows of the empty set: none without an order, sigma with one."""
+        return [None] * self.n if self.after is None else [row[:] for row in self.sigma]
 
     def fresh(self):
         other = super().fresh()
-        other.rows = [None] * self.n
+        other.rows = self._empty_rows()
         return other
 
     def push(self, v: int):
+        if self.after is None:
+            return self._sweep_push(v)
+        width, full, rows, through = self.width, self.full, self.rows, self.through
+        live = self.mask | self.after[v]
+        vrow = rows[v]
+        undo = []
+        sources = live & self.inside[v]
+        while sources:
+            bit = sources & -sources
+            sources ^= bit
+            s = bit.bit_length() - 1
+            row = rows[s]
+            sv = row[v]
+            if not sv:
+                continue  # no geodesic through v counts, so none changes
+            inner = through[s][v] & live & -(2 << s)  # each pair once, from its smaller end
+            while inner:
+                bit = inner & -inner
+                inner ^= bit
+                t = bit.bit_length() - 1
+                via = sv * vrow[t] & full
+                if via:
+                    old = row[t]
+                    row[t] = rows[t][s] = (old - via + (via << width)) & full
+                    undo.append((s, t, old))
+        super().push(v)
+        return undo
+
+    def _sweep_push(self, v: int):
         width, full, rows = self.width, self.full, self.rows
         vrow = _path_counts(self.dags[v], self.mask, self.n, width, full)
         undo = []
@@ -261,9 +333,13 @@ class _IncrementalChecker(_GeodesicTables):
 
     def pop(self, v: int, undo) -> None:
         rows = self.rows
-        for a, old in undo:
-            rows[a] = old
-        rows[v] = None
+        if self.after is None:
+            for a, old in undo:
+                rows[a] = old
+            rows[v] = None
+        else:
+            for s, t, old in undo:
+                rows[s][t] = rows[t][s] = old
         super().pop(v, undo)
 
     def fits(self, v: int) -> bool:
@@ -365,7 +441,7 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _IncrementalChecker(g, k)
+    checker = _IncrementalChecker(g, k, order)
     parts = _convex_paths(checker.dags, k + 2)
     part_of = [len(parts)] * n  # the last slot holds the vertices on no path
     for i, path in enumerate(parts):
@@ -431,7 +507,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = (_IncrementalChecker if variant == DUAL else _GeodesicTables)(g, k)
+    checker = _IncrementalChecker(g, k, order) if variant == DUAL else _GeodesicTables(g, k)
     dags, through, width, full = checker.dags, checker.through, checker.width, checker.full
 
     def sees(s, xs, targets) -> bool:
@@ -585,7 +661,7 @@ def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> 
     """
     _admit("visibility_polynomial", g, k, max_n)
     n = g.n
-    checker = _IncrementalChecker(g, k)
+    checker = _IncrementalChecker(g, k, range(n))
     _, _, _, sizes = _search(range(n), checker.fits, checker.push, checker.pop, [1] * n, None)
     return Polynomial(tuple(sizes))
 

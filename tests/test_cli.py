@@ -389,6 +389,43 @@ class TestExitCodes:
         code, rep, _ = run_json(capsys, monkeypatch, ["mu", "-k", "0", "--max-n", "30"], big)
         assert code == 0 and rep["result"]["value"] == 2
 
+    @pytest.mark.parametrize("argv,low", [
+        (["mu", "-k", "0", "--max-n", "-1"], 1),
+        (["mu", "-k", "0", "--max-n", "0"], 1),
+        (["mu-variant", "--variant", "dual", "-k", "0", "--max-n", "0"], 1),
+        (["gp", "--max-n", "0"], 1),
+        (["poly", "-k", "0", "--max-n", "-5"], 1),
+        (["tau", "-k", "0", "--max-n", "0"], 1),
+        (["cover-greedy", "-k", "0", "--max-n", "0"], 1),
+        (["mu-block", "-k", "0", "--max-nodes", "0"], 1),
+        (["mu-block", "-k", "0", "--max-nodes", "-1"], 1),
+        (["oracle", "--set", "0", "--cap", "-1"], 1),
+        (["oracle", "--set", "0", "--cap", "0"], 1),
+        (["bounds", "-k", "0", "--gp-max-n", "-1"], 0),
+    ])
+    def test_nonsensical_limit_is_a_usage_error(self, capsys, monkeypatch, argv, low):
+        """A limit below its least meaningful value is a usage error (exit 2)
+        raised by the parser, not a size refusal (exit 3) or a traceback."""
+        code, out, err = run(capsys, monkeypatch, argv, PATH5)
+        assert code == 2 and not out
+        assert f"argument {argv[-2]}: must be at least {low}, got {argv[-1]}" in err
+        assert "refused" not in err and "Traceback" not in err
+
+    def test_limit_must_be_an_integer(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["mu", "-k", "0", "--max-n", "x"], PATH5)
+        assert code == 2 and not out and "argument --max-n: invalid int value: 'x'" in err
+
+    def test_least_limits_stay_valid(self, capsys, monkeypatch):
+        """--gp-max-n 0 leaves out gp_lower, and a limit of 1 refuses a
+        larger graph as a size limit."""
+        code, rep, _ = run_json(capsys, monkeypatch, ["bounds", "-k", "0", "--gp-max-n", "0"], PATH5)
+        assert code == 0 and rep["result"]["gp_lower"] is None
+        assert rep["input_summary"]["parameters"]["gp_max_n"] == 0
+        code, out, err = run(capsys, monkeypatch, ["mu", "-k", "0", "--max-n", "1"], PATH5)
+        assert code == 3 and not out and "mu_k limited to 1 vertices" in err
+        code, rep, _ = run_json(capsys, monkeypatch, ["oracle", "--set", "0", "--cap", "1"], PATH5)
+        assert code == 0 and rep["result"]["match"] is True
+
     @pytest.mark.parametrize("argv,text", [
         (["mu", "-k", "0"], "100000000000 0\n"),
         (["mu", "--json", "-k", "0"], '{"n": 100000000000, "edges": []}'),

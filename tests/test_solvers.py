@@ -346,6 +346,40 @@ class TestIncrementalChecker:
                 else:
                     assert checker.rows[a] is None
 
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.randoms(use_true_random=False),
+           st.lists(st.integers(-1, 7), max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_carried_rows_match_a_rebuild(self, g, k, rnd, steps):
+        """A checker built with a random order: a step of -1 pops the last
+        member, any other step pushes one of the vertices after the last
+        member in that order (checking fits against the oracle whenever the
+        members are mutual k-visible). After every step the carried counts
+        between live vertices, the members plus the vertices after the last
+        member, must equal counts rebuilt by _path_counts for the held set."""
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        checker = _IncrementalChecker(g, k, order)
+        undos = []
+        dist = support.distance_matrix(g)
+        for step in steps:
+            last = checker.members[-1] if checker.members else None
+            later = order[order.index(last) + 1 :] if checker.members else order
+            if step < 0 or not later:
+                if checker.members:
+                    checker.pop(checker.members[-1], undos.pop())
+            else:
+                v = later[step % len(later)]
+                if support.oracle_mkv_check(g, checker.members, k, dist):
+                    assert checker.fits(v) == support.oracle_mkv_check(g, checker.members + [v], k, dist)
+                undos.append(checker.push(v))
+            live = checker.mask | (checker.after[checker.members[-1]] if checker.members else (1 << g.n) - 1)
+            for s in range(g.n):
+                if live >> s & 1:
+                    want = _path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
+                    for t in range(g.n):
+                        if live >> t & 1:
+                            assert checker.rows[s][t] == want[t], (s, t, checker.members)
+
     def test_diamond_chain_counts_past_64_bits(self):
         """70 diamonds in a row: 2^70 geodesics between the end hubs, so a
         field needs 72 bits and the packed ints exceed machine words."""
@@ -366,6 +400,74 @@ class TestIncrementalChecker:
             checker.push(v)
         assert not checker.fits(35)  # every end-to-end geodesic runs through hub 35
         assert checker.fits(hubs)  # half of them avoid this diamond's middle vertex
+
+    def test_diamond_chain_carried_rows(self):
+        """The chain above with rows carried in an order that puts the end
+        hubs first: the same verdicts, read from rows that start at sigma."""
+        hubs = 71
+        edges = []
+        for i in range(hubs - 1):
+            for middle in (hubs + 2 * i, hubs + 2 * i + 1):
+                edges += [(i, middle), (middle, i + 1)]
+        g = build_graph(hubs + 2 * (hubs - 1), edges)
+        order = [0, hubs - 1] + list(range(1, hubs - 1)) + list(range(hubs, g.n))
+        checker = _IncrementalChecker(g, 0, order)
+        for v in (0, hubs - 1):
+            checker.push(v)
+        assert checker.rows[0][hubs - 1] == checker.rows[hubs - 1][0] == 2**70
+        assert not checker.fits(35)
+        assert checker.fits(hubs)
+        checker.push(hubs)  # the geodesics through the first middle vertex move up a field
+        assert checker.rows[0][hubs - 1] == 2**69
+
+    @pytest.mark.parametrize("n,seed", [(10, 1), (11, 2), (12, 3), (13, 4), (14, 5)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_carried_and_swept_rows_search_alike(self, n, seed, k):
+        """The polynomial, mu_k and the dual search run _search with their own
+        hooks over a checker that carries rows in their order and over one
+        that sweeps on every push; each search returns the same best weight,
+        best set, node count and sizes."""
+        g = random_connected(n, 0.25, seed)
+        search = mkvis.solvers._search
+
+        def searches(carried):
+            built, results = [], []
+
+            def checker(g, k, order=None):
+                built.append(_IncrementalChecker(g, k, order if carried else None))
+                return built[-1]
+
+            def recording(*args, **kwargs):
+                results.append(search(*args, **kwargs))
+                return results[-1]
+
+            with mock.patch.object(mkvis.solvers, "_IncrementalChecker", checker), \
+                    mock.patch.object(mkvis.solvers, "_search", recording):
+                visibility_polynomial(g, k)
+                mu_k(g, k)
+                mu_k_variant(g, k, DUAL)
+            assert [c.after is not None for c in built] == [carried] * 3
+            return results
+
+        carried = searches(True)
+        assert len(carried) == 3
+        assert carried == searches(False)
+
+    def test_polynomial_sweeps_only_while_building_tables(self):
+        """With carried rows no push sweeps: the only _path_counts calls are
+        the n geodesic-count sweeps, tracking nothing, that build the tables."""
+        g = random_connected(14, 0.2, 2)
+        masks = []
+        path_counts = mkvis.solvers._path_counts
+
+        def counting(dag, mask, *args):
+            masks.append(mask)
+            return path_counts(dag, mask, *args)
+
+        with mock.patch.object(mkvis.solvers, "_path_counts", counting):
+            poly = visibility_polynomial(g, 1)
+        assert sum(poly.coefficients) > 1000
+        assert masks == [0] * g.n
 
 
 def _grid(rows, cols):
