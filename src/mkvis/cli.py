@@ -6,7 +6,8 @@ diagnostics go to stderr. gen is the exception: it emits edge-list text so it
 can be piped straight back into the other subcommands.
 
 Exit codes: 0 success, 1 negative verdict under --strict, 2 usage or input
-errors, 3 size-limit refusals.
+errors, 3 size-limit refusals. Output into a pipe whose reader has gone (as
+after head) ends the command quietly with 0.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -360,7 +362,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's flush at exit finds no closed pipe either. A stdout with no
+    descriptor (an in-process caller's StringIO) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        _drop_stdout()
+        return 0
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help

@@ -7,7 +7,9 @@ visibility_polynomial. (blocks.mu_k_block does not search: on a block graph
 a tree DP finds mu_k.) The engine grows a set along a filtered candidate
 list, keeps the incumbent, cuts a branch that cannot beat it and stops at a
 proven upper bound, or, without one, visits every member of the family
-once. mu_k tightens the cut with convex paths, and dual sets, which are not
+once. A node's cut reads bound(cands), which caps what every suffix of its
+candidates can add in one pass. mu_k tightens the cut with convex paths and
+starts from a first-fit incumbent, and dual sets, which are not
 downward-closed, are searched within the mutual k-visible family and
 accepted one by one. All solvers are desk-scale exhaustive searches with
 configurable size limits and refuse larger inputs.
@@ -15,12 +17,15 @@ configurable size limits and refuse larger inputs.
 Feasibility is probed by _IncrementalChecker without a sweep. mu_k, the dual
 search, visibility_polynomial and covering.tau_k hand it their search order,
 so it carries a geodesic count row for every vertex and no push sweeps;
-covering.greedy_cover grows its parts in no such order, so each push sweeps
-the new member's geodesic DAG once.
+_search's push(v, later) names the candidates left after v, so a push
+updates only the pairs among the members and those. covering.greedy_cover
+and mu_k's first-fit passes grow sets in no such order, so each push
+sweeps the new member's geodesic DAG once.
 """
 
 from __future__ import annotations
 
+import random
 from copy import copy
 from dataclasses import dataclass
 
@@ -81,20 +86,26 @@ class SolveResult:
     nodes_explored: int
 
 
-def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
+def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incumbent=frozenset()):
     """Depth-first walk of a downward-closed family, heaviest set first.
 
     order lists the candidates; fits(v) tells whether the current set plus v
-    stays in the family, with push(v) growing the state fits reads and
-    pop(v, undo) shrinking it again, given what that push returned. v is
-    pushed only when a later candidate is left to probe: a set with none is
-    still visited, with current holding v, but nothing reads the state a
-    push would build for it. The root's candidates are filtered by fits like
-    every other level's.
+    stays in the family, with push(v, later) growing the state fits reads
+    and pop(v, undo) shrinking it again, given what that push returned.
+    later is the bitmask of the node's candidates after v: every set below
+    the branch grows only by some of them, since a vertex filtered out of a
+    node's candidates fits none of its descendants, so a push may keep its
+    state right for the members and later alone. v is pushed only when
+    later is nonzero: a set with no later candidate is still visited, with
+    current holding v, but nothing reads the state a push would build for
+    it. The root's candidates are filtered by fits like every other level's.
     weight[v] is v's nonnegative weight. A branch is cut when its weight plus
     the most its remaining candidates cands[idx:] can add cannot beat the
-    incumbent; that most is bound(cands, idx) when given, else their total
-    weight. The walk stops once the incumbent reaches goal.
+    incumbent. bound(cands), when given, returns that most for every idx in
+    one list; without it the most is their total weight. The walk starts
+    from incumbent, a member of the family (empty by default), and stops
+    once the incumbent reaches goal; an incumbent already there is returned
+    with no set visited.
     accept(current), when given, decides which visited sets may become the
     incumbent; it reads only current, never the pushed state. With goal None
     no incumbent is kept, so nothing is cut and every member is visited
@@ -103,12 +114,22 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
     Returns (best weight, a best set, sets visited, visited sets by size);
     the best weight is -1 when goal is None.
     """
-    best = -1
-    best_set: frozenset = frozenset()
+    best = sum(weight[v] for v in incumbent) if incumbent else -1
+    best_set = frozenset(incumbent)
     nodes = 0
     sizes = [0] * (len(order) + 1)
     current: list = []
-    tally = goal is not None and bound is None  # rest is summed only to cut with
+
+    def suffix_weights(cands) -> list:
+        caps = []
+        rest = 0
+        for v in reversed(cands):
+            rest += weight[v]
+            caps.append(rest)
+        caps.reverse()
+        return caps
+
+    caps_of = None if goal is None else bound or suffix_weights
 
     def walk(cands, cw) -> bool:
         nonlocal best, best_set, nodes
@@ -119,16 +140,20 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
             best_set = frozenset(current)
             if best >= goal:
                 return True
-        rest = sum(weight[v] for v in cands) if tally else 0
+        if not cands:
+            return False
+        caps = caps_of(cands) if caps_of else None
+        later = 0  # the candidates after v; a lone candidate has none
+        if len(cands) > 1:
+            for v in cands:
+                later |= 1 << v
         for idx, v in enumerate(cands):
-            if goal is not None and cw + (rest if tally else bound(cands, idx)) <= best:
+            if caps is not None and cw + caps[idx] <= best:
                 break
-            if tally:
-                rest -= weight[v]
-            later = cands[idx + 1 :]
-            undo = push(v) if later else None
+            later &= ~(1 << v)
+            undo = push(v, later) if later else None
             current.append(v)
-            child = [w for w in later if fits(w)]
+            child = [w for w in cands[idx + 1 :] if fits(w)]
             stop = walk(child, cw + weight[v])
             current.pop()
             if later:
@@ -137,7 +162,8 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None):
                 return True
         return False
 
-    walk([v for v in order if fits(v)], 0)
+    if goal is None or best < goal:
+        walk([v for v in order if fits(v)], 0)
     return best, best_set, nodes, sizes
 
 
@@ -191,7 +217,7 @@ class _GeodesicTables:
         other.members, other.mask = [], 0
         return other
 
-    def push(self, v: int):
+    def push(self, v: int, later=None):
         self.members.append(v)
         self.mask |= 1 << v
 
@@ -240,12 +266,15 @@ class _IncrementalChecker(_GeodesicTables):
     after every member. _search keeps this when it is handed the same
     order, since it grows a set only along later candidates, and tau_k
     pushes order[i] at step i. Then fits and every later push read only
-    pairs inside the live set, the members plus the vertices after the last
-    member, so rows[s][t] is kept correct only for s and t both live. push(v)
-    applies the update above to each pair {s, t} of mask | after[v] with t
-    in through[s][v], in both orientations, and returns the old values for
-    pop. A pair that drops out of the live set keeps its old value, which
-    is right again once v is popped.
+    pairs inside the live set, the members plus the vertices that may still
+    join, so rows[s][t] is kept correct only for s and t both live. Those
+    vertices are later, a bitmask of vertices after v that holds every
+    vertex a later fits or push names, when the caller passes it (_search
+    passes its candidates after v), else all of after[v]. push(v, later)
+    applies the update above to each pair {s, t} of the members plus those
+    vertices with t in through[s][v], in both orientations, and returns the
+    old values for pop. A pair that drops out of the live set keeps its old
+    value, which is right again once v is popped.
 
     Memory on top of through: packed ints of at most (k' + 1) * width bits
     each (an int holds only the bits up to its top nonzero field), n per
@@ -277,11 +306,18 @@ class _IncrementalChecker(_GeodesicTables):
         other.rows = self._empty_rows()
         return other
 
-    def push(self, v: int):
+    def unordered(self):
+        """An empty checker over the same tables that sweeps on every push,
+        as one built without an order does, so it takes vertices in any order."""
+        other = copy(self)
+        other.after = None
+        return other.fresh()
+
+    def push(self, v: int, later=None):
         if self.after is None:
             return self._sweep_push(v)
         width, full, rows, through = self.width, self.full, self.rows, self.through
-        live = self.mask | self.after[v]
+        live = self.mask | (self.after[v] if later is None else later)
         vrow = rows[v]
         undo = []
         sources = live & self.inside[v]
@@ -420,13 +456,40 @@ def _convex_paths(dags, size: int) -> list:
     return parts
 
 
+def _first_fit(checker, order, goal: int) -> frozenset:
+    """A mutual k-visible set to start mu_k's search from: the largest of
+    a few first-fit passes, each taking every vertex that fits in turn.
+
+    checker is an empty checker without an order. The first pass takes
+    order; each further pass takes a shuffle of it from a fixed seed, so the
+    same input gives the same set. The passes stop at the first that does
+    not beat the best so far, or once the best reaches goal.
+    """
+    rng = random.Random(0)
+    order = list(order)
+    best: frozenset = frozenset()
+    while len(best) < goal:
+        held = checker.fresh()
+        for v in order:
+            if held.fits(v):
+                held.push(v)
+        if len(held.members) <= len(best):
+            break
+        best = frozenset(held.members)
+        rng.shuffle(order)
+    return best
+
+
 def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     """Exact mutual k-visibility number with a verified witness.
 
     Branch and bound over the downward-closed family: candidates are filtered
     at every level, branches are cut when the surviving candidates cannot beat
     the incumbent, and the whole search stops once the incumbent meets an
-    upper bound.
+    upper bound. The incumbent starts as the set _first_fit finds, lowest
+    degree first, on a sweeping checker over the same tables; when that set
+    meets the bound, no search node is visited. nodes_explored counts the
+    search nodes only.
 
     The cut uses the convex-part argument: when a part C of V(g) is
     geodesically convex, a mutual k-visible X has |X & C| <= mu_k(g[C]). On
@@ -452,22 +515,32 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     def fits(v) -> bool:
         return room[part_of[v]] > 0 and checker.fits(v)
 
-    def push(v):
+    def push(v, later):
         room[part_of[v]] -= 1
-        return checker.push(v)
+        return checker.push(v, later)
 
     def pop(v, undo) -> None:
         room[part_of[v]] += 1
         checker.pop(v, undo)
 
-    def bound(cands, idx) -> int:
+    def bound(cands) -> list:
+        """For every idx, the free candidates in cands[idx:] plus, per path,
+        the fewer of its candidates there and its room, in one pass from the end."""
         left = [0] * len(room)
-        for v in cands[idx:]:
-            left[part_of[v]] += 1
-        return sum(map(min, left, room))
+        caps = []
+        cap = 0
+        for v in reversed(cands):
+            part = part_of[v]
+            if left[part] < room[part]:
+                cap += 1
+            left[part] += 1
+            caps.append(cap)
+        caps.reverse()
+        return caps
 
-    goal = min(bounds(g, k, gp_max_n=0).upper(), bound(order, 0))
-    best, best_set, nodes, _ = _search(order, fits, push, pop, [1] * n, goal, bound)
+    goal = min(bounds(g, k, gp_max_n=0).upper(), bound(order)[0])
+    start = _first_fit(checker.unordered(), order[::-1], goal)
+    best, best_set, nodes, _ = _search(order, fits, push, pop, [1] * n, goal, bound, incumbent=start)
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
     return SolveResult(best, best_set, nodes)

@@ -511,6 +511,44 @@ class TestExitCodes:
         assert run(capsys, monkeypatch, ["--help"])[0] == 0
         assert run(capsys, monkeypatch, ["check", "--help"])[0] == 0
 
+    @pytest.mark.parametrize("argv,stdin_text", [
+        (["gen", "path", "50"], None),
+        (["mu", "-k", "0"], PATH5),
+        (["blocks"], PATH5),
+    ])
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch, argv, stdin_text):
+        """A stdout whose reader has gone: gen's edge list and a JSON report
+        both end with exit 0 and nothing on stderr. This stdout has no file
+        descriptor, like the StringIO of an in-process caller, so it is left
+        in place."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        if stdin_text is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        closed = ClosedPipe()
+        monkeypatch.setattr("sys.stdout", closed)
+        assert main(argv) == 0
+        assert sys.stdout is closed
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [["gen", "path", "200000"], ["gen", "random", "12", "0.3", "--seed", "7"]])
+    def test_closed_pipe_in_a_process(self, argv):
+        """The reader closes its end before the first write: the process
+        exits 0 with no traceback, also at interpreter exit, when the
+        buffered rest of stdout is flushed into the null device."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mkvis.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(mkvis.__file__).parents[1])},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
 
 class TestReportKeyOrder:
     """The key order of every report, as json.dumps writes it; dict equality

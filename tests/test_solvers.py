@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import support
 import mkvis.solvers
 from mkvis.blocks import mu_k_block
-from mkvis.covering import greedy_cover, tau_bounds, tau_k
+from mkvis.covering import greedy_cover, is_visibility_cover, tau_bounds, tau_k
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
     build_graph,
@@ -308,16 +308,30 @@ class TestEntryCheckOrder:
         assert str(info.value) == f"{name} limited to 4 vertices, got 6; raise max_n to override"
 
 
-@given(support.graphs(min_n=2, max_n=9), st.integers(0, 2), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_invariant_under_relabeling(g, k, rnd):
+def _relabeled(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@given(support.graphs(min_n=2, max_n=9), st.integers(0, 2), st.randoms(use_true_random=False),
+       st.integers(1, 5), st.integers(2, 4), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_invariant_under_relabeling(g, k, rnd, blocks, block_size, seed):
+    """Values do not depend on vertex labels; witnesses may (the search
+    order breaks degree ties by id, and mu_k's first-fit start shuffles
+    ids). greedy_cover's partition may change too, so it is only checked to
+    stay a cover. mu_k_block runs on a random block graph, relabeled alike."""
+    h = _relabeled(g, rnd)
     assert mu_k(h, k).value == mu_k(g, k).value
+    for variant in VARIANTS:
+        assert mu_k_variant(h, k, variant).value == mu_k_variant(g, k, variant).value
     assert visibility_polynomial(h, k) == visibility_polynomial(g, k)
     assert gp_number(h).value == gp_number(g).value
     assert tau_k(h, k).value == tau_k(g, k).value
+    assert is_visibility_cover(h, greedy_cover(h, k), k)
+    b = random_block_graph(blocks, block_size, seed)
+    assert mu_k_block(_relabeled(b, rnd), k).value == mu_k_block(b, k).value
 
 
 class TestIncrementalChecker:
@@ -379,6 +393,47 @@ class TestIncrementalChecker:
                     for t in range(g.n):
                         if live >> t & 1:
                             assert checker.rows[s][t] == want[t], (s, t, checker.members)
+
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.randoms(use_true_random=False),
+           st.lists(st.integers(-1, 7), max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_narrowed_carried_rows_match_a_rebuild(self, g, k, rnd, steps):
+        """The twin of the test above with push(v, later) as _search calls
+        it: each node holds a bitmask of candidates, the root all vertices;
+        a step of -1 pops back to the parent node, any other step pushes a
+        candidate v with later a random subset of the candidates after v in
+        the order, which become the child's candidates. After every step
+        the counts between the members and the candidates must equal counts
+        rebuilt by _path_counts for the held set, and while the members are
+        mutual k-visible fits must agree with the oracle on every candidate."""
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        checker = _IncrementalChecker(g, k, order)
+        undos = []
+        nodes = [(1 << g.n) - 1]
+        dist = support.distance_matrix(g)
+        for step in steps:
+            cands = [v for v in order if nodes[-1] >> v & 1]
+            if step < 0 or not cands:
+                if checker.members:
+                    checker.pop(checker.members[-1], undos.pop())
+                    nodes.pop()
+            else:
+                v = cands[step % len(cands)]
+                later = sum(1 << w for w in cands[cands.index(v) + 1 :] if rnd.random() < 0.7)
+                undos.append(checker.push(v, later))
+                nodes.append(later)
+            live = checker.mask | nodes[-1]
+            for s in range(g.n):
+                if live >> s & 1:
+                    want = _path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
+                    for t in range(g.n):
+                        if live >> t & 1:
+                            assert checker.rows[s][t] == want[t], (s, t, checker.members)
+            if support.oracle_mkv_check(g, checker.members, k, dist):
+                for w in range(g.n):
+                    if nodes[-1] >> w & 1:
+                        assert checker.fits(w) == support.oracle_mkv_check(g, checker.members + [w], k, dist)
 
     def test_diamond_chain_counts_past_64_bits(self):
         """70 diamonds in a row: 2^70 geodesics between the end hubs, so a
@@ -479,11 +534,14 @@ def _grid(rows, cols):
 @pytest.mark.parametrize(
     "solve,want",
     [
-        (lambda: mu_k(_grid(3, 5), 0), (6, 23, [0, 4, 6, 7, 10, 14])),
-        (lambda: mu_k(_grid(3, 5), 1), (9, 68, [1, 2, 4, 6, 7, 9, 10, 11, 14])),
-        (lambda: mu_k(cycle_graph(9), 1), (5, 6, [0, 1, 2, 5, 6])),
-        (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 136, [2, 3, 4, 5, 6, 8, 9, 11])),
-        (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 29, [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13])),
+        (lambda: mu_k(_grid(3, 5), 0), (6, 0, [0, 4, 7, 8, 10, 14])),
+        (lambda: mu_k(_grid(3, 5), 1), (9, 0, [0, 3, 4, 5, 7, 9, 10, 13, 14])),
+        (lambda: mu_k(cycle_graph(9), 1), (5, 0, [2, 3, 6, 7, 8])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 128, [2, 3, 4, 5, 6, 8, 9, 11])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 23, [0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13])),
+        # the first-fit start is optimal but under the bound 17, so the search proves it
+        (lambda: mu_k(random_connected(24, 0.25, 1), 0),
+         (15, 490, [1, 2, 4, 5, 6, 8, 12, 13, 14, 16, 18, 19, 20, 21, 22])),
         (lambda: gp_number(random_connected(14, 0.25, 5)), (7, 94, [3, 5, 6, 8, 9, 10, 12])),
         # the retired branch and bound, kept as the tree DP's oracle
         (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 0),
@@ -507,7 +565,7 @@ def _grid(rows, cols):
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL),
          (7, 10532, [5, 8, 10, 11, 14, 15, 16])),
     ],
-    ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "gp-random14",
+    ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "random24-k0", "gp-random14",
          "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2",
          "dp-block9-k0", "dp-block9-k1", "dp-block9-k2", "dp-path12-block-k1", "dp-path12-block-k2",
          "total-random18-k0", "outer-random18-k0", "dual-random18-k0"],
@@ -519,25 +577,71 @@ def test_search_effort_is_pinned(solve, want):
     assert (res.value, res.nodes_explored, sorted(res.witness)) == want
 
 
+class TestFirstFitStart:
+    @staticmethod
+    def solve_watched(g, k):
+        """mu_k(g, k) with the first-fit start and the goal it was given."""
+        starts = []
+        first_fit = mkvis.solvers._first_fit
+
+        def watched(checker, order, goal):
+            starts.append((first_fit(checker, order, goal), goal))
+            return starts[-1][0]
+
+        with mock.patch.object(mkvis.solvers, "_first_fit", watched):
+            res = mu_k(g, k)
+        assert len(starts) == 1
+        return res, *starts[0]
+
+    @given(support.graphs(min_n=1, max_n=10), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_start_is_feasible_and_never_past_the_goal(self, g, k):
+        """The start is mutual k-visible and no larger than the goal or the
+        optimum; when it meets the goal the search visits no set and
+        returns it as the witness."""
+        res, start, goal = self.solve_watched(g, k)
+        assert support.oracle_mkv_check(g, start, k)
+        assert len(start) <= min(goal, res.value)
+        if len(start) == goal:
+            assert res.nodes_explored == 0
+            assert res.witness == start
+            assert mkv_check(g, res.witness, k).verdict
+
+    @pytest.mark.parametrize("g,k", [(cycle_graph(9), 1), (path_graph(7), 0), (random_connected(24, 0.3, 2), 1)])
+    def test_start_at_the_goal_ends_the_search(self, g, k):
+        res, start, goal = self.solve_watched(g, k)
+        assert (len(start), res.nodes_explored) == (goal, 0)
+        assert res.value == goal and mkv_check(g, res.witness, k).verdict
+
+    def test_start_is_deterministic(self):
+        """The shuffles are seeded: the same input gives the same start,
+        witness and node count."""
+        g = random_connected(20, 0.2, 4)
+        first, second = self.solve_watched(g, 1), self.solve_watched(g, 1)
+        assert first == second
+        assert first[0].nodes_explored > 0
+
+
 @pytest.mark.parametrize(
     "solve,want",
     [
         (lambda: visibility_polynomial(random_connected(16, 0.2, 2), 1), (24937, 13, 49580)),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL), (6125, 7, 10532)),
-        (lambda: mu_k(random_connected(24, 0.15, 1), 1), (2614, 20, 2619)),
+        (lambda: mu_k(random_connected(24, 0.15, 1), 1), (2275, 20, 2239)),
     ],
     ids=["poly-random16-k1", "dual-random18-k0", "mu-random24-k1"],
 )
 def test_push_count_is_pinned(solve, want):
-    """_search pushes a set only when a later candidate is probed, so the
+    """_search pushes a set only when a later candidate is probed, so its
     pushes fall short of the sets visited; the polynomial's node count is
-    the sum of its coefficients."""
+    the sum of its coefficients. mu_k's count also holds the pushes of its
+    first-fit passes, which visit no search node."""
     pushes = []
     push = _IncrementalChecker.push
 
-    def counting(self, v):
+    def counting(self, v, *later):
         pushes.append(v)
-        return push(self, v)
+        return push(self, v, *later)
 
     with mock.patch.object(_IncrementalChecker, "push", counting):
         res = solve()
@@ -564,9 +668,9 @@ class TestSearchPushes:
                     open_pushes[-1][1] = True
                 return fits(v)
 
-            def watched_push(v):
+            def watched_push(v, later):
                 open_pushes.append([v, False])
-                return push(v)
+                return push(v, later)
 
             def watched_pop(v, undo):
                 assert open_pushes.pop() == [v, True]
