@@ -6,8 +6,9 @@ diagnostics go to stderr. gen is the exception: it emits edge-list text so it
 can be piped straight back into the other subcommands.
 
 Exit codes: 0 success, 1 negative verdict under --strict, 2 usage or input
-errors, 3 size-limit refusals. Output into a pipe whose reader has gone (as
-after head) ends the command quietly with 0.
+errors, 3 size-limit refusals and running out of memory, 130 interrupted.
+Output into a pipe whose reader has gone (as after head) ends the command
+quietly with 0.
 """
 
 from __future__ import annotations
@@ -382,6 +383,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _drop_stdout()
         return 0
+    except MemoryError:
+        print("mkvis: refused: out of memory", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("mkvis: interrupted", file=sys.stderr)
+        return 130
     return code
 
 

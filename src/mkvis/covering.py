@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import GraphInputError
 from .graphs import Graph, check_vertex_set, require_connected
 from .kernel import _check_tolerance, mkv_check
-from .solvers import DEFAULT_MU_MAX_N, _IncrementalChecker, _admit, mu_k
+from .solvers import DEFAULT_MU_MAX_N, _IncrementalChecker, _admit, _solve_mu, mu_k
 
 __all__ = [
     "CoverResult",
@@ -93,13 +93,14 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
     Exact backtracking: vertices in descending degree order are assigned to
     existing parts or to one fresh part; a vertex joins a part only when it
     fits there (feasibility is downward-hereditary, so the prune is sound).
+    The mu_k behind the lower bound runs on the same checker as the parts.
     """
     order = _admit("tau_k", g, k, max_n)
     n = g.n
     if n == 0:
         return CoverResult(0, (), "empty graph")
-    lower = tau_bounds(g, k, mu_max_n=max_n).lower
     checker = _IncrementalChecker(g, k, order)
+    lower = tau_bounds(g, k, mu_value=_solve_mu(g, k, order, checker).value).lower
 
     for target in range(lower, n + 1):
         parts: list = []

@@ -18,9 +18,11 @@ Feasibility is probed by _IncrementalChecker without a sweep. mu_k, the dual
 search, visibility_polynomial and covering.tau_k hand it their search order,
 so it carries a geodesic count row for every vertex and no push sweeps;
 _search's push(v, later) names the candidates left after v, so a push
-updates only the pairs among the members and those. covering.greedy_cover
-and mu_k's first-fit passes grow sets in no such order, so each push
-sweeps the new member's geodesic DAG once.
+updates only the pairs among the members and those. mu_k's search then
+filters those candidates with one narrow(v, later, undo) pass over what the
+push changed, not one fits call each. covering.greedy_cover and mu_k's
+first-fit passes grow sets in no such order, so each push sweeps the new
+member's geodesic DAG once.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class SolveResult:
     nodes_explored: int
 
 
-def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incumbent=frozenset()):
+def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incumbent=frozenset(), narrow=None):
     """Depth-first walk of a downward-closed family, heaviest set first.
 
     order lists the candidates; fits(v) tells whether the current set plus v
@@ -98,7 +100,12 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
     state right for the members and later alone. v is pushed only when
     later is nonzero: a set with no later candidate is still visited, with
     current holding v, but nothing reads the state a push would build for
-    it. The root's candidates are filtered by fits like every other level's.
+    it. The root's candidates are filtered by fits. Below the root, without
+    narrow, each of later's candidates is filtered by fits too; with it,
+    narrow(v, later, undo), called right after the push with what it
+    returned, gives the bitmask of later's candidates that still fit, and
+    fits is not called. Every candidate in later fit the set before v, so
+    narrow need only look for what v rules out.
     weight[v] is v's nonnegative weight. A branch is cut when its weight plus
     the most its remaining candidates cands[idx:] can add cannot beat the
     incumbent. bound(cands), when given, returns that most for every idx in
@@ -153,7 +160,11 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
             later &= ~(1 << v)
             undo = push(v, later) if later else None
             current.append(v)
-            child = [w for w in cands[idx + 1 :] if fits(w)]
+            if narrow is None:
+                child = [w for w in cands[idx + 1 :] if fits(w)]
+            else:
+                keep = narrow(v, later, undo) if later else 0
+                child = [w for w in cands[idx + 1 :] if keep >> w & 1]
             stop = walk(child, cw + weight[v])
             current.pop()
             if later:
@@ -177,7 +188,9 @@ class _GeodesicTables:
     largest geodesic count of any pair, and full keeps fields 0..k', where
     k' = min(k, n - 2) since no geodesic has more internal vertices. The
     geodesic counts found on the way, sigma[s][t] for every pair, are kept
-    only when sigma is set.
+    only when sigma is set, and with them between[s][t], the bitmask of
+    vertices on some s-t geodesic (t's ancestors in s's DAG, s and t
+    included), built in the same loop over the DAGs.
 
     The held set is a member list plus an int bitmask. push(v) adds v and
     returns what pop(v, undo) needs to take it out again; fresh() gives an
@@ -193,6 +206,7 @@ class _GeodesicTables:
         self.dags = _geodesic_dags(g)
         self.through = []
         self.sigma = [] if sigma else None
+        self.between = [] if sigma else None
         most = 1
         for dag in self.dags:
             below = [0] * n
@@ -207,6 +221,13 @@ class _GeodesicTables:
             most = max(most, max(counts))
             if sigma:
                 self.sigma.append(counts)
+                above = [0] * n
+                for u, forward in dag:
+                    bits = above[u] | 1 << u
+                    above[u] = bits
+                    for w in forward:
+                        above[w] |= bits
+                self.between.append(above)
         self.width = most.bit_length() + 1
         self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
         self.members: list = []
@@ -276,10 +297,15 @@ class _IncrementalChecker(_GeodesicTables):
     old values for pop. A pair that drops out of the live set keeps its old
     value, which is right again once v is popped.
 
+    narrow(v, later, undo) answers fits for all of later at once, right
+    after push(v, later), from the pairs that push changed, v's new pairs
+    and between, which only a checker with an order keeps.
+
     Memory on top of through: packed ints of at most (k' + 1) * width bits
     each (an int holds only the bits up to its top nonzero field), n per
     member without an order, so n^2 once all n vertices are members, as
-    they are across greedy_cover's parts; n^2 per checker with an order.
+    they are across greedy_cover's parts; n^2 per checker with an order,
+    which also keeps between, n^2 masks of n bits like through.
     """
 
     def __init__(self, g: Graph, k: int, order=None):
@@ -403,6 +429,54 @@ class _IncrementalChecker(_GeodesicTables):
                     return False
         return True
 
+    def narrow(self, v: int, later: int, undo) -> int:
+        """The bits of later that still fit once v is pushed, given what
+        push(v, later) returned; each w in later must have fit the members
+        before v. Counts only grow, so w now fails only if (a) the new pair
+        (v, w) reads 0, (b) a member-candidate pair in undo reads 0, or (c)
+        a member pair in undo, or a new pair (v, q), has all its counted
+        geodesics through w: fits' test, for the w in between[a][q]. A
+        member pair the push left unchanged keeps its verdict: were v on an
+        a-w-q geodesic with at most k' members inside, the push would have
+        changed rows[a][q]. Without an order this calls fits per vertex."""
+        if self.after is None:
+            return sum(1 << w for w in range(self.n) if later >> w & 1 and self.fits(w))
+        members = self.members
+        if len(members) + 1 <= self.k + 2:
+            return later
+        rows, mask, full, low = self.rows, self.mask, self.full, self.low
+        keep = later
+        vrow = rows[v]
+        bits = later
+        while bits:  # (a)
+            bit = bits & -bits
+            bits ^= bit
+            if not vrow[bit.bit_length() - 1]:
+                keep ^= bit
+        pairs = [(v, q) for q in members[:-1]]  # v is the last member
+        for s, t, _ in undo:
+            if mask >> s & 1:
+                if mask >> t & 1:
+                    pairs.append((s, t))
+                elif keep >> t & 1 and not rows[s][t]:  # (b)
+                    keep ^= 1 << t
+            elif mask >> t & 1 and keep >> s & 1 and not rows[s][t]:  # (b)
+                keep ^= 1 << s
+        between = self.between
+        for a, q in pairs:  # (c)
+            c = rows[a][q]
+            if c & low:
+                continue
+            bits = between[a][q] & keep
+            ra, rq = rows[a], rows[q]
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                w = bit.bit_length() - 1
+                if c == ra[w] * rq[w] & full:
+                    keep ^= bit
+        return keep
+
 
 def _admit(name: str, g: Graph, k, max_n: int) -> list:
     """Entry checks of every exact solver, in one order: the tolerance k
@@ -499,21 +573,28 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     candidate whose path is full is dropped, a branch can add at most its free
     candidates plus, per path, the fewer of its candidates left and its free
     room, and the same sum over V(g) caps the cheap diameter/girth bound.
+    Every room is free at the root, whose candidates fits filters; below it
+    the checker's narrow does, after the rest of a path whose room a push
+    used up is dropped.
     """
     order = _admit("mu_k", g, k, max_n)
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _IncrementalChecker(g, k, order)
+    return _solve_mu(g, k, order, _IncrementalChecker(g, k, order))
+
+
+def _solve_mu(g: Graph, k: int, order: list, checker: _IncrementalChecker) -> SolveResult:
+    """mu_k past its entry checks, on an empty checker that carries rows in
+    order; covering.tau_k shares its checker this way."""
+    n = g.n
     parts = _convex_paths(checker.dags, k + 2)
     part_of = [len(parts)] * n  # the last slot holds the vertices on no path
     for i, path in enumerate(parts):
         for v in path:
             part_of[v] = i
+    # the last slot's room of n never runs out while a candidate is left
+    part_bits = [sum(1 << v for v in path) for path in parts] + [0]
     room = [k + 2] * len(parts) + [n]
-
-    def fits(v) -> bool:
-        return room[part_of[v]] > 0 and checker.fits(v)
 
     def push(v, later):
         room[part_of[v]] -= 1
@@ -522,6 +603,10 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     def pop(v, undo) -> None:
         room[part_of[v]] += 1
         checker.pop(v, undo)
+
+    def narrow(v, later, undo) -> int:
+        part = part_of[v]
+        return checker.narrow(v, later if room[part] else later & ~part_bits[part], undo)
 
     def bound(cands) -> list:
         """For every idx, the free candidates in cands[idx:] plus, per path,
@@ -540,7 +625,8 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
 
     goal = min(bounds(g, k, gp_max_n=0).upper(), bound(order)[0])
     start = _first_fit(checker.unordered(), order[::-1], goal)
-    best, best_set, nodes, _ = _search(order, fits, push, pop, [1] * n, goal, bound, incumbent=start)
+    best, best_set, nodes, _ = _search(order, checker.fits, push, pop, [1] * n, goal, bound, incumbent=start,
+                                       narrow=narrow)
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
     return SolveResult(best, best_set, nodes)

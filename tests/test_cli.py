@@ -549,6 +549,21 @@ class TestExitCodes:
         assert proc.wait(timeout=120) == 0
         assert err == b""
 
+    @pytest.mark.parametrize("exc,code,message", [
+        (MemoryError, 3, "mkvis: refused: out of memory\n"),
+        (KeyboardInterrupt, 130, "mkvis: interrupted\n"),
+    ])
+    def test_out_of_memory_and_interrupt(self, capsys, monkeypatch, exc, code, message):
+        """A solver that runs out of memory or is interrupted ends the
+        command with its own exit code and one line on stderr, no report
+        and no traceback."""
+
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(mkvis.cli, "mu_k", raising)
+        assert run(capsys, monkeypatch, ["mu", "-k", "0"], PATH5) == (code, "", message)
+
 
 class TestReportKeyOrder:
     """The key order of every report, as json.dumps writes it; dict equality

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
-from mkvis import covering
+from mkvis import covering, solvers
 from mkvis.covering import (
     LOWER_CEIL_MU,
     LOWER_SEARCH,
@@ -106,6 +106,22 @@ class TestTauK:
         part-opening rule decide which optimal cover comes back."""
         res = tau_k(g, k)
         assert (res.value, res.partition, res.lower_bound_used) == (value, partition, used)
+
+    def test_geodesic_tables_built_once(self, monkeypatch):
+        """The mu_k behind the lower bound shares tau_k's checker, so the
+        geodesic DAGs are built once per call."""
+        built = []
+        geodesic_dags = solvers._geodesic_dags
+
+        def counting(g):
+            built.append(g.n)
+            return geodesic_dags(g)
+
+        monkeypatch.setattr(solvers, "_geodesic_dags", counting)
+        res = tau_k(random_connected(16, 0.2, 1), 0)
+        assert built == [16]
+        assert (res.value, res.partition, res.lower_bound_used) == (
+            3, ((0, 1, 3, 6, 10), (2, 4, 5, 7, 9, 13), (8, 11, 12, 14, 15)), LOWER_SEARCH)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):

@@ -1,5 +1,6 @@
 """Exact solvers: mu_k, variants, gp, polynomial, bounds, constructions."""
 
+import random
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -435,6 +436,44 @@ class TestIncrementalChecker:
                     if nodes[-1] >> w & 1:
                         assert checker.fits(w) == support.oracle_mkv_check(g, checker.members + [w], k, dist)
 
+    @given(support.graphs(min_n=3, max_n=10), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_narrow_keeps_exactly_the_candidates_that_fit(self, g, k, carried, seed):
+        """A walk as _search makes it, over a checker that carries rows in a
+        random order or one that sweeps: each node holds the candidates that
+        fit, the root's filtered by fits. A step pops back to the parent
+        node one time in seven, else pushes a random candidate v, early ones
+        likelier, with later the candidates after v, each kept with chance
+        0.8; the walk takes 40 steps drawn from seed, so it reaches sets
+        past k + 2 members. After every push, narrow(v, later, undo) must
+        be the bits of later that fit, as fits and the oracle tell, and
+        those become the child's candidates."""
+        rnd = random.Random(seed)
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        checker = _IncrementalChecker(g, k, order if carried else None)
+        dist = support.distance_matrix(g)
+        undos = []
+        nodes = [sum(1 << w for w in order if checker.fits(w))]
+        for _ in range(40):
+            cands = [w for w in order if nodes[-1] >> w & 1]
+            if not cands or rnd.random() < 1 / 7:
+                if checker.members:
+                    checker.pop(checker.members[-1], undos.pop())
+                    nodes.pop()
+                continue
+            idx = min(rnd.randrange(len(cands)), rnd.randrange(len(cands)))
+            v = cands[idx]
+            later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < 0.8)
+            undos.append(checker.push(v, later))
+            keep = checker.narrow(v, later, undos[-1])
+            want = [w for w in order if later >> w & 1 and checker.fits(w)]
+            assert keep == sum(1 << w for w in want), (v, later, checker.members)
+            for w in order:
+                if later >> w & 1:
+                    assert (w in want) == support.oracle_mkv_check(g, checker.members + [w], k, dist)
+            nodes.append(keep)
+
     def test_diamond_chain_counts_past_64_bits(self):
         """70 diamonds in a row: 2^70 geodesics between the end hubs, so a
         field needs 72 bits and the packed ints exceed machine words."""
@@ -507,6 +546,31 @@ class TestIncrementalChecker:
         carried = searches(True)
         assert len(carried) == 3
         assert carried == searches(False)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_mu_search_calls_fits_only_at_the_root(self, k):
+        """mu_k's search filters the root's candidates with fits and every
+        deeper level's with narrow, so the checker that carries rows sees
+        fits only while it holds no member. The first-fit passes probe a
+        sweeping copy and are not counted."""
+        probes = []
+        fits, narrow = _IncrementalChecker.fits, _IncrementalChecker.narrow
+
+        def watched_fits(self, v):
+            if self.after is not None:
+                probes.append(("fits", len(self.members)))
+            return fits(self, v)
+
+        def watched_narrow(self, v, later, undo):
+            probes.append(("narrow", len(self.members)))
+            return narrow(self, v, later, undo)
+
+        with mock.patch.object(_IncrementalChecker, "fits", watched_fits), \
+                mock.patch.object(_IncrementalChecker, "narrow", watched_narrow):
+            res = mu_k(random_connected(14, 0.25, 3), k)
+        assert res.nodes_explored > 1
+        assert {depth for name, depth in probes if name == "fits"} == {0}
+        assert any(name == "narrow" for name, _ in probes)
 
     def test_polynomial_sweeps_only_while_building_tables(self):
         """With carried rows no push sweeps: the only _path_counts calls are
@@ -655,8 +719,8 @@ class TestSearchPushes:
     @given(support.graphs(min_n=1, max_n=9), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
     def test_every_push_is_probed_before_its_pop(self, g, k):
-        """Every push inside _search is read by at least one fits call before
-        the matching pop, for every solver that runs on it."""
+        """Every push inside _search is read by at least one fits or narrow
+        call before the matching pop, for every solver that runs on it."""
         search = mkvis.solvers._search
         calls = []
 
@@ -676,6 +740,13 @@ class TestSearchPushes:
                 assert open_pushes.pop() == [v, True]
                 pop(v, undo)
 
+            narrow = kwargs.get("narrow")
+            if narrow is not None:
+                def watched_narrow(v, later, undo):
+                    open_pushes[-1][1] = True
+                    return narrow(v, later, undo)
+
+                kwargs["narrow"] = watched_narrow
             calls.append(open_pushes)
             return search(order, watched_fits, watched_push, watched_pop, *args, **kwargs)
 
