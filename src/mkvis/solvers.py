@@ -14,13 +14,17 @@ downward-closed, are searched within the mutual k-visible family and
 accepted one by one. All solvers are desk-scale exhaustive searches with
 configurable size limits and refuse larger inputs.
 
-Feasibility is probed by _IncrementalChecker without a sweep. mu_k, the dual
-search, visibility_polynomial and covering.tau_k hand it their search order,
-so it carries a geodesic count row for every vertex and no push sweeps;
-_search's push(v, later) names the candidates left after v, so a push
-updates only the pairs among the members and those. mu_k's search then
+Feasibility is probed by _IncrementalChecker without a sweep. mu_k,
+mu_k_variant, visibility_polynomial and covering.tau_k hand it their search
+order, so it carries a geodesic count row for every vertex and no push
+sweeps; _search's push(v, later) names the candidates left after v, so a
+push updates only the pairs among the members and those. mu_k's search then
 filters those candidates with one narrow(v, later, undo) pass over what the
-push changed, not one fits call each. covering.greedy_cover and mu_k's
+push changed, not one fits call each. mu_k_variant instead keeps every
+vertex but v live on each push, so every pair's row is exact: total and
+outer read the pairs that touch the complement, and dual reads the pairs
+inside it to accept a set and to cut a branch once two vertices that can no
+longer join lose sight of each other. covering.greedy_cover and mu_k's
 first-fit passes grow sets in no such order, so each push sweeps the new
 member's geodesic DAG once.
 """
@@ -47,7 +51,7 @@ from .graphs import (
     require_connected,
 )
 from .kernel import (
-    DUAL,
+    OUTER,
     TOTAL,
     _check_tolerance,
     _check_variant_name,
@@ -77,7 +81,7 @@ __all__ = [
 DEFAULT_MU_MAX_N = 24
 DEFAULT_ENUM_MAX_N = 18
 DEFAULT_GP_MAX_N = 20
-# the slowest variant, dual at k = 0, took up to 3.7 s at n = 22 and 9.5 s at n = 24
+# the slowest variant, dual at k = 1, took up to about 0.25 s at n = 22 and 0.5 s at n = 24
 DEFAULT_VARIANT_MAX_N = 22
 
 
@@ -114,7 +118,9 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
     once the incumbent reaches goal; an incumbent already there is returned
     with no set visited.
     accept(current), when given, decides which visited sets may become the
-    incumbent; it reads only current, never the pushed state. With goal None
+    incumbent. It is called on entering a node, when the pushed state holds
+    current, or all of current but its last member when that member had no
+    later candidate and was not pushed. With goal None
     no incumbent is kept, so nothing is cut and every member is visited
     exactly once.
 
@@ -194,9 +200,8 @@ class _GeodesicTables:
 
     The held set is a member list plus an int bitmask. push(v) adds v and
     returns what pop(v, undo) needs to take it out again; fresh() gives an
-    empty set over the same tables. gp_number and the total and outer
-    searches of mu_k_variant read the tables and the held set with tests of
-    their own.
+    empty set over the same tables. gp_number reads the tables and the held
+    set with a test of its own.
     """
 
     def __init__(self, g: Graph, k: int, sigma: bool = False):
@@ -283,18 +288,18 @@ class _IncrementalChecker(_GeodesicTables):
 
     With an order, a search order over all vertices, every vertex has a row
     from the start, the geodesic counts sigma with nothing tracked, and no
-    push sweeps. The caller must push in that order: each pushed v comes
-    after every member. _search keeps this when it is handed the same
-    order, since it grows a set only along later candidates, and tau_k
-    pushes order[i] at step i. Then fits and every later push read only
-    pairs inside the live set, the members plus the vertices that may still
-    join, so rows[s][t] is kept correct only for s and t both live. Those
-    vertices are later, a bitmask of vertices after v that holds every
-    vertex a later fits or push names, when the caller passes it (_search
-    passes its candidates after v), else all of after[v]. push(v, later)
-    applies the update above to each pair {s, t} of the members plus those
-    vertices with t in through[s][v], in both orientations, and returns the
-    old values for pop. A pair that drops out of the live set keeps its old
+    push sweeps. Then fits and every later push read only pairs inside the
+    live set, the members plus the vertices that may still join, so
+    rows[s][t] is kept correct only for s and t both live. Those vertices
+    are later, a bitmask of vertices other than v that holds every vertex a
+    later fits or push names, when the caller passes it, else all of
+    after[v]. _search passes its candidates after v: it grows a set only
+    along later candidates, so it pushes in the order it was handed, and
+    tau_k pushes order[i] at step i. _AllPairsChecker passes every vertex
+    but v, so every pair stays exact in any push order. push(v, later) applies
+    the update above to each pair {s, t} of the members plus those vertices
+    with t in through[s][v], in both orientations, and returns the old
+    values for pop. A pair that drops out of the live set keeps its old
     value, which is right again once v is popped.
 
     narrow(v, later, undo) answers fits for all of later at once, right
@@ -319,7 +324,7 @@ class _IncrementalChecker(_GeodesicTables):
                 self.after[v] = later
                 later |= 1 << v
             # inside[v]: the sources s with v strictly inside some s-t geodesic
-            self.inside = [sum(1 << s for s, below in enumerate(self.through) if below[v] != 1 << v)
+            self.inside = [sum(1 << s for s, below in enumerate(self.through) if s != v and below[v] != 1 << v)
                            for v in range(self.n)]
         self.rows = self._empty_rows()
 
@@ -476,6 +481,76 @@ class _IncrementalChecker(_GeodesicTables):
                 if c == ra[w] * rq[w] & full:
                     keep ^= bit
         return keep
+
+
+class _AllPairsChecker(_IncrementalChecker):
+    """An ordered checker whose every push keeps all vertices but v live, so
+    rows[s][t] is exact for every pair of vertices, members or not, in any
+    push order. (v's own pairs keep their counts, since an end is never
+    inside; were v live, the push would shift them.) It also keeps blind[s],
+    the bitmask of the t whose pair with s reads 0: push sets the bits of
+    the pairs it zeroes and pop clears them. mu_k_variant reads both to test
+    the pairs that touch the complement of the held set."""
+
+    def __init__(self, g: Graph, k: int, order):
+        super().__init__(g, k, order)
+        self.blind = [0] * self.n
+
+    def push(self, v: int, later=None):
+        """later is ignored: every vertex but v is live."""
+        undo = super().push(v, (1 << self.n) - 1 ^ 1 << v)
+        rows, blind = self.rows, self.blind
+        for s, t, _ in undo:
+            if not rows[s][t]:
+                blind[s] |= 1 << t
+                blind[t] |= 1 << s
+        return undo
+
+    def pop(self, v: int, undo) -> None:
+        rows, blind = self.rows, self.blind
+        for s, t, _ in undo:
+            if not rows[s][t]:
+                blind[s] ^= 1 << t
+                blind[t] ^= 1 << s
+        super().pop(v, undo)
+
+    def sighted(self, out: int) -> bool:
+        """No pair inside the bitmask out reads 0."""
+        blind = self.blind
+        bits = out
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            if blind[bit.bit_length() - 1] & out:
+                return False
+        return True
+
+    def breaks(self, v: int, sources: int, targets: int) -> bool:
+        """Some pair (s, t), s in sources and t in targets, neither of them
+        v, would read 0 were v a member, given that none reads 0 now; each
+        pair is tested once, by fits' test: all its counted geodesics run
+        through v and none has fewer than k' members inside."""
+        rows, through, full, low = self.rows, self.through, self.full, self.low
+        vrow = rows[v]
+        sources &= self.inside[v]
+        while sources:
+            bit = sources & -sources
+            sources ^= bit
+            targets &= ~bit  # the pairs of s are all tested below
+            s = bit.bit_length() - 1
+            row = rows[s]
+            sv = row[v]
+            if not sv:
+                continue  # no counted geodesic runs through v
+            inner = through[s][v] & targets
+            while inner:
+                bit = inner & -inner
+                inner ^= bit
+                t = bit.bit_length() - 1
+                c = row[t]
+                if not c & low and c == sv * vrow[t] & full:
+                    return True
+        return False
 
 
 def _admit(name: str, g: Graph, k, max_n: int) -> list:
@@ -638,27 +713,32 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     Every variant set has all its internal pairs visible, so it is mutual
     k-visible and the plain diameter/girth bound caps the search.
 
+    All three run on one _AllPairsChecker, whose rows are exact for every
+    pair of vertices, so no probe sweeps.
+
     Total and outer sets are downward-closed. Let X' = X - {x}. Every path
     carries no more X'-members than X-members, so a pair that had a geodesic
     with at most k internal members still has one. Total asks this of the
     same pairs for X' as for X. Outer asks it of the pairs inside X' and
     from X' to V - X'; the only pairs new among those are (a, x) with a in
     X', and they were pairs inside X. So both run on _search with a fits
-    that sweeps the geodesic DAGs of the sources whose pairs can change:
-    adding v changes only pairs with v strictly inside one of their
-    geodesics, that is, pairs (s, t) with t in through[s][v] and s, t != v.
-    Total sweeps every such source; outer sweeps the members among them plus
-    v, whose pairs to the complement are new.
+    that reads the rows of the pairs that can change: adding v changes only
+    pairs with v strictly inside one of their geodesics, that is, pairs
+    (s, t) with t in through[s][v] and s, t != v, and such a pair fails by
+    the checker's own test. Total tests every such pair; outer tests those
+    with a member end, once v sees every vertex, since v's pairs are new.
 
     Dual is not downward-closed: dropping x adds every pair (x, c) with c
     outside X, which X never had to pass. In P4 with k = 0, {0, 1} is dual
     but {1} is not, since the pair (0, 2) now runs through 1. Dual sets are
-    mutual k-visible, so dual searches that family with _IncrementalChecker
-    and accepts a set as incumbent only when every pair inside its
-    complement passes as well. The accept check builds the set from current,
-    since _search pushes no set without a later candidate, and sweeps first
-    from the complement source that failed on the previous call: nearby sets
-    tend to fail on the same pair.
+    mutual k-visible, so dual searches that family with the checker's fits
+    and narrow and accepts a set as incumbent only when no pair inside its
+    complement reads 0, by the checker's blind masks; it tests the last
+    member of current apart when _search did not push it. Counts only grow
+    with the set, so once two vertices that no set below a branch takes,
+    neither members nor among the branch's candidates, lose sight of each
+    other, that branch and every later one of its node hold no dual set, and
+    bound cuts them.
     """
     _check_tolerance(k)
     variant = _check_variant_name(variant)
@@ -666,43 +746,52 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _IncrementalChecker(g, k, order) if variant == DUAL else _GeodesicTables(g, k)
-    dags, through, width, full = checker.dags, checker.through, checker.width, checker.full
+    checker = _AllPairsChecker(g, k, order)
+    rows, blind, everyone = checker.rows, checker.blind, (1 << n) - 1
+    bound = accept = narrow = None
+    if variant == TOTAL:
+        def fits(v) -> bool:
+            others = everyone ^ 1 << v
+            return not checker.breaks(v, others, others)
+    elif variant == OUTER:
+        def fits(v) -> bool:
+            # the pairs from v are new; rows[v][v] is 1
+            return all(rows[v]) and not checker.breaks(v, checker.mask, everyone ^ 1 << v)
+    else:
+        fits, narrow = checker.fits, checker.narrow
 
-    def sees(s, xs, targets) -> bool:
-        """Every s-t pair, t in targets, has a geodesic with at most k
-        internal members of xs."""
-        counts = _path_counts(dags[s], xs, n, width, full)
-        return all(counts[t] for t in targets)
-
-    def keeps(v) -> bool:
-        """The members plus v stay a total or outer set."""
-        xs = checker.mask | 1 << v
-        if variant == TOTAL:
-            sources = range(n)
-        else:  # outer: the pairs from v to the complement are new
-            if not sees(v, xs, range(n)):
+        def accept(current) -> bool:
+            out = everyone
+            for v in current:
+                out ^= 1 << v
+            if not checker.sighted(out):
                 return False
-            sources = checker.members
-        return all(sees(s, xs, range(n)) for s in sources if s != v and through[s][v] != 1 << v)
+            if current and not checker.mask >> current[-1] & 1:  # pushed only with a later candidate
+                return not checker.breaks(current[-1], out, out)
+            return True
 
-    last = 0  # the complement source whose sweep failed on the previous call
+        def bound(cands) -> list:
+            """The candidates left in cands[idx:], or -(n + 1) from the first
+            idx whose out set, the vertices neither members nor in cands[idx:],
+            holds a pair that reads 0: no set below that branch or any later
+            one is dual, since none of them takes an out vertex and counts
+            only grow."""
+            size = len(cands)
+            out = everyone ^ checker.mask
+            for v in cands:
+                out ^= 1 << v
+            alive = 0
+            if checker.sighted(out):
+                for v in cands:
+                    alive += 1
+                    out |= 1 << v
+                    if blind[v] & out:
+                        break
+            return [size - idx for idx in range(alive)] + [-(n + 1)] * (size - alive)
 
-    def complement_sees(current) -> bool:
-        nonlocal last
-        xs = sum(1 << v for v in current)
-        outside = [c for c in range(n) if c != last and not xs >> c & 1]
-        if not xs >> last & 1:
-            outside.insert(0, last)
-        for c in outside:
-            if not sees(c, xs, outside):
-                last = c
-                return False
-        return True
-
-    fits, accept = (checker.fits, complement_sees) if variant == DUAL else (keeps, None)
     goal = bounds(g, k, gp_max_n=0).upper()
-    best, best_set, nodes, _ = _search(order, fits, checker.push, checker.pop, [1] * n, goal, accept=accept)
+    best, best_set, nodes, _ = _search(order, fits, checker.push, checker.pop, [1] * n, goal, bound, accept,
+                                       narrow=narrow)
     if not check_variant(g, best_set, k, variant).verdict:
         raise RuntimeError("internal error: mu_k_variant witness failed verification")
     return SolveResult(best, best_set, nodes)

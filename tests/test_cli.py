@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,9 @@ import mkvis.cli
 import mkvis.graphs
 import mkvis.kernel
 from mkvis import __version__
-from mkvis.cli import main
-from mkvis.graphs import build_graph, format_edge_list, parse_edge_list, path_graph
+from mkvis.cli import GEN_FAMILIES, main
+from mkvis.graphs import build_graph, format_edge_list, parse_edge_list, path_graph, random_connected
+from mkvis.kernel import VARIANTS
 
 
 def run(capsys, monkeypatch, argv, stdin_text=None):
@@ -705,3 +707,94 @@ class TestContractFuzz:
     def test_arbitrary_json(self, tmp_path_factory, argv, payload):
         data = json.dumps(payload).encode()
         assert _main_on_file(tmp_path_factory.getbasetemp(), data, [*argv, "--json"]) in (0, 1, 2, 3)
+
+
+# Every subcommand with the options it requires and those it may take; gen
+# takes positional parameters instead.
+_REQUIRED = {
+    "check": ["-k", "--set"], "mu": ["-k"], "mu-variant": ["-k", "--variant"], "gp": [], "poly": ["-k"],
+    "bounds": ["-k"], "tau": ["-k"], "cover-greedy": ["-k"], "blocks": [], "mu-block": ["-k"],
+    "oracle": ["--set"],
+}
+_OPTIONAL = {
+    "check": ["--variant", "--pair-counts", "--strict"], "bounds": ["--path", "--gp-max-n"],
+    "blocks": ["--strict"], "mu-block": ["--max-nodes"], "oracle": ["--cap", "--strict"],
+}
+
+
+def _mostly(good, bad):
+    """good three times in four, else bad."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+# ids may be out of range (up to 9 on graphs of at most 7 vertices), negative or repeated
+_ids = _mostly(st.lists(st.integers(-1, 9), min_size=1, max_size=5).map(lambda ids: ",".join(map(str, ids))),
+               st.sampled_from(["", ",", "a", "1,,2", "0,0,0", " 1", "99999999999999999999"]))
+_limits = _mostly(st.integers(1, 30).map(str), st.sampled_from(["-2", "0", "", "x", "1.5", "1e3"]))
+_OPTIONS = {
+    "-k": _mostly(st.integers(0, 4).map(str), st.sampled_from(["-1", "", "x", "0.5", "-0"])),
+    "--set": _ids,
+    "--path": _ids,
+    "--variant": _mostly(st.sampled_from(VARIANTS), st.sampled_from(["plain", ""])),
+    "--max-n": _limits,
+    "--max-nodes": _limits,
+    "--cap": _limits,
+    "--gp-max-n": _limits,
+    "--pair-counts": st.none(),
+    "--strict": st.none(),
+}
+# (text, whether it is JSON): small graphs, a few broken ones, and junk
+_small_graphs = st.builds(random_connected, st.integers(1, 7), st.sampled_from([0.2, 0.5]), st.integers(0, 99))
+_inputs = _mostly(
+    _small_graphs.map(lambda g: (format_edge_list(g), False))
+    | _small_graphs.map(lambda g: (json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}), True)),
+    st.sampled_from([("4 2\n0 1\n2 3\n", False), ("3 2\n0 1\n1 1\n", False), ("2 1\n0 5\n", False),
+                     ("", False), ('{"n": 3, "edges": [[0, 1], [1, 2], [0, 1]]}', True)])
+    | st.text(max_size=24).map(lambda text: (text, False))
+    | _json_graphs.map(lambda graph: (json.dumps(graph), True)),
+)
+
+
+@st.composite
+def _requests(draw):
+    """argv and stdin text for one in-process call: a subcommand, each of its
+    required options nine times in ten and each of its other options half
+    the time, values good or bad, now and then an option it does not take,
+    and a graph or junk on stdin, with --json mostly when it is JSON."""
+    command = draw(st.sampled_from(["gen", *_REQUIRED]))
+    if command == "gen":
+        argv = ["gen", draw(st.sampled_from([*sorted(GEN_FAMILIES), "warp"]))]
+        argv += draw(st.lists(st.integers(-2, 12).map(str) | st.sampled_from(["0.3", "x", "-0.5", "1e400"]),
+                              max_size=3))
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.sampled_from(["1", "-3", "x"]))]
+        return argv, None
+    options = [o for o in _REQUIRED[command] if draw(st.integers(0, 9)) < 9]
+    takes_max_n = command not in ("check", "bounds", "blocks", "mu-block", "oracle")
+    options += [o for o in _OPTIONAL.get(command, ["--max-n"] if takes_max_n else []) if draw(st.booleans())]
+    if draw(st.integers(0, 7)) == 7:
+        options.append(draw(st.sampled_from(sorted(_OPTIONS))))
+    argv = [command]
+    for option in options:
+        value = draw(_OPTIONS[option])
+        argv += [option] if value is None else [option, value]
+    text, is_json = draw(_inputs)
+    if is_json and draw(st.integers(0, 4)) < 4:
+        argv.append("--json")
+    return argv, text
+
+
+class TestExitCodeFuzz:
+    @given(_requests())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_requests_keep_the_exit_code_contract(self, request):
+        """main, in process, on generated argv and stdin: it raises nothing,
+        returns an exit code from 0 to 3, and anything on stderr is one of
+        its own messages or argparse's usage text."""
+        argv, text = request
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text or "")), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+        assert not err.getvalue() or err.getvalue().startswith(("mkvis", "usage:")), (argv, text, err.getvalue())

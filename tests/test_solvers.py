@@ -30,6 +30,7 @@ from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _geodesic_dags, _path_cou
 from mkvis.solvers import (
     DEFAULT_VARIANT_MAX_N,
     Polynomial,
+    _AllPairsChecker,
     _GeodesicTables,
     _IncrementalChecker,
     _convex_paths,
@@ -361,80 +362,107 @@ class TestIncrementalChecker:
                 else:
                     assert checker.rows[a] is None
 
-    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.randoms(use_true_random=False),
-           st.lists(st.integers(-1, 7), max_size=16))
+    @staticmethod
+    def assert_rows_match_a_rebuild(checker, live):
+        """The carried counts between live vertices equal counts rebuilt by
+        _path_counts for the held set."""
+        for s in range(checker.n):
+            if live >> s & 1:
+                want = _path_counts(checker.dags[s], checker.mask, checker.n, checker.width, checker.full)
+                for t in range(checker.n):
+                    if live >> t & 1:
+                        assert checker.rows[s][t] == want[t], (s, t, checker.members)
+
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_carried_rows_match_a_rebuild(self, g, k, rnd, steps):
-        """A checker built with a random order: a step of -1 pops the last
-        member, any other step pushes one of the vertices after the last
-        member in that order (checking fits against the oracle whenever the
-        members are mutual k-visible). After every step the carried counts
-        between live vertices, the members plus the vertices after the last
-        member, must equal counts rebuilt by _path_counts for the held set."""
+    def test_carried_rows_match_a_rebuild(self, g, k, seed):
+        """A checker built with a random order, walked 40 steps drawn from
+        seed: a step pops the last member one time in five, or when no
+        vertex follows it in the order, else pushes one of the vertices after
+        it, early ones likelier, so the walk reaches sets past k + 2
+        members (checking fits against the oracle whenever the members are
+        mutual k-visible). After every step the carried counts between live
+        vertices, the members plus the vertices after the last member, must
+        equal counts rebuilt for the held set."""
+        rnd = random.Random(seed)
         order = list(range(g.n))
         rnd.shuffle(order)
         checker = _IncrementalChecker(g, k, order)
         undos = []
         dist = support.distance_matrix(g)
-        for step in steps:
-            last = checker.members[-1] if checker.members else None
-            later = order[order.index(last) + 1 :] if checker.members else order
-            if step < 0 or not later:
+        for _ in range(40):
+            later = order[order.index(checker.members[-1]) + 1 :] if checker.members else order
+            if not later or rnd.random() < 1 / 5:
                 if checker.members:
                     checker.pop(checker.members[-1], undos.pop())
             else:
-                v = later[step % len(later)]
+                v = later[min(rnd.randrange(len(later)), rnd.randrange(len(later)))]
                 if support.oracle_mkv_check(g, checker.members, k, dist):
                     assert checker.fits(v) == support.oracle_mkv_check(g, checker.members + [v], k, dist)
                 undos.append(checker.push(v))
             live = checker.mask | (checker.after[checker.members[-1]] if checker.members else (1 << g.n) - 1)
-            for s in range(g.n):
-                if live >> s & 1:
-                    want = _path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
-                    for t in range(g.n):
-                        if live >> t & 1:
-                            assert checker.rows[s][t] == want[t], (s, t, checker.members)
+            self.assert_rows_match_a_rebuild(checker, live)
 
-    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.randoms(use_true_random=False),
-           st.lists(st.integers(-1, 7), max_size=16))
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_narrowed_carried_rows_match_a_rebuild(self, g, k, rnd, steps):
+    def test_narrowed_carried_rows_match_a_rebuild(self, g, k, seed):
         """The twin of the test above with push(v, later) as _search calls
         it: each node holds a bitmask of candidates, the root all vertices;
-        a step of -1 pops back to the parent node, any other step pushes a
-        candidate v with later a random subset of the candidates after v in
-        the order, which become the child's candidates. After every step
-        the counts between the members and the candidates must equal counts
-        rebuilt by _path_counts for the held set, and while the members are
-        mutual k-visible fits must agree with the oracle on every candidate."""
+        a step pops back to the parent node one time in five, or when the
+        node has no candidate, else pushes a candidate v, early ones
+        likelier, with later the candidates after v, each kept with chance
+        0.7, which become the child's candidates. After every step the
+        counts between the members and the candidates must equal counts
+        rebuilt for the held set, and while the members are mutual
+        k-visible fits must agree with the oracle on every candidate."""
+        rnd = random.Random(seed)
         order = list(range(g.n))
         rnd.shuffle(order)
         checker = _IncrementalChecker(g, k, order)
         undos = []
         nodes = [(1 << g.n) - 1]
         dist = support.distance_matrix(g)
-        for step in steps:
+        for _ in range(40):
             cands = [v for v in order if nodes[-1] >> v & 1]
-            if step < 0 or not cands:
+            if not cands or rnd.random() < 1 / 5:
                 if checker.members:
                     checker.pop(checker.members[-1], undos.pop())
                     nodes.pop()
             else:
-                v = cands[step % len(cands)]
-                later = sum(1 << w for w in cands[cands.index(v) + 1 :] if rnd.random() < 0.7)
-                undos.append(checker.push(v, later))
+                idx = min(rnd.randrange(len(cands)), rnd.randrange(len(cands)))
+                later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < 0.7)
+                undos.append(checker.push(cands[idx], later))
                 nodes.append(later)
-            live = checker.mask | nodes[-1]
-            for s in range(g.n):
-                if live >> s & 1:
-                    want = _path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
-                    for t in range(g.n):
-                        if live >> t & 1:
-                            assert checker.rows[s][t] == want[t], (s, t, checker.members)
+            self.assert_rows_match_a_rebuild(checker, checker.mask | nodes[-1])
             if support.oracle_mkv_check(g, checker.members, k, dist):
                 for w in range(g.n):
                     if nodes[-1] >> w & 1:
                         assert checker.fits(w) == support.oracle_mkv_check(g, checker.members + [w], k, dist)
+
+    @given(support.graphs(min_n=2, max_n=9), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_all_pair_rows_and_blind_masks_match_a_rebuild(self, g, k, seed):
+        """An _AllPairsChecker walked 40 steps drawn from seed, in no
+        order: a step pops the last member one time in five, or when every
+        vertex is a member, else pushes any vertex that is not. After every
+        step every pair's row must equal counts rebuilt for the held set,
+        and blind[s] must hold exactly the t whose rebuilt count is 0."""
+        rnd = random.Random(seed)
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        checker = _AllPairsChecker(g, k, order)
+        undos = []
+        for _ in range(40):
+            outside = [v for v in range(g.n) if not checker.mask >> v & 1]
+            if not outside or rnd.random() < 1 / 5:
+                if checker.members:
+                    checker.pop(checker.members[-1], undos.pop())
+            else:
+                undos.append(checker.push(rnd.choice(outside)))
+            for s in range(g.n):
+                want = _path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
+                assert checker.rows[s] == want, (s, checker.members)
+                assert checker.blind[s] == sum(1 << t for t in range(g.n) if not want[t]), (s, checker.members)
 
     @given(support.graphs(min_n=3, max_n=10), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -517,10 +545,11 @@ class TestIncrementalChecker:
     @pytest.mark.parametrize("n,seed", [(10, 1), (11, 2), (12, 3), (13, 4), (14, 5)])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_carried_and_swept_rows_search_alike(self, n, seed, k):
-        """The polynomial, mu_k and the dual search run _search with their own
-        hooks over a checker that carries rows in their order and over one
-        that sweeps on every push; each search returns the same best weight,
-        best set, node count and sizes."""
+        """The polynomial and mu_k run _search with their own hooks over a
+        checker that carries rows in their order and over one that sweeps on
+        every push; each search returns the same best weight, best set, node
+        count and sizes. (mu_k_variant reads rows between vertices that are
+        not members, which only carried rows hold.)"""
         g = random_connected(n, 0.25, seed)
         search = mkvis.solvers._search
 
@@ -539,12 +568,11 @@ class TestIncrementalChecker:
                     mock.patch.object(mkvis.solvers, "_search", recording):
                 visibility_polynomial(g, k)
                 mu_k(g, k)
-                mu_k_variant(g, k, DUAL)
-            assert [c.after is not None for c in built] == [carried] * 3
+            assert [c.after is not None for c in built] == [carried] * 2
             return results
 
         carried = searches(True)
-        assert len(carried) == 3
+        assert len(carried) == 2
         assert carried == searches(False)
 
     @pytest.mark.parametrize("k", [0, 1])
@@ -627,7 +655,7 @@ def _grid(rows, cols):
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, TOTAL), (2, 3, [2, 10])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, OUTER), (7, 92, [2, 3, 5, 6, 10, 11, 17])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL),
-         (7, 10532, [5, 8, 10, 11, 14, 15, 16])),
+         (7, 193, [5, 8, 10, 11, 14, 15, 16])),
     ],
     ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "random24-k0", "gp-random14",
          "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2",
@@ -690,7 +718,7 @@ class TestFirstFitStart:
     "solve,want",
     [
         (lambda: visibility_polynomial(random_connected(16, 0.2, 2), 1), (24937, 13, 49580)),
-        (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL), (6125, 7, 10532)),
+        (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL), (190, 7, 193)),
         (lambda: mu_k(random_connected(24, 0.15, 1), 1), (2275, 20, 2239)),
     ],
     ids=["poly-random16-k1", "dual-random18-k0", "mu-random24-k1"],
@@ -758,6 +786,61 @@ class TestSearchPushes:
                 mu_k_variant(g, k, variant)
         assert len(calls) == 6
         assert all(not open_pushes for open_pushes in calls)
+
+    @staticmethod
+    def dual_cuts(g, k) -> list:
+        """Runs the dual search and checks that every branch its bound hook
+        marks dead (a cap below 0) holds no dual set: the dual sets, found by
+        enumerating every subset with the oracle, are matched against each
+        dead branch's subtree, the sets with the node's members and
+        cands[idx], inside the members plus cands[idx:]. The members are
+        those pushed, which at a node with candidates is the whole current
+        set. Returns the dead idx of every node, in the order seen."""
+        dist = support.distance_matrix(g)
+        duals = [sum(1 << v for v in xs) for r in range(g.n + 1) for xs in combinations(range(g.n), r)
+                 if support.oracle_variant_check(g, xs, k, DUAL, dist)]
+        search = mkvis.solvers._search
+        cuts = []
+
+        def watched(order, fits, push, pop, weight, goal, bound, accept, **kwargs):
+            members = []
+
+            def watched_push(v, later):
+                members.append(v)
+                return push(v, later)
+
+            def watched_pop(v, undo):
+                members.pop()
+                pop(v, undo)
+
+            def watched_bound(cands):
+                caps = bound(cands)
+                held = sum(1 << v for v in members)
+                for idx, cap in enumerate(caps):
+                    if cap < 0:
+                        must = held | 1 << cands[idx]
+                        may = held | sum(1 << w for w in cands[idx:])
+                        assert not any(d & must == must and d | may == may for d in duals), (members, cands, idx)
+                        cuts.append(idx)
+                return caps
+
+            return search(order, fits, watched_push, watched_pop, weight, goal, watched_bound, accept, **kwargs)
+
+        with mock.patch.object(mkvis.solvers, "_search", watched):
+            res = mu_k_variant(g, k, DUAL)
+        assert res.value == max(bin(d).count("1") for d in duals)
+        return cuts
+
+    @given(support.graphs(min_n=2, max_n=9), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_dual_cut_spares_every_branch_with_a_dual_set(self, g, k):
+        self.dual_cuts(g, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_dual_cut_fires_on_sparse_graphs(self, seed, k):
+        """The check above, on graphs where the cut does fire."""
+        assert self.dual_cuts(random_connected(9, 0.2, seed), k)
 
     @given(support.graphs(min_n=9, max_n=10), st.integers(0, 2))
     @settings(max_examples=15, deadline=None)
