@@ -6,13 +6,14 @@ exact maximiser here: mu_k, mu_k_variant, gp_number and
 visibility_polynomial. (blocks.mu_k_block does not search: on a block graph
 a tree DP finds mu_k.) The engine grows a set along a filtered candidate
 list, keeps the incumbent, cuts a branch that cannot beat it and stops at a
-proven upper bound, or, without one, visits every member of the family
-once. A node's cut reads bound(cands), which caps what every suffix of its
-candidates can add in one pass. mu_k tightens the cut with convex paths and
-starts from a first-fit incumbent, and dual sets, which are not
-downward-closed, are searched within the mutual k-visible family and
-accepted one by one. All solvers are desk-scale exhaustive searches with
-configurable size limits and refuse larger inputs.
+proven upper bound, or, without one, counts every member of the family
+once, tallying without a visit the subsets of a member that holds all of a
+node's later candidates. A node's cut reads bound(cands), which caps what
+every suffix of its candidates can add in one pass. mu_k tightens the cut
+with convex paths and starts from a first-fit incumbent, and dual sets,
+which are not downward-closed, are searched within the mutual k-visible
+family and accepted one by one. All solvers are desk-scale exhaustive
+searches with configurable size limits and refuse larger inputs.
 
 Feasibility is probed by _IncrementalChecker without a sweep. mu_k,
 mu_k_variant, visibility_polynomial and covering.tau_k hand it their search
@@ -34,6 +35,7 @@ from __future__ import annotations
 import random
 from copy import copy
 from dataclasses import dataclass
+from math import comb
 
 from .errors import GraphInputError, SizeLimitError
 # bench/tracing.py rebinds all_pairs_distances and metric_summary here by name.
@@ -51,6 +53,7 @@ from .graphs import (
     require_connected,
 )
 from .kernel import (
+    DUAL,
     OUTER,
     TOTAL,
     _check_tolerance,
@@ -120,12 +123,23 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
     accept(current), when given, decides which visited sets may become the
     incumbent. It is called on entering a node, when the pushed state holds
     current, or all of current but its last member when that member had no
-    later candidate and was not pushed. With goal None
-    no incumbent is kept, so nothing is cut and every member is visited
-    exactly once.
+    later candidate and was not pushed.
 
-    Returns (best weight, a best set, sets visited, visited sets by size);
-    the best weight is -1 when goal is None.
+    With goal None no incumbent is kept and nothing is cut, and the walk
+    counts every member of the family exactly once, visiting some and
+    tallying the rest by size. A node then returns whether current plus all
+    its candidates is a member; a node with no candidates returns True. When
+    the child of cands[idx] returns True and its filter kept all r of
+    cands[idx + 1:], current plus v plus those is a member, so, the family
+    being downward-closed, current plus any nonempty subset of cands[idx +
+    1:] is one too. Those are exactly the sets below the later siblings, so
+    they are tallied, comb(r, j) of size len(current) + j, and not walked.
+    The node returns True iff that happens at idx 0: were current plus
+    cands a member, it would happen there.
+
+    Returns (best weight, a best set, sets visited, sets counted by size).
+    With goal None the best weight is -1, and the sets visited can be far
+    fewer than the members counted.
     """
     best = sum(weight[v] for v in incumbent) if incumbent else -1
     best_set = frozenset(incumbent)
@@ -142,7 +156,8 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
         caps.reverse()
         return caps
 
-    caps_of = None if goal is None else bound or suffix_weights
+    counting = goal is None
+    caps_of = None if counting else bound or suffix_weights
 
     def walk(cands, cw) -> bool:
         nonlocal best, best_set, nodes
@@ -154,7 +169,7 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
             if best >= goal:
                 return True
         if not cands:
-            return False
+            return counting
         caps = caps_of(cands) if caps_of else None
         later = 0  # the candidates after v; a lone candidate has none
         if len(cands) > 1:
@@ -176,7 +191,13 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
             if later:
                 pop(v, undo)
             if stop:
-                return True
+                if not counting:
+                    return True
+                r = len(child)
+                if r == len(cands) - 1 - idx:
+                    for j in range(1, r + 1):
+                        sizes[len(current) + j] += comb(r, j)
+                    return not idx
         return False
 
     if goal is None or best < goal:
@@ -487,43 +508,12 @@ class _AllPairsChecker(_IncrementalChecker):
     """An ordered checker whose every push keeps all vertices but v live, so
     rows[s][t] is exact for every pair of vertices, members or not, in any
     push order. (v's own pairs keep their counts, since an end is never
-    inside; were v live, the push would shift them.) It also keeps blind[s],
-    the bitmask of the t whose pair with s reads 0: push sets the bits of
-    the pairs it zeroes and pop clears them. mu_k_variant reads both to test
-    the pairs that touch the complement of the held set."""
-
-    def __init__(self, g: Graph, k: int, order):
-        super().__init__(g, k, order)
-        self.blind = [0] * self.n
+    inside; were v live, the push would shift them.) mu_k_variant reads the
+    rows to test the pairs that touch the complement of the held set."""
 
     def push(self, v: int, later=None):
         """later is ignored: every vertex but v is live."""
-        undo = super().push(v, (1 << self.n) - 1 ^ 1 << v)
-        rows, blind = self.rows, self.blind
-        for s, t, _ in undo:
-            if not rows[s][t]:
-                blind[s] |= 1 << t
-                blind[t] |= 1 << s
-        return undo
-
-    def pop(self, v: int, undo) -> None:
-        rows, blind = self.rows, self.blind
-        for s, t, _ in undo:
-            if not rows[s][t]:
-                blind[s] ^= 1 << t
-                blind[t] ^= 1 << s
-        super().pop(v, undo)
-
-    def sighted(self, out: int) -> bool:
-        """No pair inside the bitmask out reads 0."""
-        blind = self.blind
-        bits = out
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            if blind[bit.bit_length() - 1] & out:
-                return False
-        return True
+        return super().push(v, (1 << self.n) - 1 ^ 1 << v)
 
     def breaks(self, v: int, sources: int, targets: int) -> bool:
         """Some pair (s, t), s in sources and t in targets, neither of them
@@ -551,6 +541,45 @@ class _AllPairsChecker(_IncrementalChecker):
                 if not c & low and c == sv * vrow[t] & full:
                     return True
         return False
+
+
+class _DualChecker(_AllPairsChecker):
+    """An _AllPairsChecker that also keeps blind[s], the bitmask of the t
+    whose pair with s reads 0: push sets the bits of the pairs it zeroes and
+    pop clears them. The dual search reads them to test the pairs inside the
+    complement of the held set."""
+
+    def __init__(self, g: Graph, k: int, order):
+        super().__init__(g, k, order)
+        self.blind = [0] * self.n
+
+    def push(self, v: int, later=None):
+        undo = super().push(v)
+        rows, blind = self.rows, self.blind
+        for s, t, _ in undo:
+            if not rows[s][t]:
+                blind[s] |= 1 << t
+                blind[t] |= 1 << s
+        return undo
+
+    def pop(self, v: int, undo) -> None:
+        rows, blind = self.rows, self.blind
+        for s, t, _ in undo:
+            if not rows[s][t]:
+                blind[s] ^= 1 << t
+                blind[t] ^= 1 << s
+        super().pop(v, undo)
+
+    def sighted(self, out: int) -> bool:
+        """No pair inside the bitmask out reads 0."""
+        blind = self.blind
+        bits = out
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            if blind[bit.bit_length() - 1] & out:
+                return False
+        return True
 
 
 def _admit(name: str, g: Graph, k, max_n: int) -> list:
@@ -713,8 +742,8 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     Every variant set has all its internal pairs visible, so it is mutual
     k-visible and the plain diameter/girth bound caps the search.
 
-    All three run on one _AllPairsChecker, whose rows are exact for every
-    pair of vertices, so no probe sweeps.
+    All three run on an _AllPairsChecker, whose rows are exact for every
+    pair of vertices, so no probe sweeps; dual's also keeps blind masks.
 
     Total and outer sets are downward-closed. Let X' = X - {x}. Every path
     carries no more X'-members than X-members, so a pair that had a geodesic
@@ -746,8 +775,8 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _AllPairsChecker(g, k, order)
-    rows, blind, everyone = checker.rows, checker.blind, (1 << n) - 1
+    checker = (_DualChecker if variant == DUAL else _AllPairsChecker)(g, k, order)
+    rows, everyone = checker.rows, (1 << n) - 1
     bound = accept = narrow = None
     if variant == TOTAL:
         def fits(v) -> bool:
@@ -758,7 +787,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
             # the pairs from v are new; rows[v][v] is 1
             return all(rows[v]) and not checker.breaks(v, checker.mask, everyone ^ 1 << v)
     else:
-        fits, narrow = checker.fits, checker.narrow
+        fits, narrow, blind = checker.fits, checker.narrow, checker.blind
 
         def accept(current) -> bool:
             out = everyone
@@ -904,13 +933,17 @@ class Polynomial:
 def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> Polynomial:
     """Count every mutual k-visible set, grouped by cardinality.
 
-    The family is downward-closed, so _search without a goal visits each
-    feasible set exactly once and tallies them by size.
+    The family is downward-closed, so _search without a goal counts each
+    feasible set exactly once by size, tallying without a visit every set
+    below a node whose set plus all its later candidates is feasible. It
+    searches in _admit's order, highest degree first, and builds the checker
+    with it: on the 11 random graphs (n 14 to 17) the count benchmark sends,
+    that order visited about 38,000 sets against about 50,000 in id order.
     """
-    _admit("visibility_polynomial", g, k, max_n)
+    order = _admit("visibility_polynomial", g, k, max_n)
     n = g.n
-    checker = _IncrementalChecker(g, k, range(n))
-    _, _, _, sizes = _search(range(n), checker.fits, checker.push, checker.pop, [1] * n, None)
+    checker = _IncrementalChecker(g, k, order)
+    _, _, _, sizes = _search(order, checker.fits, checker.push, checker.pop, [1] * n, None)
     return Polynomial(tuple(sizes))
 
 
