@@ -3,7 +3,10 @@
 tau_k is the least number of parts, found by backtracking over part counts
 from the ceil(n/mu_k) lower bound upward; only ever opening the next fresh
 part breaks symmetric labelings. Every part is a solvers._IncrementalChecker
-over geodesic tables built once per call, grown only by a vertex that fits.
+over geodesic tables built once per call, grown only by a vertex that fits:
+tau_k's parts carry count rows and name the vertices after each new member,
+and greedy_cover's parts, grown in no such order, are the sweeping checker's,
+whose rows exist only for members, as its memory at n = 1000 needs.
 """
 
 from __future__ import annotations
@@ -99,8 +102,11 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
     n = g.n
     if n == 0:
         return CoverResult(0, (), "empty graph")
-    checker = _IncrementalChecker(g, k, order)
+    checker = _IncrementalChecker(g, k, True)
     lower = tau_bounds(g, k, mu_value=_solve_mu(g, k, order, checker).value).lower
+    later = [0] * n  # later[i]: the vertices after order[i]
+    for i in range(n - 1, 0, -1):
+        later[i - 1] = later[i] | 1 << order[i]
 
     for target in range(lower, n + 1):
         parts: list = []
@@ -115,7 +121,7 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
                     parts.append(checker.fresh())
                 part = parts[j]
                 if part.fits(v):
-                    undo = part.push(v)
+                    undo = part.push(v, later[i])
                     if place(i + 1):
                         return True
                     part.pop(v, undo)

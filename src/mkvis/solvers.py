@@ -15,19 +15,22 @@ which are not downward-closed, are searched within the mutual k-visible
 family and accepted one by one. All solvers are desk-scale exhaustive
 searches with configurable size limits and refuse larger inputs.
 
-Feasibility is probed by _IncrementalChecker without a sweep. mu_k,
-mu_k_variant, visibility_polynomial and covering.tau_k hand it their search
-order, so it carries a geodesic count row for every vertex and no push
-sweeps; _search's push(v, later) names the candidates left after v, so a
-push updates only the pairs among the members and those. mu_k's search then
-filters those candidates with one narrow(v, later, undo) pass over what the
-push changed, not one fits call each. mu_k_variant instead keeps every
-vertex but v live on each push, so every pair's row is exact: total and
-outer read the pairs that touch the complement, and dual reads the pairs
-inside it to accept a set and to cut a branch once two vertices that can no
-longer join lose sight of each other. covering.greedy_cover and mu_k's
-first-fit passes grow sets in no such order, so each push sweeps the new
-member's geodesic DAG once.
+Feasibility is probed by _IncrementalChecker without a sweep. Every
+ordered solve (mu_k's search and its first-fit passes, mu_k_variant,
+visibility_polynomial and covering.tau_k's parts) builds it carried: it
+holds a geodesic count row for every vertex from the start, and each
+push(v, later) names the vertices that may still join, so it updates only
+the pairs among the members and those and sweeps no DAG. _search passes a
+node's candidates after v, the first-fit passes and tau_k the vertices
+after v in their order. mu_k's search then filters those candidates with
+one narrow(v, later, undo) pass over what the push changed, not one fits
+call each. mu_k_variant instead keeps every vertex but v live on each
+push, so every pair's row is exact: total and outer read the pairs that
+touch the complement, and dual reads the pairs inside it to accept a set
+and to cut a branch once two vertices that can no longer join lose sight
+of each other. Only covering.greedy_cover grows sets in no order, so its
+parts sweep the new member's geodesic DAG once per push. gp_number needs
+no counts and reads only the DAGs and interval masks of _GeodesicTables.
 """
 
 from __future__ import annotations
@@ -210,30 +213,20 @@ class _GeodesicTables:
 
     Built once per solve: every source's shortest-path DAG (_geodesic_dags)
     and through[a][v], the bitmask of vertices b such that v lies on some
-    a-b geodesic (v's descendants in a's DAG, v included). width and full
-    pack _path_counts for tolerance k: width is one bit more than the
-    largest geodesic count of any pair, and full keeps fields 0..k', where
-    k' = min(k, n - 2) since no geodesic has more internal vertices. The
-    geodesic counts found on the way, sigma[s][t] for every pair, are kept
-    only when sigma is set, and with them between[s][t], the bitmask of
-    vertices on some s-t geodesic (t's ancestors in s's DAG, s and t
-    included), built in the same loop over the DAGs.
+    a-b geodesic (v's descendants in a's DAG, v included).
 
-    The held set is a member list plus an int bitmask. push(v) adds v and
-    returns what pop(v, undo) needs to take it out again; fresh() gives an
-    empty set over the same tables. gp_number reads the tables and the held
-    set with a test of its own.
+    The held set is a member list plus an int bitmask. push(v, later) adds v
+    and returns what pop(v, undo) needs to take it out again; later is read
+    only by a carried _IncrementalChecker. fresh() gives an empty set over
+    the same tables. gp_number reads these tables and the held set with a
+    test of its own.
     """
 
-    def __init__(self, g: Graph, k: int, sigma: bool = False):
+    def __init__(self, g: Graph):
         n = g.n
         self.n = n
-        self.k = k
         self.dags = _geodesic_dags(g)
         self.through = []
-        self.sigma = [] if sigma else None
-        self.between = [] if sigma else None
-        most = 1
         for dag in self.dags:
             below = [0] * n
             for u, forward in reversed(dag):
@@ -242,20 +235,6 @@ class _GeodesicTables:
                     bits |= below[w]
                 below[u] = bits
             self.through.append(below)
-            # with nothing tracked, field 0 holds every geodesic
-            counts = _path_counts(dag, 0, n, 0, 0)
-            most = max(most, max(counts))
-            if sigma:
-                self.sigma.append(counts)
-                above = [0] * n
-                for u, forward in dag:
-                    bits = above[u] | 1 << u
-                    above[u] = bits
-                    for w in forward:
-                        above[w] |= bits
-                self.between.append(above)
-        self.width = most.bit_length() + 1
-        self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
         self.members: list = []
         self.mask = 0
 
@@ -278,10 +257,13 @@ class _IncrementalChecker(_GeodesicTables):
 
     Besides the tables it keeps count rows: rows[a][t] is _path_counts from
     a with the members tracked, so field j counts the a-t geodesics with
-    exactly j members strictly inside, for j <= k'. A pair passes while its
-    vector is nonzero. fits(v) assumes the members are already mutual
-    k-visible (true when the set only ever grows by a v that fits) and
-    sweeps nothing:
+    exactly j members strictly inside, for j <= k'. width and full pack
+    them: width is one bit more than the largest geodesic count of any
+    pair, found by one sweep per source with nothing tracked, and full
+    keeps fields 0..k', where k' = min(k, n - 2) since no geodesic has more
+    internal vertices. A pair passes while its vector is nonzero. fits(v)
+    assumes the members are already mutual k-visible (true when the set
+    only ever grows by a v that fits) and sweeps nothing:
 
     - a new pair (q, v) keeps its geodesics' counts, so it passes iff
       rows[q][v] != 0;
@@ -297,79 +279,87 @@ class _IncrementalChecker(_GeodesicTables):
       exactly k and passes through v: rows[a][q] == T with no field below
       k'. The test reads it that way.
 
-    How push(v) keeps the rows depends on how the set grows.
+    How push(v, later) keeps the rows depends on carried.
 
-    Without an order (greedy_cover, where every vertex not yet placed stays
-    a candidate of every part) there is a row per member only. push(v)
-    sweeps v's DAG once for rows[v] and applies the update above to
-    rows[a][t] for every member a and t in through[a][v]. It replaces each
-    changed row by an updated copy and returns the old rows, so pop(v,
-    undo) restores them and nothing outlives the pop; a caller that never
-    pops drops them at once.
+    Without it (greedy_cover, where every vertex not yet placed stays a
+    candidate of every part) there is a row per member only, and later is
+    ignored. push(v) sweeps v's DAG once for rows[v] and applies the update
+    above to rows[a][t] for every member a and t in through[a][v]. It
+    replaces each changed row by an updated copy and returns the old rows,
+    so pop(v, undo) restores them and nothing outlives the pop; a caller
+    that never pops drops them at once.
 
-    With an order, a search order over all vertices, every vertex has a row
-    from the start, the geodesic counts sigma with nothing tracked, and no
-    push sweeps. Then fits and every later push read only pairs inside the
-    live set, the members plus the vertices that may still join, so
-    rows[s][t] is kept correct only for s and t both live. Those vertices
-    are later, a bitmask of vertices other than v that holds every vertex a
-    later fits or push names, when the caller passes it, else all of
-    after[v]. _search passes its candidates after v: it grows a set only
-    along later candidates, so it pushes in the order it was handed, and
-    tau_k pushes order[i] at step i. _AllPairsChecker passes every vertex
-    but v, so every pair stays exact in any push order. push(v, later) applies
-    the update above to each pair {s, t} of the members plus those vertices
-    with t in through[s][v], in both orientations, and returns the old
-    values for pop. A pair that drops out of the live set keeps its old
-    value, which is right again once v is popped.
+    With it (every ordered solve) every vertex has a row from the start,
+    sigma, the geodesic counts with nothing tracked, and no push sweeps.
+    Then fits and every later push read only pairs inside the live set, the
+    members plus later, a bitmask of vertices other than v that holds every
+    vertex a later fits or push names, so rows[s][t] is kept correct only
+    for s and t both live. _search passes its node's candidates after v,
+    and the first-fit passes and tau_k the vertices after v in their order.
+    _AllPairsChecker passes every vertex but v, so every pair stays exact
+    in any push order. push(v, later) applies the update above to each pair
+    {s, t} of the live set with t in through[s][v], in both orientations,
+    and returns the old values for pop. A pair that drops out of the live
+    set keeps its old value, which is right again once v is popped. A
+    carried checker also keeps between[s][t], the bitmask of vertices on
+    some s-t geodesic (t's ancestors in s's DAG, s and t included), built
+    in the loop that finds sigma.
 
     narrow(v, later, undo) answers fits for all of later at once, right
-    after push(v, later), from the pairs that push changed, v's new pairs
-    and between, which only a checker with an order keeps.
+    after push(v, later) on a carried checker, from the pairs that push
+    changed, v's new pairs and between.
 
     Memory on top of through: packed ints of at most (k' + 1) * width bits
     each (an int holds only the bits up to its top nonzero field), n per
-    member without an order, so n^2 once all n vertices are members, as
-    they are across greedy_cover's parts; n^2 per checker with an order,
-    which also keeps between, n^2 masks of n bits like through.
+    member without carried, so n^2 once all n vertices are members, as they
+    are across greedy_cover's parts; n^2 per carried checker, which also
+    keeps sigma and between, n^2 masks of n bits like through.
     """
 
-    def __init__(self, g: Graph, k: int, order=None):
-        super().__init__(g, k, sigma=order is not None)
+    def __init__(self, g: Graph, k: int, carried: bool = False):
+        super().__init__(g)
+        n = self.n
+        self.k = k
+        self.carried = carried
+        self.sigma = [] if carried else None
+        self.between = [] if carried else None
+        most = 1
+        for dag in self.dags:
+            # with nothing tracked, field 0 holds every geodesic
+            counts = _path_counts(dag, 0, n, 0, 0)
+            most = max(most, max(counts))
+            if carried:
+                self.sigma.append(counts)
+                above = [0] * n
+                for u, forward in dag:
+                    bits = above[u] | 1 << u
+                    above[u] = bits
+                    for w in forward:
+                        above[w] |= bits
+                self.between.append(above)
+        self.width = most.bit_length() + 1
+        self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
         self.low = self.full >> self.width  # the fields below k'
-        self.after = None
-        if order is not None:
-            self.after = [0] * self.n  # after[v]: the vertices after v in order
-            later = 0
-            for v in reversed(order):
-                self.after[v] = later
-                later |= 1 << v
+        if carried:
             # inside[v]: the sources s with v strictly inside some s-t geodesic
             self.inside = [sum(1 << s for s, below in enumerate(self.through) if s != v and below[v] != 1 << v)
-                           for v in range(self.n)]
+                           for v in range(n)]
         self.rows = self._empty_rows()
 
     def _empty_rows(self) -> list:
-        """The rows of the empty set: none without an order, sigma with one."""
-        return [None] * self.n if self.after is None else [row[:] for row in self.sigma]
+        """The rows of the empty set: sigma when carried, else none."""
+        return [row[:] for row in self.sigma] if self.carried else [None] * self.n
 
     def fresh(self):
         other = super().fresh()
         other.rows = self._empty_rows()
         return other
 
-    def unordered(self):
-        """An empty checker over the same tables that sweeps on every push,
-        as one built without an order does, so it takes vertices in any order."""
-        other = copy(self)
-        other.after = None
-        return other.fresh()
-
     def push(self, v: int, later=None):
-        if self.after is None:
+        if not self.carried:
             return self._sweep_push(v)
         width, full, rows, through = self.width, self.full, self.rows, self.through
-        live = self.mask | (self.after[v] if later is None else later)
+        live = self.mask | later
         vrow = rows[v]
         undo = []
         sources = live & self.inside[v]
@@ -421,7 +411,7 @@ class _IncrementalChecker(_GeodesicTables):
 
     def pop(self, v: int, undo) -> None:
         rows = self.rows
-        if self.after is None:
+        if not self.carried:
             for a, old in undo:
                 rows[a] = old
             rows[v] = None
@@ -464,9 +454,7 @@ class _IncrementalChecker(_GeodesicTables):
         geodesics through w: fits' test, for the w in between[a][q]. A
         member pair the push left unchanged keeps its verdict: were v on an
         a-w-q geodesic with at most k' members inside, the push would have
-        changed rows[a][q]. Without an order this calls fits per vertex."""
-        if self.after is None:
-            return sum(1 << w for w in range(self.n) if later >> w & 1 and self.fits(w))
+        changed rows[a][q]."""
         members = self.members
         if len(members) + 1 <= self.k + 2:
             return later
@@ -505,11 +493,14 @@ class _IncrementalChecker(_GeodesicTables):
 
 
 class _AllPairsChecker(_IncrementalChecker):
-    """An ordered checker whose every push keeps all vertices but v live, so
+    """A carried checker whose every push keeps all vertices but v live, so
     rows[s][t] is exact for every pair of vertices, members or not, in any
     push order. (v's own pairs keep their counts, since an end is never
     inside; were v live, the push would shift them.) mu_k_variant reads the
     rows to test the pairs that touch the complement of the held set."""
+
+    def __init__(self, g: Graph, k: int):
+        super().__init__(g, k, True)
 
     def push(self, v: int, later=None):
         """later is ignored: every vertex but v is live."""
@@ -549,8 +540,8 @@ class _DualChecker(_AllPairsChecker):
     pop clears them. The dual search reads them to test the pairs inside the
     complement of the held set."""
 
-    def __init__(self, g: Graph, k: int, order):
-        super().__init__(g, k, order)
+    def __init__(self, g: Graph, k: int):
+        super().__init__(g, k)
         self.blind = [0] * self.n
 
     def push(self, v: int, later=None):
@@ -596,41 +587,25 @@ def _admit(name: str, g: Graph, k, max_n: int) -> list:
     return sorted(range(n), key=lambda u: (-g.degree(u), u))
 
 
-def _convex_paths(dags, size: int) -> list:
+def _convex_paths(sigma, between, size: int) -> list:
     """Vertex-disjoint paths of more than size vertices, each the unique
-    geodesic between its ends, picked greedily longest first.
+    geodesic between its ends, as bitmasks picked greedily longest first.
 
-    Geodesics are counted per pair along the DAGs of _geodesic_dags; a
-    target reached by exactly one geodesic has exactly one DAG predecessor,
-    so its path is read back through those. Every subpath of a unique geodesic is the unique
-    geodesic between its own ends, so the path is geodesically convex.
+    sigma and between are a carried checker's: a pair with sigma[s][t] == 1
+    has one geodesic, and between[s][t] holds exactly its vertices. Every
+    subpath of a unique geodesic is the unique geodesic between its own
+    ends, so the path is geodesically convex.
     """
-    n = len(dags)
-    found = []
-    for s, dag in enumerate(dags):
-        sigma = [0] * n
-        pred = [s] * n
-        depth = [0] * n
-        sigma[s] = 1
-        for u, forward in dag:
-            for w in forward:
-                sigma[w] += sigma[u]
-                pred[w] = u
-                depth[w] = depth[u] + 1
-        for t in range(s + 1, n):
-            if sigma[t] == 1 and depth[t] >= size:
-                path = [t]
-                while path[-1] != s:
-                    path.append(pred[path[-1]])
-                found.append(path)
-    found.sort(key=len, reverse=True)
+    n = len(sigma)
+    found = [between[s][t] for s in range(n) for t in range(s + 1, n)
+             if sigma[s][t] == 1 and between[s][t].bit_count() > size]
+    found.sort(key=int.bit_count, reverse=True)
     parts = []
     used = 0
-    for path in found:
-        bits = sum(1 << v for v in path)
+    for bits in found:
         if not bits & used:
             used |= bits
-            parts.append(path)
+            parts.append(bits)
     return parts
 
 
@@ -638,19 +613,23 @@ def _first_fit(checker, order, goal: int) -> frozenset:
     """A mutual k-visible set to start mu_k's search from: the largest of
     a few first-fit passes, each taking every vertex that fits in turn.
 
-    checker is an empty checker without an order. The first pass takes
-    order; each further pass takes a shuffle of it from a fixed seed, so the
-    same input gives the same set. The passes stop at the first that does
-    not beat the best so far, or once the best reaches goal.
+    checker is an empty checker; each pass grows a fresh copy of it and
+    pushes a vertex with the vertices after it in the pass as later, which
+    holds every vertex the pass probes next. The first pass takes order;
+    each further pass takes a shuffle of it from a fixed seed, so the same
+    input gives the same set. The passes stop at the first that does not
+    beat the best so far, or once the best reaches goal.
     """
     rng = random.Random(0)
     order = list(order)
     best: frozenset = frozenset()
     while len(best) < goal:
         held = checker.fresh()
+        later = (1 << checker.n) - 1
         for v in order:
+            later ^= 1 << v
             if held.fits(v):
-                held.push(v)
+                held.push(v, later)
         if len(held.members) <= len(best):
             break
         best = frozenset(held.members)
@@ -665,7 +644,7 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     at every level, branches are cut when the surviving candidates cannot beat
     the incumbent, and the whole search stops once the incumbent meets an
     upper bound. The incumbent starts as the set _first_fit finds, lowest
-    degree first, on a sweeping checker over the same tables; when that set
+    degree first, on fresh copies of the search's own checker; when that set
     meets the bound, no search node is visited. nodes_explored counts the
     search nodes only.
 
@@ -684,20 +663,21 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     order = _admit("mu_k", g, k, max_n)
     if g.n == 0:
         return SolveResult(0, frozenset(), 0)
-    return _solve_mu(g, k, order, _IncrementalChecker(g, k, order))
+    return _solve_mu(g, k, order, _IncrementalChecker(g, k, True))
 
 
 def _solve_mu(g: Graph, k: int, order: list, checker: _IncrementalChecker) -> SolveResult:
-    """mu_k past its entry checks, on an empty checker that carries rows in
-    order; covering.tau_k shares its checker this way."""
+    """mu_k past its entry checks, on an empty carried checker;
+    covering.tau_k shares its checker this way."""
     n = g.n
-    parts = _convex_paths(checker.dags, k + 2)
+    parts = _convex_paths(checker.sigma, checker.between, k + 2)
     part_of = [len(parts)] * n  # the last slot holds the vertices on no path
-    for i, path in enumerate(parts):
-        for v in path:
-            part_of[v] = i
+    for i, bits in enumerate(parts):
+        for v in range(n):
+            if bits >> v & 1:
+                part_of[v] = i
     # the last slot's room of n never runs out while a candidate is left
-    part_bits = [sum(1 << v for v in path) for path in parts] + [0]
+    part_bits = parts + [0]
     room = [k + 2] * len(parts) + [n]
 
     def push(v, later):
@@ -728,7 +708,7 @@ def _solve_mu(g: Graph, k: int, order: list, checker: _IncrementalChecker) -> So
         return caps
 
     goal = min(bounds(g, k, gp_max_n=0).upper(), bound(order)[0])
-    start = _first_fit(checker.unordered(), order[::-1], goal)
+    start = _first_fit(checker, order[::-1], goal)
     best, best_set, nodes, _ = _search(order, checker.fits, push, pop, [1] * n, goal, bound, incumbent=start,
                                        narrow=narrow)
     if not mkv_check(g, best_set, k).verdict:
@@ -775,7 +755,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = (_DualChecker if variant == DUAL else _AllPairsChecker)(g, k, order)
+    checker = (_DualChecker if variant == DUAL else _AllPairsChecker)(g, k)
     rows, everyone = checker.rows, (1 << n) - 1
     bound = accept = narrow = None
     if variant == TOTAL:
@@ -832,7 +812,7 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _GeodesicTables(g, 0)
+    checker = _GeodesicTables(g)
     through = checker.through
 
     def placeable(v) -> bool:
@@ -936,13 +916,13 @@ def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> 
     The family is downward-closed, so _search without a goal counts each
     feasible set exactly once by size, tallying without a visit every set
     below a node whose set plus all its later candidates is feasible. It
-    searches in _admit's order, highest degree first, and builds the checker
-    with it: on the 11 random graphs (n 14 to 17) the count benchmark sends,
-    that order visited about 38,000 sets against about 50,000 in id order.
+    searches in _admit's order, highest degree first: on the 11 random graphs
+    (n 14 to 17) the count benchmark sends, that order visited about 38,000
+    sets against about 50,000 in id order.
     """
     order = _admit("visibility_polynomial", g, k, max_n)
     n = g.n
-    checker = _IncrementalChecker(g, k, order)
+    checker = _IncrementalChecker(g, k, True)
     _, _, _, sizes = _search(order, checker.fits, checker.push, checker.pop, [1] * n, None)
     return Polynomial(tuple(sizes))
 

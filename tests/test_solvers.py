@@ -26,12 +26,11 @@ from mkvis.graphs import (
     random_block_graph,
     random_connected,
 )
-from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _geodesic_dags, _path_counts, mkv_check
+from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _path_counts, mkv_check
 from mkvis.solvers import (
     DEFAULT_VARIANT_MAX_N,
     Polynomial,
     _DualChecker,
-    _GeodesicTables,
     _IncrementalChecker,
     _convex_paths,
     bounds,
@@ -85,16 +84,20 @@ class TestMuK:
     @given(support.graphs(min_n=5, max_n=9), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
     def test_convex_paths_hold_at_most_k_plus_2(self, g, k):
-        """The premise of mu_k's bound: each greedy part is a path that is the
-        unique geodesic between its ends, the parts are disjoint, and no
+        """The premise of mu_k's bound: each greedy part is a bitmask of more
+        than k + 2 vertices that is the vertex set of the unique geodesic
+        between its two farthest vertices, the parts are disjoint, and no
         mutual k-visible set holds more than k + 2 vertices of one part."""
-        parts = _convex_paths(_geodesic_dags(g), k + 2)
+        checker = _IncrementalChecker(g, k, True)
         dist = support.distance_matrix(g)
-        seen: set = set()
-        for path in parts:
-            assert len(path) > k + 2 and not seen & set(path)
-            seen |= set(path)
-            assert support.all_geodesics(g, path[0], path[-1], dist) == [tuple(path)]
+        parts = []
+        for bits in _convex_paths(checker.sigma, checker.between, k + 2):
+            part = [v for v in range(g.n) if bits >> v & 1]
+            assert len(part) > k + 2 and not any(set(part) & set(p) for p in parts)
+            s, t = max(combinations(part, 2), key=lambda pair: dist[pair[0]][pair[1]])
+            geodesics = support.all_geodesics(g, s, t, dist)
+            assert len(geodesics) == 1 and sorted(geodesics[0]) == part
+            parts.append(part)
         for size in range(k + 3, g.n + 1):
             for x in combinations(range(g.n), size):
                 if any(len(set(x) & set(path)) > k + 2 for path in parts):
@@ -421,52 +424,25 @@ class TestIncrementalChecker:
                     if live >> t & 1:
                         assert checker.rows[s][t] == want[t], (s, t, checker.members)
 
-    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.sampled_from([0.7, 1.0]),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_carried_rows_match_a_rebuild(self, g, k, seed):
-        """A checker built with a random order, walked 40 steps drawn from
-        seed: a step pops the last member one time in five, or when no
-        vertex follows it in the order, else pushes one of the vertices after
-        it, early ones likelier, so the walk reaches sets past k + 2
-        members (checking fits against the oracle whenever the members are
-        mutual k-visible). After every step the carried counts between live
-        vertices, the members plus the vertices after the last member, must
-        equal counts rebuilt for the held set."""
+    def test_narrowed_carried_rows_match_a_rebuild(self, g, k, chance, seed):
+        """A carried checker pushed with push(v, later) as _search calls it:
+        each node holds a bitmask of candidates, the root all vertices in a
+        random order; a step pops back to the parent node one time in five,
+        or when the node has no candidate, else pushes a candidate v, early
+        ones likelier, with later the candidates after v, each kept with
+        chance, which become the child's candidates. At chance 1.0 later is
+        every vertex after v in the order, the live set that tau_k and the
+        first-fit passes name. After every step the counts between the
+        members and the candidates must equal counts rebuilt for the held
+        set, and while the members are mutual k-visible fits must agree
+        with the oracle on every candidate."""
         rnd = random.Random(seed)
         order = list(range(g.n))
         rnd.shuffle(order)
-        checker = _IncrementalChecker(g, k, order)
-        undos = []
-        dist = support.distance_matrix(g)
-        for _ in range(40):
-            later = order[order.index(checker.members[-1]) + 1 :] if checker.members else order
-            if not later or rnd.random() < 1 / 5:
-                if checker.members:
-                    checker.pop(checker.members[-1], undos.pop())
-            else:
-                v = later[min(rnd.randrange(len(later)), rnd.randrange(len(later)))]
-                if support.oracle_mkv_check(g, checker.members, k, dist):
-                    assert checker.fits(v) == support.oracle_mkv_check(g, checker.members + [v], k, dist)
-                undos.append(checker.push(v))
-            live = checker.mask | (checker.after[checker.members[-1]] if checker.members else (1 << g.n) - 1)
-            self.assert_rows_match_a_rebuild(checker, live)
-
-    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(0, 2**32 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_narrowed_carried_rows_match_a_rebuild(self, g, k, seed):
-        """The twin of the test above with push(v, later) as _search calls
-        it: each node holds a bitmask of candidates, the root all vertices;
-        a step pops back to the parent node one time in five, or when the
-        node has no candidate, else pushes a candidate v, early ones
-        likelier, with later the candidates after v, each kept with chance
-        0.7, which become the child's candidates. After every step the
-        counts between the members and the candidates must equal counts
-        rebuilt for the held set, and while the members are mutual
-        k-visible fits must agree with the oracle on every candidate."""
-        rnd = random.Random(seed)
-        order = list(range(g.n))
-        rnd.shuffle(order)
-        checker = _IncrementalChecker(g, k, order)
+        checker = _IncrementalChecker(g, k, True)
         undos = []
         nodes = [(1 << g.n) - 1]
         dist = support.distance_matrix(g)
@@ -478,7 +454,7 @@ class TestIncrementalChecker:
                     nodes.pop()
             else:
                 idx = min(rnd.randrange(len(cands)), rnd.randrange(len(cands)))
-                later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < 0.7)
+                later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < chance)
                 undos.append(checker.push(cands[idx], later))
                 nodes.append(later)
             self.assert_rows_match_a_rebuild(checker, checker.mask | nodes[-1])
@@ -496,9 +472,7 @@ class TestIncrementalChecker:
         pair's row must equal counts rebuilt for the held set, and blind[s]
         must hold exactly the t whose rebuilt count is 0."""
         rnd = random.Random(seed)
-        order = list(range(g.n))
-        rnd.shuffle(order)
-        checker = _DualChecker(g, k, order)
+        checker = _DualChecker(g, k)
         undos = []
         for _ in range(40):
             outside = [v for v in range(g.n) if not checker.mask >> v & 1]
@@ -512,12 +486,12 @@ class TestIncrementalChecker:
                 assert checker.rows[s] == want, (s, checker.members)
                 assert checker.blind[s] == sum(1 << t for t in range(g.n) if not want[t]), (s, checker.members)
 
-    @given(support.graphs(min_n=3, max_n=10), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @given(support.graphs(min_n=3, max_n=10), st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_narrow_keeps_exactly_the_candidates_that_fit(self, g, k, carried, seed):
-        """A walk as _search makes it, over a checker that carries rows in a
-        random order or one that sweeps: each node holds the candidates that
-        fit, the root's filtered by fits. A step pops back to the parent
+    def test_narrow_keeps_exactly_the_candidates_that_fit(self, g, k, seed):
+        """A walk as _search makes it in a random order, over a carried
+        checker: each node holds the candidates that fit, the root's
+        filtered by fits. A step pops back to the parent
         node one time in seven, else pushes a random candidate v, early ones
         likelier, with later the candidates after v, each kept with chance
         0.8; the walk takes 40 steps drawn from seed, so it reaches sets
@@ -527,7 +501,7 @@ class TestIncrementalChecker:
         rnd = random.Random(seed)
         order = list(range(g.n))
         rnd.shuffle(order)
-        checker = _IncrementalChecker(g, k, order if carried else None)
+        checker = _IncrementalChecker(g, k, True)
         dist = support.distance_matrix(g)
         undos = []
         nodes = [sum(1 << w for w in order if checker.fits(w))]
@@ -559,7 +533,7 @@ class TestIncrementalChecker:
             for middle in (hubs + 2 * i, hubs + 2 * i + 1):
                 edges += [(i, middle), (middle, i + 1)]
         g = build_graph(hubs + 2 * (hubs - 1), edges)
-        tables = _GeodesicTables(g, 1)
+        tables = _IncrementalChecker(g, 1)
         assert tables.width == 72
         assert _path_counts(tables.dags[0], 0, g.n, tables.width, tables.full)[hubs - 1] == 2**70
         # a tracked middle hub moves every geodesic to field 1
@@ -572,8 +546,9 @@ class TestIncrementalChecker:
         assert checker.fits(hubs)  # half of them avoid this diamond's middle vertex
 
     def test_diamond_chain_carried_rows(self):
-        """The chain above with rows carried in an order that puts the end
-        hubs first: the same verdicts, read from rows that start at sigma."""
+        """The chain above with carried rows, pushed in an order that puts
+        the end hubs first, each with the vertices after it as later: the
+        same verdicts, read from rows that start at sigma."""
         hubs = 71
         edges = []
         for i in range(hubs - 1):
@@ -581,31 +556,35 @@ class TestIncrementalChecker:
                 edges += [(i, middle), (middle, i + 1)]
         g = build_graph(hubs + 2 * (hubs - 1), edges)
         order = [0, hubs - 1] + list(range(1, hubs - 1)) + list(range(hubs, g.n))
-        checker = _IncrementalChecker(g, 0, order)
+        checker = _IncrementalChecker(g, 0, True)
+
+        def push(v):
+            checker.push(v, sum(1 << w for w in order[order.index(v) + 1 :]))
+
         for v in (0, hubs - 1):
-            checker.push(v)
+            push(v)
         assert checker.rows[0][hubs - 1] == checker.rows[hubs - 1][0] == 2**70
         assert not checker.fits(35)
         assert checker.fits(hubs)
-        checker.push(hubs)  # the geodesics through the first middle vertex move up a field
+        push(hubs)  # the geodesics through the first middle vertex move up a field
         assert checker.rows[0][hubs - 1] == 2**69
 
     @pytest.mark.parametrize("n,seed", [(10, 1), (11, 2), (12, 3), (13, 4), (14, 5)])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_carried_and_swept_rows_search_alike(self, n, seed, k):
-        """The polynomial and mu_k run _search with their own hooks over a
-        checker that carries rows in their order and over one that sweeps on
-        every push; each search returns the same best weight, best set, node
-        count and sizes. (mu_k_variant reads rows between vertices that are
-        not members, which only carried rows hold.)"""
+        """The polynomial runs _search over a carried checker and over one
+        that sweeps on every push; both searches return the same best
+        weight, best set, node count and sizes. (mu_k's first-fit passes
+        and mu_k_variant name live sets that only carried rows use, and
+        mu_k's convex paths read sigma and between.)"""
         g = random_connected(n, 0.25, seed)
         search = mkvis.solvers._search
 
         def searches(carried):
             built, results = [], []
 
-            def checker(g, k, order=None):
-                built.append(_IncrementalChecker(g, k, order if carried else None))
+            def checker(g, k, _):
+                built.append(_IncrementalChecker(g, k, carried))
                 return built[-1]
 
             def recording(*args, **kwargs):
@@ -615,54 +594,65 @@ class TestIncrementalChecker:
             with mock.patch.object(mkvis.solvers, "_IncrementalChecker", checker), \
                     mock.patch.object(mkvis.solvers, "_search", recording):
                 visibility_polynomial(g, k)
-                mu_k(g, k)
-            assert [c.after is not None for c in built] == [carried] * 2
+            assert [c.carried for c in built] == [carried]
             return results
 
         carried = searches(True)
-        assert len(carried) == 2
+        assert len(carried) == 1
         assert carried == searches(False)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_mu_search_calls_fits_only_at_the_root(self, k):
         """mu_k's search filters the root's candidates with fits and every
-        deeper level's with narrow, so the checker that carries rows sees
-        fits only while it holds no member. The first-fit passes probe a
-        sweeping copy and are not counted."""
-        probes = []
-        fits, narrow = _IncrementalChecker.fits, _IncrementalChecker.narrow
+        deeper level's with narrow, so the search's checker sees fits only
+        while it holds no member. The first-fit passes probe fresh copies of
+        it, which are told apart by identity and not counted."""
+        probes, searched = [], []
+        fits, narrow, search = _IncrementalChecker.fits, _IncrementalChecker.narrow, mkvis.solvers._search
 
         def watched_fits(self, v):
-            if self.after is not None:
-                probes.append(("fits", len(self.members)))
+            probes.append(("fits", self, len(self.members)))
             return fits(self, v)
 
         def watched_narrow(self, v, later, undo):
-            probes.append(("narrow", len(self.members)))
+            probes.append(("narrow", self, len(self.members)))
             return narrow(self, v, later, undo)
 
+        def watched_search(order, fits, *args, **kwargs):
+            searched.append(fits.__self__)
+            return search(order, fits, *args, **kwargs)
+
         with mock.patch.object(_IncrementalChecker, "fits", watched_fits), \
-                mock.patch.object(_IncrementalChecker, "narrow", watched_narrow):
+                mock.patch.object(_IncrementalChecker, "narrow", watched_narrow), \
+                mock.patch.object(mkvis.solvers, "_search", watched_search):
             res = mu_k(random_connected(14, 0.25, 3), k)
-        assert res.nodes_explored > 1
-        assert {depth for name, depth in probes if name == "fits"} == {0}
-        assert any(name == "narrow" for name, _ in probes)
+        assert res.nodes_explored > 1 and len(searched) == 1
+        mine = [(name, depth) for name, checker, depth in probes if checker is searched[0]]
+        assert {depth for name, depth in mine if name == "fits"} == {0}
+        assert any(name == "narrow" for name, _ in mine)
+        assert any(checker is not searched[0] for _, checker, _ in probes)
 
     def test_polynomial_sweeps_only_while_building_tables(self):
-        """With carried rows no push sweeps: the only _path_counts calls are
-        the n geodesic-count sweeps, tracking nothing, that build the tables."""
+        """With carried rows no push sweeps: the only _path_counts calls of
+        the polynomial, mu_k (its first-fit passes included) and tau_k are
+        the n geodesic-count sweeps, tracking nothing, that build the
+        tables. gp_number reads no counts and makes none."""
         g = random_connected(14, 0.2, 2)
-        masks = []
         path_counts = mkvis.solvers._path_counts
+        results = {}
+        for name, solve, sweeps in [("poly", lambda: visibility_polynomial(g, 1), g.n),
+                                    ("mu", lambda: mu_k(g, 1), g.n), ("tau", lambda: tau_k(g, 1), g.n),
+                                    ("gp", lambda: gp_number(g), 0)]:
+            masks = []
 
-        def counting(dag, mask, *args):
-            masks.append(mask)
-            return path_counts(dag, mask, *args)
+            def counting(dag, mask, *args):
+                masks.append(mask)
+                return path_counts(dag, mask, *args)
 
-        with mock.patch.object(mkvis.solvers, "_path_counts", counting):
-            poly = visibility_polynomial(g, 1)
-        assert sum(poly.coefficients) > 1000
-        assert masks == [0] * g.n
+            with mock.patch.object(mkvis.solvers, "_path_counts", counting):
+                results[name] = solve()
+            assert masks == [0] * sweeps, name
+        assert sum(results["poly"].coefficients) > 1000
 
 
 def _grid(rows, cols):
@@ -676,6 +666,9 @@ def _grid(rows, cols):
     [
         (lambda: mu_k(_grid(3, 5), 0), (6, 0, [0, 4, 7, 8, 10, 14])),
         (lambda: mu_k(_grid(3, 5), 1), (9, 0, [0, 3, 4, 5, 7, 9, 10, 13, 14])),
+        # the 4x5 grid as the search benchmark sends it: the search runs on the convex-path rooms
+        (lambda: mu_k(_grid(4, 5), 1), (12, 324, [0, 1, 4, 6, 7, 9, 10, 12, 14, 15, 17, 18])),
+        (lambda: mu_k(_grid(4, 5), 2), (15, 1295, [1, 2, 3, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19])),
         (lambda: mu_k(cycle_graph(9), 1), (5, 0, [2, 3, 6, 7, 8])),
         (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 128, [2, 3, 4, 5, 6, 8, 9, 11])),
         (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 23, [0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13])),
@@ -705,8 +698,8 @@ def _grid(rows, cols):
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL),
          (7, 193, [5, 8, 10, 11, 14, 15, 16])),
     ],
-    ids=["grid3x5-k0", "grid3x5-k1", "c9-k1", "random14-k0", "random14-k1", "random24-k0", "gp-random14",
-         "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2",
+    ids=["grid3x5-k0", "grid3x5-k1", "grid4x5-k1", "grid4x5-k2", "c9-k1", "random14-k0", "random14-k1", "random24-k0",
+         "gp-random14", "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2",
          "dp-block9-k0", "dp-block9-k1", "dp-block9-k2", "dp-path12-block-k1", "dp-path12-block-k2",
          "total-random18-k0", "outer-random18-k0", "dual-random18-k0"],
 )
@@ -752,6 +745,27 @@ class TestFirstFitStart:
         res, start, goal = self.solve_watched(g, k)
         assert (len(start), res.nodes_explored) == (goal, 0)
         assert res.value == goal and mkv_check(g, res.witness, k).verdict
+
+    @staticmethod
+    def assert_passes_alike(g, k):
+        """_first_fit over a carried checker, which pushes with the vertices
+        after v in its pass as later, returns the same start as over the
+        sweeping checker, the reference, in mu_k's order with the goal n,
+        so the shuffled passes run until one does not improve."""
+        order = mkvis.solvers._admit("mu_k", g, k, g.n)[::-1]
+        first_fit = mkvis.solvers._first_fit
+        carried = first_fit(_IncrementalChecker(g, k, True), order, g.n)
+        assert carried == first_fit(_IncrementalChecker(g, k), order, g.n)
+
+    @given(support.graphs(min_n=1, max_n=12), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_carried_passes_match_sweeping_ones(self, g, k):
+        self.assert_passes_alike(g, k)
+
+    @pytest.mark.parametrize("p,seed", [(0.15, 1), (0.2, 2), (0.25, 3), (0.3, 4)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_carried_passes_match_sweeping_ones_at_24(self, p, seed, k):
+        self.assert_passes_alike(random_connected(24, p, seed), k)
 
     def test_start_is_deterministic(self):
         """The shuffles are seeded: the same input gives the same start,
