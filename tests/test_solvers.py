@@ -424,21 +424,51 @@ class TestIncrementalChecker:
                     if live >> t & 1:
                         assert checker.rows[s][t] == want[t], (s, t, checker.members)
 
-    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.sampled_from([0.7, 1.0]),
-           st.integers(0, 2**32 - 1))
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_narrowed_carried_rows_match_a_rebuild(self, g, k, chance, seed):
-        """A carried checker pushed with push(v, later) as _search calls it:
-        each node holds a bitmask of candidates, the root all vertices in a
-        random order; a step pops back to the parent node one time in five,
-        or when the node has no candidate, else pushes a candidate v, early
-        ones likelier, with later the candidates after v, each kept with
-        chance, which become the child's candidates. At chance 1.0 later is
-        every vertex after v in the order, the live set that tau_k and the
-        first-fit passes name. After every step the counts between the
-        members and the candidates must equal counts rebuilt for the held
-        set, and while the members are mutual k-visible fits must agree
-        with the oracle on every candidate."""
+    def test_carried_rows_match_a_rebuild(self, g, k, seed):
+        """A carried checker walked 40 steps drawn from seed over a random
+        order, as tau_k and the first-fit passes walk it: a step pops the
+        last member one time in five, or when no vertex follows it in the
+        order, else pushes one of the vertices after it, early ones likelier,
+        with later every vertex after v in the order, so the walk reaches
+        sets past k + 2 members (checking fits against the oracle whenever
+        the members are mutual k-visible). After every step the carried
+        counts between live vertices, the members plus the vertices after
+        the last member, must equal counts rebuilt for the held set."""
+        rnd = random.Random(seed)
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        after = {v: sum(1 << w for w in order[i + 1 :]) for i, v in enumerate(order)}
+        checker = _IncrementalChecker(g, k, True)
+        undos = []
+        dist = support.distance_matrix(g)
+        for _ in range(40):
+            later = order[order.index(checker.members[-1]) + 1 :] if checker.members else order
+            if not later or rnd.random() < 1 / 5:
+                if checker.members:
+                    checker.pop(checker.members[-1], undos.pop())
+            else:
+                v = later[min(rnd.randrange(len(later)), rnd.randrange(len(later)))]
+                if support.oracle_mkv_check(g, checker.members, k, dist):
+                    assert checker.fits(v) == support.oracle_mkv_check(g, checker.members + [v], k, dist)
+                undos.append(checker.push(v, after[v]))
+            live = checker.mask | (after[checker.members[-1]] if checker.members else (1 << g.n) - 1)
+            self.assert_rows_match_a_rebuild(checker, live)
+
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_narrowed_carried_rows_match_a_rebuild(self, g, k, seed):
+        """The twin of the test above with narrowed live sets, as _search
+        calls push(v, later): each node holds a bitmask of candidates, the
+        root all vertices in a random order; a step pops back to the parent
+        node one time in five, or when the node has no candidate, else
+        pushes a candidate v, early ones likelier, with later the candidates
+        after v, each kept with chance 0.7, which become the child's
+        candidates. After every step the counts between the members and the
+        candidates must equal counts rebuilt for the held set, and while the
+        members are mutual k-visible fits must agree with the oracle on
+        every candidate."""
         rnd = random.Random(seed)
         order = list(range(g.n))
         rnd.shuffle(order)
@@ -454,7 +484,7 @@ class TestIncrementalChecker:
                     nodes.pop()
             else:
                 idx = min(rnd.randrange(len(cands)), rnd.randrange(len(cands)))
-                later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < chance)
+                later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < 0.7)
                 undos.append(checker.push(cands[idx], later))
                 nodes.append(later)
             self.assert_rows_match_a_rebuild(checker, checker.mask | nodes[-1])
