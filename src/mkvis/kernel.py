@@ -8,16 +8,39 @@ ways that share no code.
 
 _count_bfs is the counting BFS: one pass discovers the vertices and relaxes
 the counts along the edges that advance one level. It trusts its input, a
-membership list built once per call, and returns plain lists. mkv_check
-validates the set once and runs it once per member. bfs_mkv is its validated
-public form, wrapped in a KernelResult; check_variant and internal_counts
-sweep through bfs_mkv once per source, so a caller that rebinds
-kernel.bfs_mkv (the benchmark's tracer does) sees their sweeps.
+membership list built once per call, and returns plain lists. bfs_mkv is its
+validated public form, wrapped in a KernelResult, and always runs to the
+end; check_variant and internal_counts sweep through bfs_mkv once per
+source, so a caller that rebinds kernel.bfs_mkv (the benchmark's tracer
+does) sees their sweeps.
+
+mkv_check validates the set once and then does only the BFS work its pairs
+need, which keeps the MkV bound O(|S|(|V| + |E|) + |S|^2) and cuts the
+constant three ways:
+
+- peel: _peel drops, repeatedly, every non-member of degree at most 1. Such
+  a vertex lies inside no geodesic between two other vertices, so the
+  sweeps run on what is left.
+- share: members with the same open or the same closed neighbourhood
+  (twins, grouped by _twin_classes) reach every third vertex along geodesics
+  with the same interiors. Only the smallest member of a class sweeps; its
+  twins read its count row, which is kept until the last of them has read
+  it.
+- settle: pair counts are symmetric, so the sweep from v owes only the
+  members after v in sorted order. It stops once the last of them is
+  discovered and its level is complete, and the last member does not sweep.
+
+Pairs are still read in lexicographic order, so the offending pair reported
+is the first (v, q), v < q, over k. ops counts every adjacency step the
+call makes (in the peel pass, the twin keys and each sweep; the pass and
+each sweep also count n) plus one step per member pair read. It never
+exceeds |S|(n + 2m + |S|) + n + 2m.
 
 The exact solvers probe thousands of sets on one small graph. For them
 _geodesic_dags builds, once per solve, each source's shortest-path DAG: the
 BFS order with every vertex's forward neighbours (those one level further
-out), gathered in the same BFS pass that discovers them. _path_counts walks
+out), gathered in the same BFS pass that discovers them, which also sums the
+geodesic counts along those edges. _path_counts walks
 a DAG with the tracked set as an int bitmask and counts, per target, the
 geodesics with exactly j tracked vertices strictly inside, for each j up to
 a cap, packed into one int: one addition per DAG edge, with no validation.
@@ -124,15 +147,21 @@ def _membership(n: int, members) -> list:
     return in_s
 
 
-def _count_bfs(adj, in_s: list, v: int):
+def _count_bfs(adj, in_s: list, v: int, owed: int = 0):
     """Counting BFS from v on trusted input, as plain lists.
 
     When the BFS discovers w from u it sets dist[w] and cnt[w]; every later
     edge from the same level into w may lower cnt[w]. The step into w adds
     in_s[w] (1 when w is tracked, else 0); no step enters v, so a tracked
     source is not counted. Discovery order is nondecreasing in distance, so
-    cnt[u] is final when u is dequeued. Returns (dist, cnt, touches), dist
-    None and cnt 0 where unreached; touches is n plus the adjacency steps.
+    cnt[u] is final when u is dequeued, and every vertex of a level is final
+    once the first vertex of that level is dequeued.
+
+    owed is the number of tracked vertices after v (larger ids) the caller
+    needs. Once the last of them is discovered, the sweep finishes its level
+    and stops; with owed 0 it runs to the end. Returns (dist, cnt, touches),
+    dist None and cnt 0 where unreached (or not reached before the stop);
+    touches is n plus the adjacency steps.
     """
     n = len(adj)
     dist: list = [None] * n
@@ -140,16 +169,24 @@ def _count_bfs(adj, in_s: list, v: int):
     dist[v] = 0
     order = [v]
     touches = n
+    stop = n  # no distance reaches n, so the sweep runs on until it settles
     for u in order:  # the list grows while it is walked: a FIFO queue
         du1 = dist[u] + 1
+        if du1 > stop:
+            break  # u opens the settled level, so that level is final
         cu = cnt[u]
         touches += len(adj[u])
         for w in adj[u]:
             dw = dist[w]
             if dw is None:
                 dist[w] = du1
-                cnt[w] = cu + in_s[w]
+                tracked = in_s[w]
+                cnt[w] = cu + tracked
                 order.append(w)
+                if tracked and w > v:
+                    owed -= 1
+                    if not owed:
+                        stop = du1
             elif dw == du1:
                 cand = cu + in_s[w]
                 if cand < cnt[w]:
@@ -157,26 +194,94 @@ def _count_bfs(adj, in_s: list, v: int):
     return dist, cnt, touches
 
 
-def _geodesic_dags(g: Graph) -> list:
-    """Per source, the shortest-path DAG as (u, forward) pairs in BFS order.
+def _peel(adj, in_s: list):
+    """adj without the untracked vertices that lie inside no geodesic.
 
-    forward holds the neighbours w of u with dist[w] == dist[u] + 1, in
+    Repeatedly drops every untracked vertex of degree at most 1: no shortest
+    path between two other vertices enters a vertex by its only edge, so
+    dropping one changes no distance and no geodesic between the vertices
+    left. Dropped vertices keep their (now unreachable) index. Returns the
+    new adjacency, which shares every list no drop changed, and the steps
+    taken: n plus the adjacency of every dropped vertex and of every list
+    rebuilt, at most n + 2m.
+    """
+    n = len(adj)
+    deg = [len(nbrs) for nbrs in adj]
+    drop = [u for u in range(n) if deg[u] <= 1 and not in_s[u]]
+    if not drop:
+        return adj, n
+    dropped = [False] * n
+    touched = []
+    steps = n
+    for u in drop:  # the list grows while it is walked
+        dropped[u] = True
+        steps += len(adj[u])
+        for w in adj[u]:
+            if not dropped[w]:
+                deg[w] -= 1
+                touched.append(w)
+                if deg[w] == 1 and not in_s[w]:  # a vertex at 0 was queued at 1
+                    drop.append(w)
+    peeled = list(adj)
+    for w in set(touched):
+        if not dropped[w]:
+            steps += len(adj[w])
+            peeled[w] = [x for x in adj[w] if not dropped[x]]
+    return peeled, steps
+
+
+def _twin_classes(adj, members: list):
+    """Group the members by open or closed neighbourhood.
+
+    Returns (rep, last, steps): rep[v] is the smallest member sharing v's
+    open neighbourhood N(v) or its closed one N[v], last[r] the largest
+    member of r's class, and steps the adjacency steps read. One dict holds
+    both kinds of key, since N(u) == N[w] is impossible (w in N[w] would put
+    w next to u, and then u in N(u), a contradiction). A vertex with twins of
+    one kind has none of the other, so the classes partition the members.
+    """
+    first: dict = {}
+    rep = {}
+    last = {}
+    steps = 0
+    for v in members:
+        nbrs = frozenset(adj[v])
+        closed = nbrs | {v}
+        steps += len(adj[v])
+        r = first.get(nbrs, first.get(closed))
+        if r is None:
+            r = first[nbrs] = first[closed] = v
+        rep[v] = r
+        last[r] = v
+    return rep, last, steps
+
+
+def _geodesic_dags(g: Graph):
+    """Per source, the shortest-path DAG and the geodesic counts.
+
+    Returns (dags, sigma). dags[s] lists (u, forward) pairs in BFS order from
+    s; forward holds the neighbours w of u with dist[w] == dist[u] + 1, in
     adjacency order. It is gathered in the BFS pass itself: when u leaves the
     queue every vertex up to u's level is discovered, so a neighbour one
     level out is either undiscovered (and is discovered from u now) or
-    already at that level. Only vertices reachable from the source appear.
-    Cost O(n (n + m)).
+    already at that level. sigma[s][t] is the number of s-t geodesics, summed
+    along the same forward edges (1 at s, 0 where unreachable). Only vertices
+    reachable from the source appear in its DAG. Cost O(n (n + m)).
     """
     n = g.n
     adj = g.adj
     dags = []
+    sigma = []
     for source in range(n):
         dist: list = [None] * n
         dist[source] = 0
+        paths = [0] * n
+        paths[source] = 1
         order = [source]
         dag = []
         for u in order:  # the list grows while it is walked: a FIFO queue
             du1 = dist[u] + 1
+            pu = paths[u]
             forward = []
             for w in adj[u]:
                 dw = dist[w]
@@ -184,11 +289,14 @@ def _geodesic_dags(g: Graph) -> list:
                     dist[w] = du1
                     order.append(w)
                     forward.append(w)
+                    paths[w] = pu
                 elif dw == du1:
                     forward.append(w)
+                    paths[w] += pu
             dag.append((u, tuple(forward)))
         dags.append(tuple(dag))
-    return dags
+        sigma.append(paths)
+    return dags, sigma
 
 
 def _path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
@@ -254,8 +362,10 @@ class CheckReport:
 def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckReport:
     """Decide whether s is a mutual k-visible set of g.
 
-    Members in different components fail with a structured reason instead of
-    an infinite count. With collect_pair_counts the full matrix of pairwise
+    Peels, shares rows between twins and settles each sweep early, as the
+    module docstring describes. Members in different components fail with a
+    structured reason instead of an infinite count: the first member's sweep
+    finds them. With collect_pair_counts the full matrix of pairwise
     minimum internal counts is attached and no early exit happens; it is
     refused above MAX_PAIR_COUNT_MEMBERS members.
     """
@@ -267,23 +377,33 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     if len(members) <= 1:
         return CheckReport(True, k, pair_counts=pair_counts)
     in_s = _membership(g.n, members)
-    dist, cnt, ops = _count_bfs(g.adj, in_s, members[0])
-    for q in members[1:]:
-        if dist[q] is None:
-            return CheckReport(False, k, offending_pair=(members[0], q), reason=REASON_DISCONNECTED, ops=ops)
+    adj, ops = _peel(g.adj, in_s)
+    rep, last, steps = _twin_classes(adj, members)
+    ops += steps
+    rows = {}  # a class representative's count row, while a later twin needs it
     offending = offending_count = None
-    for i, v in enumerate(members):
-        if i:
-            _, cnt, touches = _count_bfs(g.adj, in_s, v)
+    for i, v in enumerate(members[:-1]):  # the last member owes no pair
+        later = members[i + 1:]
+        r = rep[v]
+        if r == v:
+            dist, cnt, touches = _count_bfs(adj, in_s, v, len(later))
             ops += touches
-        ops += len(members)
-        # cnt[q] counts the tracked target q itself, and cnt[v] is 0
+            if not i:
+                q = next((q for q in later if dist[q] is None), None)
+                if q is not None:
+                    return CheckReport(False, k, offending_pair=(v, q), reason=REASON_DISCONNECTED, ops=ops)
+            if last[v] != v:
+                rows[v] = cnt
+        else:
+            # a twin's geodesics to any third vertex have its representative's interiors
+            cnt = rows[r] if last[r] != v else rows.pop(r)
+        ops += len(later)
+        # cnt[q] counts the tracked target q itself
         if collect_pair_counts:
-            for q in members:
-                if q != v:
-                    pair_counts[(v, q) if v < q else (q, v)] = cnt[q] - 1
+            for q in later:
+                pair_counts[v, q] = cnt[q] - 1
         if offending is None:
-            q = next((q for q in members if cnt[q] > k + 1), None)
+            q = next((q for q in later if cnt[q] > k + 1), None)
             if q is not None:
                 offending, offending_count = (v, q), cnt[q] - 1
                 if not collect_pair_counts:

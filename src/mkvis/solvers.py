@@ -211,9 +211,10 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
 class _GeodesicTables:
     """Geodesic tables of one graph, plus a vertex set held over them.
 
-    Built once per solve: every source's shortest-path DAG (_geodesic_dags)
-    and through[a][v], the bitmask of vertices b such that v lies on some
-    a-b geodesic (v's descendants in a's DAG, v included).
+    Built once per solve: every source's shortest-path DAG and sigma[a][b],
+    the number of a-b geodesics (both from _geodesic_dags), and
+    through[a][v], the bitmask of vertices b such that v lies on some a-b
+    geodesic (v's descendants in a's DAG, v included).
 
     The held set is a member list plus an int bitmask. push(v, later) adds v
     and returns what pop(v, undo) needs to take it out again; later is read
@@ -225,7 +226,7 @@ class _GeodesicTables:
     def __init__(self, g: Graph):
         n = g.n
         self.n = n
-        self.dags = _geodesic_dags(g)
+        self.dags, self.sigma = _geodesic_dags(g)
         self.through = []
         for dag in self.dags:
             below = [0] * n
@@ -259,9 +260,8 @@ class _IncrementalChecker(_GeodesicTables):
     a with the members tracked, so field j counts the a-t geodesics with
     exactly j members strictly inside, for j <= k'. width and full pack
     them: width is one bit more than the largest geodesic count of any
-    pair, found by one sweep per source with nothing tracked, and full
-    keeps fields 0..k', where k' = min(k, n - 2) since no geodesic has more
-    internal vertices. A pair passes while its vector is nonzero. fits(v)
+    pair, read off sigma, and full keeps fields 0..k', where
+    k' = min(k, n - 2) since no geodesic has more internal vertices. A pair passes while its vector is nonzero. fits(v)
     assumes the members are already mutual k-visible (true when the set
     only ever grows by a v that fits) and sweeps nothing:
 
@@ -290,7 +290,8 @@ class _IncrementalChecker(_GeodesicTables):
     that never pops drops them at once.
 
     With it (every ordered solve) every vertex has a row from the start,
-    sigma, the geodesic counts with nothing tracked, and no push sweeps.
+    its sigma row (the geodesic counts with nothing tracked), and no push
+    sweeps.
     Then fits and every later push read only pairs inside the live set, the
     members plus later, a bitmask of vertices other than v that holds every
     vertex a later fits or push names, so rows[s][t] is kept correct only
@@ -302,8 +303,8 @@ class _IncrementalChecker(_GeodesicTables):
     and returns the old values for pop. A pair that drops out of the live
     set keeps its old value, which is right again once v is popped. A
     carried checker also keeps between[s][t], the bitmask of vertices on
-    some s-t geodesic (t's ancestors in s's DAG, s and t included), built
-    in the loop that finds sigma.
+    some s-t geodesic (t's ancestors in s's DAG, s and t included). Only a
+    carried checker keeps sigma.
 
     narrow(v, later, undo) answers fits for all of later at once, right
     after push(v, later) on a carried checker, from the pairs that push
@@ -321,15 +322,12 @@ class _IncrementalChecker(_GeodesicTables):
         n = self.n
         self.k = k
         self.carried = carried
-        self.sigma = [] if carried else None
-        self.between = [] if carried else None
-        most = 1
-        for dag in self.dags:
-            # with nothing tracked, field 0 holds every geodesic
-            counts = _path_counts(dag, 0, n, 0, 0)
-            most = max(most, max(counts))
-            if carried:
-                self.sigma.append(counts)
+        self.width = max((max(row) for row in self.sigma), default=1).bit_length() + 1
+        self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
+        self.low = self.full >> self.width  # the fields below k'
+        if carried:
+            self.between = []
+            for dag in self.dags:
                 above = [0] * n
                 for u, forward in dag:
                     bits = above[u] | 1 << u
@@ -337,13 +335,11 @@ class _IncrementalChecker(_GeodesicTables):
                     for w in forward:
                         above[w] |= bits
                 self.between.append(above)
-        self.width = most.bit_length() + 1
-        self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
-        self.low = self.full >> self.width  # the fields below k'
-        if carried:
             # inside[v]: the sources s with v strictly inside some s-t geodesic
             self.inside = [sum(1 << s for s, below in enumerate(self.through) if s != v and below[v] != 1 << v)
                            for v in range(n)]
+        else:
+            self.sigma = self.between = None
         self.rows = self._empty_rows()
 
     def _empty_rows(self) -> list:

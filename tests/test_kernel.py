@@ -1,5 +1,6 @@
 """Membership kernel: BFS counting, pair queries, set checks, variants."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -9,7 +10,14 @@ import hypothesis.strategies as st
 import support
 from mkvis import kernel
 from mkvis.errors import DisconnectedGraphError, GeodesicCapError, GraphInputError
-from mkvis.graphs import build_graph, check_vertex_set, complete_graph, cycle_graph, path_graph
+from mkvis.graphs import (
+    build_graph,
+    check_vertex_set,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_block_graph,
+)
 from mkvis.kernel import (
     DUAL,
     OUTER,
@@ -87,15 +95,16 @@ class TestBfsMkv:
 
 class TestGeodesicDags:
     def test_path_dag(self):
-        dags = _geodesic_dags(path_graph(3))
+        dags, sigma = _geodesic_dags(path_graph(3))
         assert dags[1] == ((1, (0, 2)), (0, ()), (2, ()))
+        assert sigma[1] == [1, 1, 1]
 
     @given(support.graph_and_set(min_n=2, max_n=9), st.integers(0, 8))
     @settings(max_examples=80, deadline=None)
     def test_sweep_and_fused_kernel_match_enumeration(self, gs, cap):
         g, x = gs
         dist = support.distance_matrix(g)
-        dags = _geodesic_dags(g)
+        dags, sigma = _geodesic_dags(g)
         mask = sum(1 << v for v in x)
         geodesics = {(u, w): support.all_geodesics(g, u, w, dist) for u in range(g.n) for w in range(g.n)}
         width = max(len(paths) for paths in geodesics.values()).bit_length() + 1
@@ -104,6 +113,7 @@ class TestGeodesicDags:
             assert sorted(v for v, _ in dags[u]) == list(range(g.n))
             for v, forward in dags[u]:
                 assert forward == tuple(w for w in g.adj[v] if dist[u][w] == dist[u][v] + 1)
+            assert sigma[u] == [len(geodesics[u, w]) for w in range(g.n)]
             counts = _path_counts(dags[u], mask, g.n, width, full)
             fused = bfs_mkv(g, x, u).cnt
             for w in range(g.n):
@@ -161,6 +171,28 @@ class TestMinInternalCount:
         assert got[4] == 1 and got[2] == 0 and got[1] == 0
 
 
+@st.composite
+def twin_rich_graph_and_set(draw):
+    """A graph rich in twins and leaves, with a vertex set drawn from it: a
+    block graph (a block's vertices that are no cut vertex are closed twins),
+    a complete bipartite graph (each side is one class of open twins) or a
+    tree plus a few edges (leaves, and trees hanging off the cycles)."""
+    kind = draw(st.sampled_from(("block", "bipartite", "tree")))
+    if kind == "block":
+        g = random_block_graph(draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(0, 10**6)))
+    elif kind == "bipartite":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        g = build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    else:
+        n = draw(st.integers(2, 11))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+        edges |= {(min(u, w), max(u, w)) for u, w in extra if u != w}
+        g = build_graph(n, sorted(edges))
+    members = draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    return g, members
+
+
 class TestMkvCheck:
     def test_path_blocked_then_tolerated(self):
         rep = mkv_check(path_graph(5), {0, 2, 4}, 0)
@@ -213,8 +245,30 @@ class TestMkvCheck:
         monkeypatch.setattr(kernel, "check_vertex_set", counting)
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
         assert len(calls) == 1
-        # one counting BFS per member (12 + 24 touches) plus one step per member pair
-        assert rep.verdict and rep.ops == 6 * (12 + 24 + 6)
+        assert rep.verdict and rep.ops == 185  # worked out in TestCheckOps.test_cycle
+
+    @given(twin_rich_graph_and_set(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_twins_and_leaves_match_oracle_and_enumeration(self, gs, k, collect):
+        g, s = gs
+        rep = mkv_check(g, s, k, collect_pair_counts=collect)
+        assert rep.verdict == support.oracle_mkv_check(g, s, k)
+        assert dataclasses.replace(rep, ops=0) == _expected_check(g, s, k, collect)
+
+    @given(support.graph_and_set(min_n=2, max_n=9) | twin_rich_graph_and_set(), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_verdict_invariant_under_relabeling(self, gs, k, rnd):
+        g, s = gs
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = build_graph(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+        rep = mkv_check(g, s, k, collect_pair_counts=True)
+        moved = mkv_check(h, {perm[v] for v in s}, k, collect_pair_counts=True)
+        assert moved.verdict == rep.verdict
+        if rep.pair_counts is not None:
+            assert moved.pair_counts == {(min(perm[u], perm[w]), max(perm[u], perm[w])): c
+                                         for (u, w), c in rep.pair_counts.items()}
 
     @given(support.graph_and_set(min_n=2, max_n=9), st.integers(0, 3))
     @settings(max_examples=120, deadline=None)
@@ -234,6 +288,52 @@ class TestMkvCheck:
     def test_whole_vertex_set_at_saturation(self, g):
         d = max(max(row) for row in support.distance_matrix(g))
         assert mkv_check(g, range(g.n), max(d - 1, 0)).verdict
+
+
+class TestCheckOps:
+    """mkv_check's ops on hand-worked graphs. ops adds up the peel pass (n,
+    then the adjacency of every dropped vertex and of every list rebuilt),
+    the members' adjacency read for the twin classes, each sweep (n plus the
+    adjacency of every vertex below the level where its last later member
+    lies) and one step per member pair."""
+
+    def test_cycle(self):
+        # nothing to peel (12) or share (6 * 2); 0, 2 and 4 settle at level 6
+        # (12 + 11 * 2 each), 6 at level 4 (12 + 7 * 2), 8 at level 2 (12 + 3 * 2),
+        # and 10 does not sweep; 15 pairs
+        rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
+        assert rep.verdict and rep.ops == 12 + 12 + 3 * 34 + 26 + 18 + 15
+
+    def test_path_with_pendant_trees(self):
+        # the path 0-1-2-3-4 with the tree 5, 6, 7 hanging off 1 and the leaf 8 off 3
+        g = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (5, 7), (3, 8)])
+        # peel 6, 7, 8 and then 5 (9 + 1 + 1 + 1 + 3), rebuild the lists of 1 and 3 (3 + 3);
+        # twin keys 1 + 2 + 1; on the path that is left, 0 settles 4 at level 4
+        # (9 + 1 + 2 + 2 + 2) and 2 settles 4 at level 2 (9 + 2 + 2 + 2); 3 pairs
+        rep = mkv_check(g, {0, 2, 4}, 1)
+        assert rep.verdict and rep.ops == 21 + 4 + 16 + 15 + 3
+        # at k = 0 the pair (0, 4) fails on 0's row, before 2 sweeps
+        rep = mkv_check(g, {0, 2, 4}, 0)
+        assert (rep.verdict, rep.offending_pair, rep.offending_count) == (False, (0, 4), 1)
+        assert rep.ops == 21 + 4 + 16 + 2
+
+    def test_clique_with_twins(self):
+        # K4 on 0..3 with the leaf 4 off 3: 0, 1 and 2 are closed twins
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+        # nothing to peel (5); twin keys 3 + 3 + 3 + 1; only 0 sweeps, settling
+        # 4 at level 2 (5 + 3 + 3 + 3 + 4), and 1 and 2 read its row; 6 pairs
+        rep = mkv_check(g, {0, 1, 2, 4}, 0, collect_pair_counts=True)
+        assert rep.verdict and rep.ops == 5 + 10 + 18 + 6
+        assert rep.pair_counts == {(0, 1): 0, (0, 2): 0, (0, 4): 0, (1, 2): 0, (1, 4): 0, (2, 4): 0}
+        # with 3 a member every twin reads the count 1 for its pair with 4
+        rep = mkv_check(g, {0, 1, 2, 3, 4}, 0, collect_pair_counts=True)
+        assert (rep.verdict, rep.offending_pair, rep.offending_count) == (False, (0, 4), 1)
+        assert [rep.pair_counts[v, 4] for v in range(4)] == [1, 1, 1, 0]
+
+    def test_whole_clique_is_one_class(self):
+        # one sweep settles every member at level 1 (5 + 4); twin keys 5 * 4; 10 pairs
+        rep = mkv_check(complete_graph(5), range(5), 0)
+        assert rep.verdict and rep.ops == 5 + 20 + 9 + 10
 
 
 class TestCheckVariant:
@@ -312,15 +412,10 @@ def loose_graph_and_set(draw, max_n=9):
     return build_graph(n, edges), members
 
 
-def _touches(g, dist, v):
-    """The counting BFS's closed-form work from v: n plus one step per
-    adjacency entry of every vertex it reaches."""
-    return g.n + sum(g.degree(u) for u in range(g.n) if dist[v][u] != support.INF)
-
-
 def _expected_check(g, s, k, collect):
-    """mkv_check's report rebuilt from per-pair geodesic enumeration: members
-    scanned in sorted order, one BFS and |S| pair steps per member."""
+    """mkv_check's report rebuilt from per-pair geodesic enumeration, ops set
+    to 0: pairs (v, q) with v < q scanned in lexicographic order, the first
+    one over k reported."""
     members = sorted(set(s))
     pair_counts = {} if collect else None
     if len(members) <= 1:
@@ -329,15 +424,10 @@ def _expected_check(g, s, k, collect):
     first = members[0]
     for q in members[1:]:
         if dist[first][q] == support.INF:
-            return kernel.CheckReport(False, k, offending_pair=(first, q), reason=REASON_DISCONNECTED,
-                               ops=_touches(g, dist, first))
-    ops = 0
+            return kernel.CheckReport(False, k, offending_pair=(first, q), reason=REASON_DISCONNECTED)
     offending = offending_count = None
-    for v in members:
-        ops += _touches(g, dist, v) + len(members)
-        for q in members:
-            if q == v:
-                continue
+    for i, v in enumerate(members):
+        for q in members[i + 1:]:
             count = support.pair_min_internal(g, members, v, q, dist)
             if collect:
                 pair_counts[min(v, q), max(v, q)] = count
@@ -346,9 +436,16 @@ def _expected_check(g, s, k, collect):
         if offending is not None and not collect:
             break
     if offending is None:
-        return kernel.CheckReport(True, k, pair_counts=pair_counts, ops=ops)
+        return kernel.CheckReport(True, k, pair_counts=pair_counts)
     return kernel.CheckReport(False, k, offending_pair=offending, offending_count=offending_count,
-                       reason=REASON_PAIR, pair_counts=pair_counts, ops=ops)
+                       reason=REASON_PAIR, pair_counts=pair_counts)
+
+
+def _ops_bound(g, s):
+    """One full counting BFS and |S| pair steps per member, plus one peel
+    pass of n + 2m: mkv_check's ops never exceed it."""
+    size = len(set(s))
+    return size * (g.n + 2 * g.m + size) + g.n + 2 * g.m if size > 1 else 0
 
 
 def _expected_variant(g, x, k, variant):
@@ -379,14 +476,17 @@ def _expected_variant(g, x, k, variant):
 
 
 class TestLeanKernel:
-    """Every field of mkv_check and check_variant against per-pair geodesic
-    enumeration, ops against the closed-form touch count."""
+    """Every field of mkv_check but ops, and every field of check_variant,
+    against per-pair geodesic enumeration; mkv_check's ops against its
+    bound."""
 
     @given(support.graph_and_set(min_n=1) | loose_graph_and_set(), st.integers(0, 3), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_mkv_check_matches_enumeration(self, gs, k, collect):
         g, s = gs
-        assert mkv_check(g, s, k, collect_pair_counts=collect) == _expected_check(g, s, k, collect)
+        rep = mkv_check(g, s, k, collect_pair_counts=collect)
+        assert dataclasses.replace(rep, ops=0) == _expected_check(g, s, k, collect)
+        assert rep.ops <= _ops_bound(g, s)
 
     @given(support.graph_and_set(min_n=2, max_n=9), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -396,17 +496,19 @@ class TestLeanKernel:
         size = len(s)
         for k in (diameter, diameter + 3):
             rep = mkv_check(g, s, k, collect_pair_counts=collect)
-            assert rep == _expected_check(g, s, k, collect)
-            assert rep.verdict and rep.ops == (size * (g.n + 2 * g.m + size) if size > 1 else 0)
+            assert dataclasses.replace(rep, ops=0) == _expected_check(g, s, k, collect)
+            assert rep.verdict and (0 < rep.ops <= _ops_bound(g, s) if size > 1 else rep.ops == 0)
 
     def test_members_in_different_components(self):
         # the first member's component holds 0, 1 and 2; member 4 lies outside it
         g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         for collect in (False, True):
             rep = mkv_check(g, {0, 2, 4, 5}, 0, collect_pair_counts=collect)
+            # peel 3 (6 + 1, then 4's list of 2), twin keys 4, and member 0's sweep
+            # over its whole component (6 + 4)
             assert rep == kernel.CheckReport(False, 0, offending_pair=(0, 4), reason=REASON_DISCONNECTED,
-                                      ops=6 + 4)
-            assert rep == _expected_check(g, {0, 2, 4, 5}, 0, collect)
+                                      ops=9 + 4 + 10)
+            assert dataclasses.replace(rep, ops=0) == _expected_check(g, {0, 2, 4, 5}, 0, collect)
 
     def test_at_most_one_member(self):
         for s in (set(), {3}):

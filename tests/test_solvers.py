@@ -663,16 +663,15 @@ class TestIncrementalChecker:
         assert any(checker is not searched[0] for _, checker, _ in probes)
 
     def test_polynomial_sweeps_only_while_building_tables(self):
-        """With carried rows no push sweeps: the only _path_counts calls of
-        the polynomial, mu_k (its first-fit passes included) and tau_k are
-        the n geodesic-count sweeps, tracking nothing, that build the
-        tables. gp_number reads no counts and makes none."""
+        """With carried rows no push sweeps, and the geodesic counts that
+        build the tables come from the DAG pass: the polynomial, mu_k (its
+        first-fit passes included), tau_k and gp_number make no _path_counts
+        call at all."""
         g = random_connected(14, 0.2, 2)
         path_counts = mkvis.solvers._path_counts
         results = {}
-        for name, solve, sweeps in [("poly", lambda: visibility_polynomial(g, 1), g.n),
-                                    ("mu", lambda: mu_k(g, 1), g.n), ("tau", lambda: tau_k(g, 1), g.n),
-                                    ("gp", lambda: gp_number(g), 0)]:
+        for name, solve in [("poly", lambda: visibility_polynomial(g, 1)), ("mu", lambda: mu_k(g, 1)),
+                            ("tau", lambda: tau_k(g, 1)), ("gp", lambda: gp_number(g))]:
             masks = []
 
             def counting(dag, mask, *args):
@@ -681,7 +680,7 @@ class TestIncrementalChecker:
 
             with mock.patch.object(mkvis.solvers, "_path_counts", counting):
                 results[name] = solve()
-            assert masks == [0] * sweeps, name
+            assert masks == [], name
         assert sum(results["poly"].coefficients) > 1000
 
 
