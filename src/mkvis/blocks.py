@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, SizeLimitError
-from .graphs import Graph, build_graph, check_vertex, check_vertex_set, require_connected
+from .graphs import Graph, _bfs, build_graph, check_vertex, check_vertex_set, require_connected
 from .kernel import _check_tolerance, mkv_check
 from .solvers import SolveResult
 
@@ -61,7 +61,10 @@ class BlockCutTree:
 
     Nodes are ("cut", vertex) for articulation vertices and ("block", index)
     for blocks; an edge joins an articulation vertex to each block containing
-    it. Rooted once at construction so tree paths are parent-pointer walks.
+    it. Each node has one int id, its index in nodes (which ascends in
+    _node_key order), and the tree is held once as int adjacency lists on
+    those ids, rooted at id 0 by _bfs so tree paths are parent-pointer
+    walks. _leafed_tree numbers its vertices by the same ids.
     """
 
     def __init__(self, n: int, articulation, blocks):
@@ -71,34 +74,28 @@ class BlockCutTree:
         cut_nodes = tuple(cut_node(v) for v in sorted(self.articulation))
         blk_nodes = tuple(block_node(i) for i in range(len(self.blocks)))
         self.nodes = cut_nodes + blk_nodes
+        self._id = {node: i for i, node in enumerate(self.nodes)}
         self.tree_edges = tuple(
             (v, i) for i, blk in enumerate(self.blocks) for v in blk if v in self.articulation
         )
-        adjacency = {node: [] for node in self.nodes}
-        for v, i in self.tree_edges:
-            adjacency[cut_node(v)].append(block_node(i))
-            adjacency[block_node(i)].append(cut_node(v))
-        self._adjacency = {nd: tuple(sorted(nbrs, key=_node_key)) for nd, nbrs in adjacency.items()}
-        if self.nodes and len(self.nodes) != len(self.tree_edges) + 1:
+        if len(self.nodes) != len(self.tree_edges) + 1:
             raise RuntimeError("internal error: block-cutpoint structure is not a tree")
-        self._parent = {}
-        self._depth = {}
-        if self.nodes:
-            root = self.nodes[0]
-            self._parent[root] = None
-            self._depth[root] = 0
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for nb in self._adjacency[node]:
-                        if nb not in self._depth:
-                            self._parent[nb] = node
-                            self._depth[nb] = self._depth[node] + 1
-                            nxt.append(nb)
-                frontier = nxt
-            if len(self._depth) != len(self.nodes):
-                raise RuntimeError("internal error: block-cutpoint tree is disconnected")
+        # blocks and each block's vertices are visited in ascending order, so
+        # every list comes out ascending
+        adj = [[] for _ in self.nodes]
+        for v, i in self.tree_edges:
+            c, b = self._id[cut_node(v)], len(cut_nodes) + i
+            adj[c].append(b)
+            adj[b].append(c)
+        self._adj = adj
+        self._depth, order = _bfs(adj, 0)
+        if len(order) != len(self.nodes):
+            raise RuntimeError("internal error: block-cutpoint tree is disconnected")
+        self._parent = [None] * len(adj)
+        for u in order:
+            for w in adj[u]:
+                if self._depth[w] > self._depth[u]:
+                    self._parent[w] = u
         proj = {}
         for v in self.articulation:
             proj[v] = cut_node(v)
@@ -115,39 +112,36 @@ class BlockCutTree:
         return len(self.nodes)
 
     def neighbors(self, node) -> tuple:
-        self._check_node(node)
-        return self._adjacency[node]
+        return tuple(self.nodes[i] for i in self._adj[self._node_id(node)])
 
     def projection(self, v: int) -> tuple:
         """Tree node a vertex maps to: its cut node, or its unique block."""
         return self._projection[check_vertex(self, v)]
 
-    def _check_node(self, node):
-        if node not in self._adjacency:
+    def _node_id(self, node) -> int:
+        if node not in self._id:
             raise GraphInputError(f"{node!r} is not a node of this tree")
+        return self._id[node]
 
     def tree_path(self, a, b) -> list:
         """Node sequence of the unique tree path from a to b, inclusive."""
-        self._check_node(a)
-        self._check_node(b)
-        if a == b:
-            return [a]
-        up_a = [a]
-        up_b = [b]
-        x, y = a, b
-        while self._depth[x] > self._depth[y]:
-            x = self._parent[x]
+        x, y = self._node_id(a), self._node_id(b)
+        depth, parent = self._depth, self._parent
+        up_a = [x]
+        up_b = [y]
+        while depth[x] > depth[y]:
+            x = parent[x]
             up_a.append(x)
-        while self._depth[y] > self._depth[x]:
-            y = self._parent[y]
+        while depth[y] > depth[x]:
+            y = parent[y]
             up_b.append(y)
         while x != y:
-            x = self._parent[x]
+            x = parent[x]
             up_a.append(x)
-            y = self._parent[y]
+            y = parent[y]
             up_b.append(y)
         up_b.pop()  # x == y: drop the duplicated meeting node
-        return up_a + up_b[::-1]
+        return [self.nodes[i] for i in up_a + up_b[::-1]]
 
     def to_dict(self) -> dict:
         return {
@@ -255,7 +249,7 @@ class AdmissibleWitness:
 def _check_nodes(t: BlockCutTree, z) -> frozenset:
     znodes = frozenset(z)
     for node in znodes:
-        t._check_node(node)
+        t._node_id(node)
     return znodes
 
 
@@ -291,34 +285,26 @@ def expand_admissible(t: BlockCutTree, z) -> set[int]:
 def contract_set(t: BlockCutTree, x) -> set:
     """Tree nodes of a vertex set: its articulation vertices as cut nodes plus
     every block owning one of its non-articulation vertices."""
-    xs = check_vertex_set(t, x)
-    z: set = set()
-    for v in xs:
-        if v in t.articulation:
-            z.add(cut_node(v))
-    for i, blk in enumerate(t.blocks):
-        if any(v in xs and v not in t.articulation for v in blk):
-            z.add(block_node(i))
-    return z
+    return {t.projection(v) for v in check_vertex_set(t, x)}
 
 
 def _leafed_tree(t: BlockCutTree):
     """The block-cut tree as a Graph with a pendant leaf on every block node,
     and the vertex id that stands for each tree node in it.
 
-    Tree nodes keep their index in t.nodes as vertex ids, and the leaf of
-    block i is vertex node_count + i. A cut node is represented by its own
-    id, a block node by its leaf. A leaf is never inside a path and a block
-    node itself is never represented, so the represented vertices inside the
-    (unique) path between two ids are the selected cut nodes inside the tree
-    path of their nodes: Z is k-admissible exactly when its ids are mutual
-    k-visible in this graph. Ids ascend in _node_key order.
+    Tree nodes keep the int id t gives them (their index in t.nodes) as
+    vertex ids, and the leaf of block i is vertex node_count + i. A cut node
+    is represented by its own id, a block node by its leaf. A leaf is never
+    inside a path and a block node itself is never represented, so the
+    represented vertices inside the (unique) path between two ids are the
+    selected cut nodes inside the tree path of their nodes: Z is k-admissible
+    exactly when its ids are mutual k-visible in this graph. Ids ascend in
+    _node_key order.
     """
     size = t.node_count
-    index = {node: i for i, node in enumerate(t.nodes)}
-    edges = [(index[cut_node(v)], index[block_node(i)]) for v, i in t.tree_edges]
-    edges += [(index[block_node(i)], size + i) for i in range(len(t.blocks))]
-    ids = {node: i if node[0] == "cut" else size + node[1] for node, i in index.items()}
+    edges = [(t._id[cut_node(v)], t._id[block_node(i)]) for v, i in t.tree_edges]
+    edges += [(t._id[block_node(i)], size + i) for i in range(len(t.blocks))]
+    ids = {node: i if node[0] == "cut" else size + node[1] for node, i in t._id.items()}
     return build_graph(size + len(t.blocks), edges), ids
 
 
@@ -326,7 +312,7 @@ def _heaviest_admissible(tree: Graph, weights, k: int):
     """Heaviest set X of positive-weight vertices of a tree in which every
     pair has at most k members of X strictly inside its path.
 
-    A post-order DP from root 0, walked with an explicit stack. The state of
+    A post-order DP from root 0, over _bfs's order reversed. The state of
     a vertex u is the largest count of members strictly between a member in
     u's subtree and u's parent, or None when the subtree holds no member.
     With s = 1 when u is a member, u merges its children one at a time under
@@ -340,18 +326,8 @@ def _heaviest_admissible(tree: Graph, weights, k: int):
 
     Returns (weight, members, DP table entries filled).
     """
-    parent = [-1] * tree.n
-    kids = [[] for _ in range(tree.n)]
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in tree.adj[u]:
-            if w != parent[u]:
-                parent[w] = u
-                kids[u].append(w)
-                stack.append(w)
+    depth, order = _bfs(tree.adj, 0)
+    kids = [[w for w in tree.adj[u] if depth[w] > depth[u]] for u in range(tree.n)]
     table = [None] * tree.n  # state -> (weight, s, running maximum m)
     trails = [None] * tree.n  # trails[u][s][i][m after child i] = (m before, child state)
     filled = 0

@@ -4,12 +4,19 @@ Construction goes through build_graph (or the generators), which validates the
 input and returns an immutable Graph. Distances, metric summaries, geodesic
 convexity, a handful of deterministic generators and the edge-list text format
 used by the command line tool all live here.
+
+_bfs is the package's one plain BFS: distances, connectivity, the metric
+summary and the block-cut tree's rooting and DP all read its (dist, order).
+metric_summary takes the girth by levels: from each root, an edge inside
+level d closes a cycle of at most 2d + 1, and a vertex at level d with two
+neighbours at level d - 1 closes one of at most 2d; the shortest cycle is
+found this way from any of its own vertices. A root's scan stops once 2d
+reaches the best girth so far, since order is sorted by level.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -166,20 +173,26 @@ def build_graph(n: int, edges) -> Graph:
     return _assemble(n, adj, count)
 
 
+def _bfs(adj, source: int):
+    """Plain BFS from source over adjacency lists: (dist, order), where dist
+    is None at unreached vertices and order lists the reached vertices by
+    level, source first. order doubles as the queue."""
+    dist: list = [None] * len(adj)
+    dist[source] = 0
+    order = [source]
+    for u in order:
+        du1 = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] is None:
+                dist[w] = du1
+                order.append(w)
+    return dist, order
+
+
 def bfs_distances(g: Graph, v: int) -> list:
     """Distances from v; unreachable vertices get the INFINITE sentinel."""
     check_vertex(g, v)
-    dist: list = [None] * g.n
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        du1 = dist[u] + 1
-        for w in g.adj[u]:
-            if dist[w] is None:
-                dist[w] = du1
-                queue.append(w)
-    return [INFINITE if d is None else d for d in dist]
+    return [INFINITE if d is None else d for d in _bfs(g.adj, v)[0]]
 
 
 def all_pairs_distances(g: Graph) -> list:
@@ -202,9 +215,7 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return not any(is_infinite(d) for d in bfs_distances(g, 0))
+    return g.n <= 1 or len(_bfs(g.adj, 0)[1]) == g.n
 
 
 def require_connected(g: Graph) -> None:
@@ -222,40 +233,35 @@ class MetricSummary:
 def metric_summary(g: Graph) -> MetricSummary:
     """Diameter, girth and maximum degree; INFINITE marks disconnected/acyclic."""
     n = g.n
-    max_degree = max((len(a) for a in g.adj), default=0)
+    adj = g.adj
+    max_degree = max((len(a) for a in adj), default=0)
     if n == 0:
         return MetricSummary(INFINITE, INFINITE, 0)
     diameter = 0
     disconnected = False
-    girth = None
+    girth = n + 1  # longer than any cycle
     for root in range(n):
-        dist: list = [None] * n
-        parent = [-1] * n
-        dist[root] = 0
-        queue = deque([root])
-        reached = 1
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if du > diameter:
-                diameter = du
-            for w in g.adj[u]:
-                if dist[w] is None:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                    reached += 1
-                elif parent[u] != w:
-                    # non-tree edge closes a walk of length dist[u]+dist[w]+1
-                    # that contains a cycle no longer than itself
-                    cycle = du + dist[w] + 1
-                    if girth is None or cycle < girth:
-                        girth = cycle
-        if reached < n:
+        dist, order = _bfs(adj, root)
+        if len(order) < n:
             disconnected = True
+        diameter = max(diameter, dist[order[-1]])
+        for u in order:
+            d = dist[u]
+            if 2 * d >= girth:
+                break
+            up = level = 0
+            for w in adj[u]:
+                if dist[w] == d - 1:
+                    up += 1
+                elif dist[w] == d:
+                    level = 1
+            if up > 1:
+                girth = 2 * d
+            elif level:
+                girth = 2 * d + 1
     return MetricSummary(
         INFINITE if disconnected else diameter,
-        INFINITE if girth is None else girth,
+        INFINITE if girth > n else girth,
         max_degree,
     )
 

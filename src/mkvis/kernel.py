@@ -48,7 +48,9 @@ A target has a geodesic with at most that many tracked internal vertices
 exactly when its packed count is nonzero.
 
 oracle_min_internal_count recomputes the same quantity by enumerating every
-geodesic outright and exists to cross-check the kernel, never to replace it.
+geodesic outright, on distances from graphs.bfs_distances (the plain
+graphs._bfs), so it shares no code with _count_bfs. It exists to cross-check
+the kernel, never to replace it.
 """
 
 from __future__ import annotations

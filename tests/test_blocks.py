@@ -85,6 +85,11 @@ class TestDecomposition:
         # bipartite: tree edges only join cut nodes to block nodes
         for v, i in t.tree_edges:
             assert v in t.articulation and 0 <= i < len(t.blocks)
+        # neighbors lists the tree_edges partners, cut nodes first, each kind by id
+        for node in t.nodes:
+            joined = [cut_node(v) if node == block_node(i) else block_node(i)
+                      for v, i in t.tree_edges if node in (cut_node(v), block_node(i))]
+            assert t.neighbors(node) == tuple(sorted(joined, key=lambda nd: (nd[0] == "block", nd[1])))
         # every non-articulation vertex lies in exactly one block
         for v in range(g.n):
             owners = [i for i, blk in enumerate(t.blocks) if v in blk]
@@ -109,7 +114,14 @@ class TestTreePaths:
         with pytest.raises(GraphInputError):
             t.tree_path(cut_node(0), cut_node(4))
 
-    @given(support.graphs(min_n=2, max_n=9), st.randoms(use_true_random=False))
+    @given(
+        st.one_of(
+            support.graphs(min_n=2, max_n=9),
+            # 30 or more blocks, so at least 30 tree nodes: deep trees to lift through
+            st.builds(random_block_graph, st.integers(30, 60), st.integers(2, 4), st.integers(0, 10**6)),
+        ),
+        st.randoms(use_true_random=False),
+    )
     @settings(max_examples=60, deadline=None)
     def test_matches_bfs_walk(self, g, rnd):
         t = block_decomposition(g)

@@ -147,6 +147,9 @@ class TestMetricSummary:
             (cycle_graph(5), 2, 5, 2),
             (complete_graph(4), 1, 3, 3),
             (complete_bipartite(2, 3), 2, 4, 3),
+            # the only cycle lies 20 levels from vertex 0, past where the
+            # girth scans of the first roots stop
+            (build_graph(23, [(i, i + 1) for i in range(22)] + [(20, 22)]), 21, 3, 3),
         ],
     )
     def test_known_values(self, g, diameter, girth, max_degree):
@@ -178,6 +181,26 @@ class TestMetricSummary:
         p = diametral_path(g)
         assert len(p) - 1 == metric_summary(g).diameter
         assert is_isometric_path(g, p)
+
+    @given(st.lists(support.graphs(max_n=8), min_size=1, max_size=3), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_unions(self, parts, rnd):
+        """Girth and maximum degree stay exact, and the diameter is INFINITE,
+        on a relabeled disjoint union of connected graphs."""
+        n = sum(p.n for p in parts)
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        edges, offset = [], 0
+        for p in parts:
+            edges += [(perm[offset + u], perm[offset + v]) for u, v in p.edges()]
+            offset += p.n
+        g = build_graph(n, edges)
+        ms = metric_summary(g)
+        ref = support.brute_girth(g)
+        assert is_infinite(ms.girth) if ref == support.INF else ms.girth == ref
+        if len(parts) > 1:
+            assert is_infinite(ms.diameter)
+        assert ms.max_degree == max(p.degree(v) for p in parts for v in range(p.n))
 
     def test_disconnected_summary(self):
         ms = metric_summary(build_graph(3, [(0, 1)]))

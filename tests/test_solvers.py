@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 import support
 import mkvis.solvers
-from mkvis.blocks import mu_k_block
+from mkvis.blocks import block_decomposition, mu_k_block
 from mkvis.covering import greedy_cover, is_visibility_cover, tau_bounds, tau_k
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
@@ -374,8 +374,10 @@ def test_invariant_under_relabeling(g, k, rnd, blocks, block_size, seed):
     """Values do not depend on vertex labels; witnesses may (the search
     order breaks degree ties by id, and mu_k's first-fit start shuffles
     ids). greedy_cover's partition may change too, so it is only checked to
-    stay a cover. mu_k_block runs on a random block graph, relabeled alike."""
+    stay a cover. mu_k_block and the block decomposition's sizes are checked
+    on a random block graph, relabeled alike."""
     h = _relabeled(g, rnd)
+    assert bounds(h, k) == bounds(g, k)
     assert mu_k(h, k).value == mu_k(g, k).value
     for variant in VARIANTS:
         assert mu_k_variant(h, k, variant).value == mu_k_variant(g, k, variant).value
@@ -384,7 +386,10 @@ def test_invariant_under_relabeling(g, k, rnd, blocks, block_size, seed):
     assert tau_k(h, k).value == tau_k(g, k).value
     assert is_visibility_cover(h, greedy_cover(h, k), k)
     b = random_block_graph(blocks, block_size, seed)
-    assert mu_k_block(_relabeled(b, rnd), k).value == mu_k_block(b, k).value
+    c = _relabeled(b, rnd)
+    assert mu_k_block(c, k).value == mu_k_block(b, k).value
+    tb, tc = block_decomposition(b), block_decomposition(c)
+    assert (len(tc.blocks), len(tc.articulation), tc.node_count) == (len(tb.blocks), len(tb.articulation), tb.node_count)
 
 
 class TestIncrementalChecker:
