@@ -10,7 +10,8 @@ proven upper bound, or, without one, counts every member of the family
 once, tallying without a visit the subsets of a member that holds all of a
 node's later candidates. A node's cut reads bound(cands), which caps what
 every suffix of its candidates can add in one pass. mu_k tightens the cut
-with convex paths and starts from a first-fit incumbent, and dual sets,
+with convex paths and a clique cover of the candidate pairs that can no
+longer see each other, and starts from a first-fit incumbent; dual sets,
 which are not downward-closed, are searched within the mutual k-visible
 family and accepted one by one. All solvers are desk-scale exhaustive
 searches with configurable size limits and refuse larger inputs.
@@ -20,9 +21,9 @@ ordered solve (mu_k's search and its first-fit passes, mu_k_variant,
 visibility_polynomial and covering.tau_k's parts) builds it carried: it
 holds a geodesic count row for every vertex from the start, and each
 push(v, later) names the vertices that may still join, so it updates only
-the pairs among the members and those and sweeps no DAG. _search passes a
-node's candidates after v, the first-fit passes and tau_k the vertices
-after v in their order. mu_k's search then filters those candidates with
+the pairs among the members and those, marks in blind masks the pairs that
+read 0 and sweeps no DAG. _search passes a node's candidates after v, the
+first-fit passes and tau_k the vertices after v in their order. mu_k's search then filters those candidates with
 one narrow(v, later, undo) pass over what the push changed, not one fits
 call each. mu_k_variant instead keeps every vertex but v live on each
 push, so every pair's row is exact: total and outer read the pairs that
@@ -303,8 +304,13 @@ class _IncrementalChecker(_GeodesicTables):
     and returns the old values for pop. A pair that drops out of the live
     set keeps its old value, which is right again once v is popped. A
     carried checker also keeps between[s][t], the bitmask of vertices on
-    some s-t geodesic (t's ancestors in s's DAG, s and t included). Only a
-    carried checker keeps sigma.
+    some s-t geodesic (t's ancestors in s's DAG, s and t included), and
+    blind[s], the bitmask of the t whose pair with s reads 0: push sets the
+    bits of each pair it zeroes, and pop clears them before it restores the
+    old value. Like the rows, the bits are right for pairs inside the live
+    set: a node's candidates were live at every push on its path, so
+    mu_k's bound reads their pairs off blind. Only a carried checker keeps
+    sigma and blind, and fresh() gives each copy its own blind list.
 
     narrow(v, later, undo) answers fits for all of later at once, right
     after push(v, later) on a carried checker, from the pairs that push
@@ -314,7 +320,8 @@ class _IncrementalChecker(_GeodesicTables):
     each (an int holds only the bits up to its top nonzero field), n per
     member without carried, so n^2 once all n vertices are members, as they
     are across greedy_cover's parts; n^2 per carried checker, which also
-    keeps sigma and between, n^2 masks of n bits like through.
+    keeps sigma and between, n^2 masks of n bits like through, and blind, n
+    masks.
     """
 
     def __init__(self, g: Graph, k: int, carried: bool = False):
@@ -326,6 +333,7 @@ class _IncrementalChecker(_GeodesicTables):
         self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
         self.low = self.full >> self.width  # the fields below k'
         if carried:
+            self.blind = [0] * n
             self.between = []
             for dag in self.dags:
                 above = [0] * n
@@ -339,7 +347,7 @@ class _IncrementalChecker(_GeodesicTables):
             self.inside = [sum(1 << s for s, below in enumerate(self.through) if s != v and below[v] != 1 << v)
                            for v in range(n)]
         else:
-            self.sigma = self.between = None
+            self.sigma = self.between = self.blind = None
         self.rows = self._empty_rows()
 
     def _empty_rows(self) -> list:
@@ -349,20 +357,22 @@ class _IncrementalChecker(_GeodesicTables):
     def fresh(self):
         other = super().fresh()
         other.rows = self._empty_rows()
+        if self.carried:
+            other.blind = [0] * self.n
         return other
 
     def push(self, v: int, later=None):
         if not self.carried:
             return self._sweep_push(v)
-        width, full, rows, through = self.width, self.full, self.rows, self.through
+        width, full, rows, through, blind = self.width, self.full, self.rows, self.through, self.blind
         live = self.mask | later
         vrow = rows[v]
         undo = []
         sources = live & self.inside[v]
         while sources:
-            bit = sources & -sources
-            sources ^= bit
-            s = bit.bit_length() - 1
+            sbit = sources & -sources
+            sources ^= sbit
+            s = sbit.bit_length() - 1
             row = rows[s]
             sv = row[v]
             if not sv:
@@ -375,7 +385,10 @@ class _IncrementalChecker(_GeodesicTables):
                 via = sv * vrow[t] & full
                 if via:
                     old = row[t]
-                    row[t] = rows[t][s] = (old - via + (via << width)) & full
+                    new = row[t] = rows[t][s] = (old - via + (via << width)) & full
+                    if not new:
+                        blind[s] |= bit
+                        blind[t] |= sbit
                     undo.append((s, t, old))
         super().push(v)
         return undo
@@ -412,8 +425,13 @@ class _IncrementalChecker(_GeodesicTables):
                 rows[a] = old
             rows[v] = None
         else:
+            blind = self.blind
             for s, t, old in undo:
-                rows[s][t] = rows[t][s] = old
+                row = rows[s]
+                if not row[t]:
+                    blind[s] ^= 1 << t
+                    blind[t] ^= 1 << s
+                row[t] = rows[t][s] = old
         super().pop(v, undo)
 
     def fits(self, v: int) -> bool:
@@ -493,7 +511,8 @@ class _AllPairsChecker(_IncrementalChecker):
     rows[s][t] is exact for every pair of vertices, members or not, in any
     push order. (v's own pairs keep their counts, since an end is never
     inside; were v live, the push would shift them.) mu_k_variant reads the
-    rows to test the pairs that touch the complement of the held set."""
+    rows to test the pairs that touch the complement of the held set, and
+    dual reads the blind masks of the pairs inside it."""
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g, k, True)
@@ -528,34 +547,6 @@ class _AllPairsChecker(_IncrementalChecker):
                 if not c & low and c == sv * vrow[t] & full:
                     return True
         return False
-
-
-class _DualChecker(_AllPairsChecker):
-    """An _AllPairsChecker that also keeps blind[s], the bitmask of the t
-    whose pair with s reads 0: push sets the bits of the pairs it zeroes and
-    pop clears them. The dual search reads them to test the pairs inside the
-    complement of the held set."""
-
-    def __init__(self, g: Graph, k: int):
-        super().__init__(g, k)
-        self.blind = [0] * self.n
-
-    def push(self, v: int, later=None):
-        undo = super().push(v)
-        rows, blind = self.rows, self.blind
-        for s, t, _ in undo:
-            if not rows[s][t]:
-                blind[s] |= 1 << t
-                blind[t] |= 1 << s
-        return undo
-
-    def pop(self, v: int, undo) -> None:
-        rows, blind = self.rows, self.blind
-        for s, t, _ in undo:
-            if not rows[s][t]:
-                blind[s] ^= 1 << t
-                blind[t] ^= 1 << s
-        super().pop(v, undo)
 
     def sighted(self, out: int) -> bool:
         """No pair inside the bitmask out reads 0."""
@@ -655,6 +646,12 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     Every room is free at the root, whose candidates fits filters; below it
     the checker's narrow does, after the rest of a path whose room a push
     used up is dropped.
+
+    Two candidates whose pair already reads 0, blind to each other, are
+    never both in a set below the node, since counts only grow. So a
+    greedy clique cover of the candidates' blind pairs, built from the back
+    in the same pass, caps every suffix by its clique count too, and a
+    branch's cap is the smaller of the two.
     """
     order = _admit("mu_k", g, k, max_n)
     if g.n == 0:
@@ -688,18 +685,40 @@ def _solve_mu(g: Graph, k: int, order: list, checker: _IncrementalChecker) -> So
         part = part_of[v]
         return checker.narrow(v, later if room[part] else later & ~part_bits[part], undo)
 
+    blind = checker.blind
+
     def bound(cands) -> list:
-        """For every idx, the free candidates in cands[idx:] plus, per path,
-        the fewer of its candidates there and its room, in one pass from the end."""
+        """For every idx, the fewer of two caps on cands[idx:], in one pass
+        from the end: the free candidates plus, per path, the fewer of its
+        candidates and its room; and the cliques of a greedy clique cover of
+        the candidates' blind pairs. A candidate joins the first clique it
+        is blind to in full, or opens one."""
         left = [0] * len(room)
         caps = []
         cap = 0
+        seen = 0
+        cliques = []
+        count = 0  # len(cliques)
         for v in reversed(cands):
             part = part_of[v]
             if left[part] < room[part]:
                 cap += 1
             left[part] += 1
-            caps.append(cap)
+            bit = 1 << v
+            hit = blind[v] & seen
+            seen |= bit
+            if hit:
+                for i, clique in enumerate(cliques):
+                    if not clique & ~hit:
+                        cliques[i] = clique | bit
+                        break
+                else:
+                    cliques.append(bit)
+                    count += 1
+            else:  # blind to none seen: a new clique, no scan
+                cliques.append(bit)
+                count += 1
+            caps.append(cap if cap < count else count)
         caps.reverse()
         return caps
 
@@ -719,7 +738,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     k-visible and the plain diameter/girth bound caps the search.
 
     All three run on an _AllPairsChecker, whose rows are exact for every
-    pair of vertices, so no probe sweeps; dual's also keeps blind masks.
+    pair of vertices, so no probe sweeps.
 
     Total and outer sets are downward-closed. Let X' = X - {x}. Every path
     carries no more X'-members than X-members, so a pair that had a geodesic
@@ -751,7 +770,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = (_DualChecker if variant == DUAL else _AllPairsChecker)(g, k)
+    checker = _AllPairsChecker(g, k)
     rows, everyone = checker.rows, (1 << n) - 1
     bound = accept = narrow = None
     if variant == TOTAL:

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 import support
 from mkvis.blocks import (
+    _blocks_are_cliques,
     _leafed_tree,
     block_decomposition,
     block_node,
@@ -23,6 +24,7 @@ from mkvis.graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
+    is_connected,
     path_graph,
     random_block_graph,
 )
@@ -143,6 +145,31 @@ class TestIsBlockGraph:
     @pytest.mark.parametrize("seed", range(6))
     def test_generator_output_qualifies(self, seed):
         assert is_block_graph(random_block_graph(4, 4, seed))
+
+    @given(
+        st.one_of(
+            support.graphs(min_n=1, max_n=10),
+            st.builds(random_block_graph, st.integers(1, 6), st.integers(2, 5), st.integers(0, 10**6)),
+        ),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_edge_count_matches_the_pairwise_check(self, g, seed):
+        """The edge-count test agrees with checking every pair of every
+        block for an edge, on the graph drawn and, when it stays connected,
+        on the graph with one vertex pair toggled (a block graph with an
+        edge dropped or added is mostly not one)."""
+        rnd = random.Random(seed)
+        if g.n >= 2:
+            u, w = rnd.sample(range(g.n), 2)
+            toggled = build_graph(g.n, [e for e in g.edges() if set(e) != {u, w}] + [(u, w)] * (not g.has_edge(u, w)))
+            graphs = [g] + [toggled] * is_connected(toggled)
+        else:
+            graphs = [g]
+        for h in graphs:
+            t = block_decomposition(h)
+            want = all(h.has_edge(u, w) for blk in t.blocks for i, u in enumerate(blk) for w in blk[i + 1 :])
+            assert _blocks_are_cliques(h, t) == want
 
 
 class TestAdmissibility:

@@ -604,6 +604,46 @@ class TestReportKeyOrder:
         assert list(rep["result"]) == result
 
 
+_JSON_KEYS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_KEYS | st.just(mkvis.graphs.INFINITE) | st.frozensets(st.integers()) | st.sets(st.integers()),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(_JSON_KEYS, inner),
+    max_leaves=30,
+)
+
+
+class TestReportWriter:
+    """cli._dumps writes what json.dumps(..., indent=2, default=_json_default)
+    writes, byte for byte."""
+
+    @given(_JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        want = json.dumps(value, indent=2, default=mkvis.cli._json_default)
+        assert mkvis.cli._dumps(value) == want
+
+    def test_refuses_what_json_dumps_refuses(self):
+        for value in ([object()], {(1, 2): 3}):
+            with pytest.raises(TypeError):
+                mkvis.cli._dumps(value)
+
+    @pytest.mark.parametrize("command", sorted(TestReportKeyOrder.CASES))
+    def test_every_report_matches_json_dumps(self, capsys, monkeypatch, command):
+        """The report of every subcommand, whose values include sets and
+        INFINITE (bounds on a path), as main writes it."""
+        reports = []
+        dumps = mkvis.cli._dumps
+
+        def watched(value, *indent):
+            reports.append(value)  # the report comes first, then what it holds
+            return dumps(value, *indent)
+
+        monkeypatch.setattr(mkvis.cli, "_dumps", watched)
+        code, out, _ = run(capsys, monkeypatch, TestReportKeyOrder.CASES[command][0], PATH5)
+        assert code == 0
+        assert out == json.dumps(reports[0], indent=2, default=mkvis.cli._json_default) + "\n"
+
+
 class TestParserReuse:
     """main builds its parser once per process; no call may leak into the next."""
 

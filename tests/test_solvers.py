@@ -30,7 +30,7 @@ from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _path_counts, mkv_check
 from mkvis.solvers import (
     DEFAULT_VARIANT_MAX_N,
     Polynomial,
-    _DualChecker,
+    _AllPairsChecker,
     _IncrementalChecker,
     _convex_paths,
     bounds,
@@ -501,13 +501,13 @@ class TestIncrementalChecker:
     @given(support.graphs(min_n=2, max_n=9), st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_all_pair_rows_and_blind_masks_match_a_rebuild(self, g, k, seed):
-        """A _DualChecker walked 40 steps drawn from seed, in no order: a
+        """An _AllPairsChecker walked 40 steps drawn from seed, in no order: a
         step pops the last member one time in five, or when every vertex is
         a member, else pushes any vertex that is not. After every step every
         pair's row must equal counts rebuilt for the held set, and blind[s]
         must hold exactly the t whose rebuilt count is 0."""
         rnd = random.Random(seed)
-        checker = _DualChecker(g, k)
+        checker = _AllPairsChecker(g, k)
         undos = []
         for _ in range(40):
             outside = [v for v in range(g.n) if not checker.mask >> v & 1]
@@ -520,6 +520,47 @@ class TestIncrementalChecker:
                 want = _path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
                 assert checker.rows[s] == want, (s, checker.members)
                 assert checker.blind[s] == sum(1 << t for t in range(g.n) if not want[t]), (s, checker.members)
+
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_blind_masks_mirror_zero_rows_across_fresh_copies(self, g, k, seed):
+        """Walks as in the narrowed test above, over a carried checker and
+        fresh() copies of it, each with its own node stack: one time in
+        eight a step starts a copy of a walk's checker (at most four walks),
+        as _first_fit copies the search's; then it picks a walk, which pops
+        back to its parent node one time in five, or when the node has no
+        candidate, else pushes a candidate, early ones likelier, with later
+        the candidates after it, each kept with chance 0.7. After every
+        step, in every walk, blind[s] holds a live t exactly when rows[s][t]
+        reads 0, for every live s, and a walk with no member holds no blind
+        bit at all."""
+        rnd = random.Random(seed)
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        everyone = (1 << g.n) - 1
+        walks = [(_IncrementalChecker(g, k, True), [], [everyone])]
+        for _ in range(60):
+            if len(walks) < 4 and rnd.random() < 1 / 8:
+                walks.append((rnd.choice(walks)[0].fresh(), [], [everyone]))
+            checker, undos, nodes = rnd.choice(walks)
+            cands = [v for v in order if nodes[-1] >> v & 1]
+            if not cands or rnd.random() < 1 / 5:
+                if checker.members:
+                    checker.pop(checker.members[-1], undos.pop())
+                    nodes.pop()
+            else:
+                idx = min(rnd.randrange(len(cands)), rnd.randrange(len(cands)))
+                later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < 0.7)
+                undos.append(checker.push(cands[idx], later))
+                nodes.append(later)
+            for checker, _, nodes in walks:
+                live = checker.mask | nodes[-1]
+                for s in range(g.n):
+                    if live >> s & 1:
+                        zero = sum(1 << t for t in range(g.n) if live >> t & 1 and not checker.rows[s][t])
+                        assert checker.blind[s] & live == zero, (s, checker.members)
+                if not checker.members:
+                    assert not any(checker.blind)
 
     @given(support.graphs(min_n=3, max_n=10), st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -701,14 +742,14 @@ def _grid(rows, cols):
         (lambda: mu_k(_grid(3, 5), 0), (6, 0, [0, 4, 7, 8, 10, 14])),
         (lambda: mu_k(_grid(3, 5), 1), (9, 0, [0, 3, 4, 5, 7, 9, 10, 13, 14])),
         # the 4x5 grid as the search benchmark sends it: the search runs on the convex-path rooms
-        (lambda: mu_k(_grid(4, 5), 1), (12, 324, [0, 1, 4, 6, 7, 9, 10, 12, 14, 15, 17, 18])),
-        (lambda: mu_k(_grid(4, 5), 2), (15, 1295, [1, 2, 3, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19])),
+        (lambda: mu_k(_grid(4, 5), 1), (12, 278, [0, 1, 4, 6, 7, 9, 10, 12, 14, 15, 17, 18])),
+        (lambda: mu_k(_grid(4, 5), 2), (15, 1148, [1, 2, 3, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19])),
         (lambda: mu_k(cycle_graph(9), 1), (5, 0, [2, 3, 6, 7, 8])),
-        (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 128, [2, 3, 4, 5, 6, 8, 9, 11])),
-        (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 23, [0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 0), (8, 116, [2, 3, 4, 5, 6, 8, 9, 11])),
+        (lambda: mu_k(random_connected(14, 0.25, 3), 1), (12, 21, [0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13])),
         # the first-fit start is optimal but under the bound 17, so the search proves it
         (lambda: mu_k(random_connected(24, 0.25, 1), 0),
-         (15, 490, [1, 2, 4, 5, 6, 8, 12, 13, 14, 16, 18, 19, 20, 21, 22])),
+         (15, 134, [1, 2, 4, 5, 6, 8, 12, 13, 14, 16, 18, 19, 20, 21, 22])),
         (lambda: gp_number(random_connected(14, 0.25, 5)), (7, 94, [3, 5, 6, 8, 9, 10, 12])),
         # the retired branch and bound, kept as the tree DP's oracle
         (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 0),
@@ -815,7 +856,7 @@ class TestFirstFitStart:
     [
         (lambda: visibility_polynomial(random_connected(16, 0.2, 2), 1), (9867, 13, 49580)),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL), (190, 7, 193)),
-        (lambda: mu_k(random_connected(24, 0.15, 1), 1), (2275, 20, 2239)),
+        (lambda: mu_k(random_connected(24, 0.15, 1), 1), (966, 20, 930)),
     ],
     ids=["poly-random16-k1", "dual-random18-k0", "mu-random24-k1"],
 )
@@ -938,6 +979,76 @@ class TestSearchPushes:
     def test_dual_cut_fires_on_sparse_graphs(self, seed, k):
         """The check above, on graphs where the cut does fire."""
         assert self.dual_cuts(random_connected(9, 0.2, seed), k)
+
+    @staticmethod
+    def mu_caps(g, k) -> int:
+        """Runs mu_k and checks every cap its bound hook returns. No mutual
+        k-visible set that holds a node's members, and otherwise only
+        candidates from cands[idx:], outgrows the members by more than
+        caps[idx]; the sets are found by enumerating every subset with the
+        oracle. And caps[idx] is at most the clique count of the same greedy
+        cover of cands[idx:] built here from the oracle's blind pairs, each
+        candidate from the back joining the first clique it is blind to in
+        full. The members are those pushed, which at a node with candidates
+        is the whole current set. Returns how many caps that cover held
+        below the candidates left."""
+        dist = support.distance_matrix(g)
+        sets = [sum(1 << v for v in xs) for r in range(g.n + 1) for xs in combinations(range(g.n), r)
+                if support.oracle_mkv_check(g, xs, k, dist)]
+        search = mkvis.solvers._search
+        fired = 0
+
+        def watched(order, fits, push, pop, weight, goal, bound, *args, **kwargs):
+            members = []
+
+            def watched_push(v, later):
+                members.append(v)
+                return push(v, later)
+
+            def watched_pop(v, undo):
+                members.pop()
+                pop(v, undo)
+
+            def watched_bound(cands):
+                nonlocal fired
+                caps = bound(cands)
+                cliques, covers = [], []
+                for i in range(len(cands) - 1, -1, -1):
+                    v = cands[i]
+                    blind = {w for w in cands[i + 1 :] if not support.pair_visible(g, members, v, w, k, dist)}
+                    for clique in cliques:
+                        if clique <= blind:
+                            clique.add(v)
+                            break
+                    else:
+                        cliques.append({v})
+                    covers.append(len(cliques))
+                covers.reverse()
+                held = sum(1 << v for v in members)
+                for idx, cap in enumerate(caps):
+                    may = held | sum(1 << w for w in cands[idx:])
+                    most = max(bin(d).count("1") for d in sets if d & held == held and d | may == may)
+                    assert len(members) + cap >= most, (members, cands, idx)
+                    assert cap <= covers[idx], (members, cands, idx)
+                    fired += covers[idx] < len(cands) - idx
+                return caps
+
+            return search(order, fits, watched_push, watched_pop, weight, goal, watched_bound, *args, **kwargs)
+
+        with mock.patch.object(mkvis.solvers, "_search", watched):
+            res = mu_k(g, k)
+        assert res.value == max(bin(d).count("1") for d in sets)
+        return fired
+
+    @given(support.graphs(min_n=2, max_n=9), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_mu_caps_spare_every_branch_with_a_larger_set(self, g, k):
+        self.mu_caps(g, k)
+
+    @pytest.mark.parametrize("p,seed,k", [(0.2, 0, 0), (0.2, 1, 0), (0.3, 2, 0), (0.2, 3, 1)])
+    def test_clique_cap_fires_on_random_graphs(self, p, seed, k):
+        """The check above, on graphs where the clique cover does cut."""
+        assert self.mu_caps(random_connected(10, p, seed), k)
 
     @given(support.graphs(min_n=9, max_n=10), st.integers(0, 2))
     @settings(max_examples=15, deadline=None)
