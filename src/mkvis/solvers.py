@@ -16,22 +16,22 @@ which are not downward-closed, are searched within the mutual k-visible
 family and accepted one by one. All solvers are desk-scale exhaustive
 searches with configurable size limits and refuse larger inputs.
 
-Feasibility is probed by _IncrementalChecker without a sweep. Every
-ordered solve (mu_k's search and its first-fit passes, mu_k_variant,
-visibility_polynomial and covering.tau_k's parts) builds it carried: it
-holds a geodesic count row for every vertex from the start, and each
-push(v, later) names the vertices that may still join, so it updates only
-the pairs among the members and those, marks in blind masks the pairs that
-read 0 and sweeps no DAG. _search passes a node's candidates after v, the
-first-fit passes and tau_k the vertices after v in their order. mu_k's search then filters those candidates with
-one narrow(v, later, undo) pass over what the push changed, not one fits
-call each. mu_k_variant instead keeps every vertex but v live on each
-push, so every pair's row is exact: total and outer read the pairs that
-touch the complement, and dual reads the pairs inside it to accept a set
-and to cut a branch once two vertices that can no longer join lose sight
-of each other. Only covering.greedy_cover grows sets in no order, so its
-parts sweep the new member's geodesic DAG once per push. gp_number needs
-no counts and reads only the DAGs and interval masks of _GeodesicTables.
+Feasibility is probed by _IncrementalChecker, the one owner of the
+geodesic tables, without a sweep. Every ordered solve (mu_k's search and
+first-fit passes, mu_k_variant, visibility_polynomial and covering.tau_k's
+parts) builds it carried: it holds a count row for every vertex from the
+start, and each push(v, later) names the vertices that may still join, so
+it updates only the pairs among the members and those, marks in blind
+masks the pairs that read 0 and sweeps no DAG. _search passes a node's
+candidates after v, the first-fit passes and tau_k the vertices after v
+in their order. mu_k's search filters those candidates with one
+narrow(v, later, undo) pass over the blind masks and what the push
+changed. mu_k_variant keeps every vertex but v live on each push, so
+every pair is exact: total and outer read the pairs that touch the
+complement, and dual reads the pairs inside it to accept a set and to cut
+a branch once two vertices that can no longer join lose sight of each
+other. Only covering.greedy_cover grows sets in no order, so its parts
+sweep the new member's DAG once per push. gp_number reads only _through.
 """
 
 from __future__ import annotations
@@ -209,60 +209,35 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
     return best, best_set, nodes, sizes
 
 
-class _GeodesicTables:
-    """Geodesic tables of one graph, plus a vertex set held over them.
-
-    Built once per solve: every source's shortest-path DAG and sigma[a][b],
-    the number of a-b geodesics (both from _geodesic_dags), and
-    through[a][v], the bitmask of vertices b such that v lies on some a-b
-    geodesic (v's descendants in a's DAG, v included).
-
-    The held set is a member list plus an int bitmask. push(v, later) adds v
-    and returns what pop(v, undo) needs to take it out again; later is read
-    only by a carried _IncrementalChecker. fresh() gives an empty set over
-    the same tables. gp_number reads these tables and the held set with a
-    test of its own.
-    """
-
-    def __init__(self, g: Graph):
-        n = g.n
-        self.n = n
-        self.dags, self.sigma = _geodesic_dags(g)
-        self.through = []
-        for dag in self.dags:
-            below = [0] * n
-            for u, forward in reversed(dag):
-                bits = 1 << u
-                for w in forward:
-                    bits |= below[w]
-                below[u] = bits
-            self.through.append(below)
-        self.members: list = []
-        self.mask = 0
-
-    def fresh(self):
-        other = copy(self)
-        other.members, other.mask = [], 0
-        return other
-
-    def push(self, v: int, later=None):
-        self.members.append(v)
-        self.mask |= 1 << v
-
-    def pop(self, v: int, undo) -> None:
-        self.members.pop()
-        self.mask ^= 1 << v
+def _through(dags, n: int) -> list:
+    """through[a][v]: the bitmask of vertices b such that v lies on some a-b
+    geodesic, that is, v's descendants in a's DAG, v included."""
+    through = []
+    for dag in dags:
+        below = [0] * n
+        for u, forward in reversed(dag):
+            bits = 1 << u
+            for w in forward:
+                bits |= below[w]
+            below[u] = bits
+        through.append(below)
+    return through
 
 
-class _IncrementalChecker(_GeodesicTables):
+class _IncrementalChecker:
     """Feasibility of growing a mutual k-visible set one vertex at a time.
 
-    Besides the tables it keeps count rows: rows[a][t] is _path_counts from
-    a with the members tracked, so field j counts the a-t geodesics with
-    exactly j members strictly inside, for j <= k'. width and full pack
-    them: width is one bit more than the largest geodesic count of any
-    pair, read off sigma, and full keeps fields 0..k', where
-    k' = min(k, n - 2) since no geodesic has more internal vertices. A pair passes while its vector is nonzero. fits(v)
+    Built once per solve, it owns the geodesic tables: each source's
+    shortest-path DAG and sigma[a][b], the number of a-b geodesics (from
+    _geodesic_dags), and _through's masks. It holds a member list and its
+    bitmask, mask; push(v, later) adds v and returns what pop(v, undo) needs
+    to take it out again, and fresh() gives an empty set over the tables.
+    rows[a][t] is _path_counts from a with the members tracked, so field j
+    counts the a-t geodesics with exactly j members strictly inside, for
+    j <= k'. width and full pack them: width is one bit more than the
+    largest geodesic count of any pair, read off sigma, and full keeps
+    fields 0..k', where k' = min(k, n - 2) since no geodesic has more
+    internal vertices. A pair passes while its vector is nonzero. fits(v)
     assumes the members are already mutual k-visible (true when the set
     only ever grows by a v that fits) and sweeps nothing:
 
@@ -290,75 +265,78 @@ class _IncrementalChecker(_GeodesicTables):
     so pop(v, undo) restores them and nothing outlives the pop; a caller
     that never pops drops them at once.
 
-    With it (every ordered solve) every vertex has a row from the start,
-    its sigma row (the geodesic counts with nothing tracked), and no push
-    sweeps.
-    Then fits and every later push read only pairs inside the live set, the
-    members plus later, a bitmask of vertices other than v that holds every
-    vertex a later fits or push names, so rows[s][t] is kept correct only
-    for s and t both live. _search passes its node's candidates after v,
-    and the first-fit passes and tau_k the vertices after v in their order.
-    _AllPairsChecker passes every vertex but v, so every pair stays exact
-    in any push order. push(v, later) applies the update above to each pair
-    {s, t} of the live set with t in through[s][v], in both orientations,
-    and returns the old values for pop. A pair that drops out of the live
-    set keeps its old value, which is right again once v is popped. A
-    carried checker also keeps between[s][t], the bitmask of vertices on
-    some s-t geodesic (t's ancestors in s's DAG, s and t included), and
-    blind[s], the bitmask of the t whose pair with s reads 0: push sets the
-    bits of each pair it zeroes, and pop clears them before it restores the
-    old value. Like the rows, the bits are right for pairs inside the live
-    set: a node's candidates were live at every push on its path, so
-    mu_k's bound reads their pairs off blind. Only a carried checker keeps
-    sigma and blind, and fresh() gives each copy its own blind list.
+    With it (every ordered solve) every vertex has a row from the start, its
+    sigma row (the geodesic counts with nothing tracked), and no push
+    sweeps. Then fits and every later push read only pairs inside the live
+    set, the members plus later, a bitmask of vertices other than v that
+    holds every vertex a later fits or push names, so rows[s][t] is kept
+    correct only for s and t both live. _search passes its node's candidates
+    after v, and the first-fit passes and tau_k the vertices after v in
+    their order. _AllPairsChecker passes every vertex but v, so every pair
+    stays exact in any push order. push(v, later) applies the update above
+    to each pair {s, t} of the live set with t in through[s][v], in both
+    orientations, and returns the old values for pop. A pair that drops out
+    of the live set keeps its old value, which is right again once v is
+    popped. A carried checker also keeps between[s][t], the bitmask of
+    vertices on some s-t geodesic (t's ancestors in s's DAG, s and t
+    included), inside[v], the sources s with v strictly inside some s-t
+    geodesic, and blind[s], the bitmask of the t whose pair with s reads 0:
+    push sets the bits of each pair it zeroes, and pop clears them before it
+    restores the old value. Like the rows, the bits are right for pairs
+    inside the live set: a node's candidates were live at every push on its
+    path, so mu_k's bound and narrow read their pairs off blind. Only a
+    carried checker keeps sigma and blind, and fresh() gives each copy its
+    own blind list.
 
     narrow(v, later, undo) answers fits for all of later at once, right
-    after push(v, later) on a carried checker, from the pairs that push
-    changed, v's new pairs and between.
+    after push(v, later) on a carried checker, from the blind masks, the
+    member pairs that push changed, v's new pairs and between.
 
     Memory on top of through: packed ints of at most (k' + 1) * width bits
     each (an int holds only the bits up to its top nonzero field), n per
     member without carried, so n^2 once all n vertices are members, as they
     are across greedy_cover's parts; n^2 per carried checker, which also
-    keeps sigma and between, n^2 masks of n bits like through, and blind, n
-    masks.
+    keeps sigma and between, n^2 masks of n bits like through, and inside
+    and blind, n masks each.
     """
 
     def __init__(self, g: Graph, k: int, carried: bool = False):
-        super().__init__(g)
-        n = self.n
+        n = self.n = g.n
         self.k = k
         self.carried = carried
+        self.dags, self.sigma = _geodesic_dags(g)
+        self.through = _through(self.dags, n)
         self.width = max((max(row) for row in self.sigma), default=1).bit_length() + 1
         self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
         self.low = self.full >> self.width  # the fields below k'
         if carried:
-            self.blind = [0] * n
+            self.inside = [0] * n
             self.between = []
-            for dag in self.dags:
+            for s, dag in enumerate(self.dags):
                 above = [0] * n
                 for u, forward in dag:
                     bits = above[u] | 1 << u
                     above[u] = bits
+                    if forward and u != s:
+                        self.inside[u] |= 1 << s
                     for w in forward:
                         above[w] |= bits
                 self.between.append(above)
-            # inside[v]: the sources s with v strictly inside some s-t geodesic
-            self.inside = [sum(1 << s for s, below in enumerate(self.through) if s != v and below[v] != 1 << v)
-                           for v in range(n)]
         else:
             self.sigma = self.between = self.blind = None
-        self.rows = self._empty_rows()
+        self._empty()
 
-    def _empty_rows(self) -> list:
-        """The rows of the empty set: sigma when carried, else none."""
-        return [row[:] for row in self.sigma] if self.carried else [None] * self.n
+    def _empty(self) -> None:
+        """Hold the empty set, with rows from sigma when carried."""
+        self.members, self.mask = [], 0
+        if self.carried:
+            self.rows, self.blind = [row[:] for row in self.sigma], [0] * self.n
+        else:
+            self.rows = [None] * self.n
 
     def fresh(self):
-        other = super().fresh()
-        other.rows = self._empty_rows()
-        if self.carried:
-            other.blind = [0] * self.n
+        other = copy(self)
+        other._empty()
         return other
 
     def push(self, v: int, later=None):
@@ -390,7 +368,8 @@ class _IncrementalChecker(_GeodesicTables):
                         blind[s] |= bit
                         blind[t] |= sbit
                     undo.append((s, t, old))
-        super().push(v)
+        self.members.append(v)
+        self.mask |= 1 << v
         return undo
 
     def _sweep_push(self, v: int):
@@ -415,7 +394,8 @@ class _IncrementalChecker(_GeodesicTables):
             rows[a] = row
             undo.append((a, old))
         rows[v] = vrow
-        super().push(v)
+        self.members.append(v)
+        self.mask |= 1 << v
         return undo
 
     def pop(self, v: int, undo) -> None:
@@ -432,7 +412,8 @@ class _IncrementalChecker(_GeodesicTables):
                     blind[s] ^= 1 << t
                     blind[t] ^= 1 << s
                 row[t] = rows[t][s] = old
-        super().pop(v, undo)
+        self.members.pop()
+        self.mask ^= 1 << v
 
     def fits(self, v: int) -> bool:
         """v is not a member."""
@@ -462,36 +443,23 @@ class _IncrementalChecker(_GeodesicTables):
     def narrow(self, v: int, later: int, undo) -> int:
         """The bits of later that still fit once v is pushed, given what
         push(v, later) returned; each w in later must have fit the members
-        before v. Counts only grow, so w now fails only if (a) the new pair
-        (v, w) reads 0, (b) a member-candidate pair in undo reads 0, or (c)
-        a member pair in undo, or a new pair (v, q), has all its counted
-        geodesics through w: fits' test, for the w in between[a][q]. A
-        member pair the push left unchanged keeps its verdict: were v on an
-        a-w-q geodesic with at most k' members inside, the push would have
-        changed rows[a][q]."""
+        before v. Counts only grow, so w now fails only if its pair with a
+        member, v included, reads 0, as blind tells (w and the member were
+        live at every push on the path), or if a member pair in undo, or a
+        new pair (v, q), has all its counted geodesics through w: fits'
+        test, for the w in between[a][q]. A member pair the push left
+        unchanged keeps its verdict: were v on an a-w-q geodesic with at
+        most k' members inside, the push would have changed rows[a][q]."""
         members = self.members
         if len(members) + 1 <= self.k + 2:
             return later
-        rows, mask, full, low = self.rows, self.mask, self.full, self.low
+        rows, mask, full, low, between = self.rows, self.mask, self.full, self.low, self.between
         keep = later
-        vrow = rows[v]
-        bits = later
-        while bits:  # (a)
-            bit = bits & -bits
-            bits ^= bit
-            if not vrow[bit.bit_length() - 1]:
-                keep ^= bit
+        for a in members:
+            keep &= ~self.blind[a]
         pairs = [(v, q) for q in members[:-1]]  # v is the last member
-        for s, t, _ in undo:
-            if mask >> s & 1:
-                if mask >> t & 1:
-                    pairs.append((s, t))
-                elif keep >> t & 1 and not rows[s][t]:  # (b)
-                    keep ^= 1 << t
-            elif mask >> t & 1 and keep >> s & 1 and not rows[s][t]:  # (b)
-                keep ^= 1 << s
-        between = self.between
-        for a, q in pairs:  # (c)
+        pairs += [(s, t) for s, t, _ in undo if mask >> s & 1 and mask >> t & 1]
+        for a, q in pairs:
             c = rows[a][q]
             if c & low:
                 continue
@@ -510,9 +478,9 @@ class _AllPairsChecker(_IncrementalChecker):
     """A carried checker whose every push keeps all vertices but v live, so
     rows[s][t] is exact for every pair of vertices, members or not, in any
     push order. (v's own pairs keep their counts, since an end is never
-    inside; were v live, the push would shift them.) mu_k_variant reads the
-    rows to test the pairs that touch the complement of the held set, and
-    dual reads the blind masks of the pairs inside it."""
+    inside; were v live, the push would shift them.) So are the blind
+    masks: outer reads v's new pairs off them, and dual the pairs inside
+    the complement of the held set."""
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g, k, True)
@@ -771,7 +739,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     if n == 0:
         return SolveResult(0, frozenset(), 0)
     checker = _AllPairsChecker(g, k)
-    rows, everyone = checker.rows, (1 << n) - 1
+    blind, everyone = checker.blind, (1 << n) - 1
     bound = accept = narrow = None
     if variant == TOTAL:
         def fits(v) -> bool:
@@ -779,10 +747,10 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
             return not checker.breaks(v, others, others)
     elif variant == OUTER:
         def fits(v) -> bool:
-            # the pairs from v are new; rows[v][v] is 1
-            return all(rows[v]) and not checker.breaks(v, checker.mask, everyone ^ 1 << v)
+            # the pairs from v are new, and every pair is exact
+            return not blind[v] and not checker.breaks(v, checker.mask, everyone ^ 1 << v)
     else:
-        fits, narrow, blind = checker.fits, checker.narrow, checker.blind
+        fits, narrow = checker.fits, checker.narrow
 
         def accept(current) -> bool:
             out = everyone
@@ -827,15 +795,24 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    checker = _GeodesicTables(g)
-    through = checker.through
+    through = _through(_geodesic_dags(g)[0], n)
+    members, mask = [], 0
 
     def placeable(v) -> bool:
         """No member is strictly between v and a member, nor v between two."""
-        mask = checker.mask
-        return all(not through[a][v] & mask and through[v][a] & mask == 1 << a for a in checker.members)
+        return all(not through[a][v] & mask and through[v][a] & mask == 1 << a for a in members)
 
-    best, best_set, nodes, _ = _search(order, placeable, checker.push, checker.pop, [1] * n, n)
+    def push(v, later) -> None:
+        nonlocal mask
+        members.append(v)
+        mask |= 1 << v
+
+    def pop(v, undo) -> None:
+        nonlocal mask
+        members.pop()
+        mask ^= 1 << v
+
+    best, best_set, nodes, _ = _search(order, placeable, push, pop, [1] * n, n)
     return SolveResult(best, best_set, nodes)
 
 

@@ -600,6 +600,39 @@ class TestIncrementalChecker:
                     assert (w in want) == support.oracle_mkv_check(g, checker.members + [w], k, dist)
             nodes.append(keep)
 
+    @pytest.mark.parametrize("g", [random_connected(9, 0.3, 1), random_connected(13, 0.25, 2),
+                                   random_connected(17, 0.2, 3), build_graph(12, [(i, i + 1) for i in range(11)]),
+                                   build_graph(12, [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+                                               + [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)])],
+                             ids=["random9", "random13", "random17", "path12", "grid3x4"])
+    def test_interval_tables_match_distances(self, g):
+        """A carried checker's inside[v] holds exactly the sources s != v
+        with v strictly inside some s-t geodesic, through[s][v] the t with v
+        on an s-t geodesic and between[s][t] the v on one, all read from
+        Floyd-Warshall distances; gp_number builds the same through."""
+        n = g.n
+        dist = support.distance_matrix(g)
+        checker = _IncrementalChecker(g, 1, True)
+        for v in range(n):
+            assert checker.inside[v] == sum(
+                1 << s for s in range(n)
+                if s != v and any(t != v and dist[s][v] + dist[v][t] == dist[s][t] for t in range(n)))
+        for s in range(n):
+            for t in range(n):
+                for v in range(n):
+                    on = dist[s][v] + dist[v][t] == dist[s][t]
+                    assert checker.between[s][t] >> v & 1 == checker.through[s][v] >> t & 1 == on
+        built = []
+        through = mkvis.solvers._through
+
+        def recording(dags, n):
+            built.append(through(dags, n))
+            return built[-1]
+
+        with mock.patch.object(mkvis.solvers, "_through", recording):
+            gp_number(g)
+        assert built == [checker.through]
+
     def test_diamond_chain_counts_past_64_bits(self):
         """70 diamonds in a row: 2^70 geodesics between the end hubs, so a
         field needs 72 bits and the packed ints exceed machine words."""
@@ -879,6 +912,23 @@ def test_push_count_is_pinned(solve, want):
         assert (len(pushes), res.degree(), sum(res.coefficients)) == want
     else:
         assert (len(pushes), res.value, res.nodes_explored) == want
+
+
+def test_module_globals_the_benchmark_tracer_rebinds():
+    """The benchmark's tracer reads and rebinds module globals by name:
+    solvers' all_pairs_distances and metric_summary, cli's is_block_graph,
+    and kernel.bfs_mkv, which every sweep of check_variant resolves. Its
+    search workload needs kernel sweeps, and only dual's witness check
+    makes them."""
+    import mkvis.cli
+    import mkvis.graphs
+    import mkvis.kernel
+    assert mkvis.solvers.all_pairs_distances is mkvis.graphs.all_pairs_distances
+    assert mkvis.solvers.metric_summary is mkvis.graphs.metric_summary
+    assert mkvis.cli.is_block_graph is mkvis.blocks.is_block_graph
+    with mock.patch.object(mkvis.kernel, "bfs_mkv", wraps=mkvis.kernel.bfs_mkv) as sweep:
+        mu_k_variant(random_connected(10, 0.3, 1), 0, DUAL)
+    assert sweep.call_count > 0
 
 
 class TestSearchPushes:
