@@ -22,16 +22,18 @@ first-fit passes, mu_k_variant, visibility_polynomial and covering.tau_k's
 parts) builds it carried: it holds a count row for every vertex from the
 start, and each push(v, later) names the vertices that may still join, so
 it updates only the pairs among the members and those, marks in blind
-masks the pairs that read 0 and sweeps no DAG. _search passes a node's
-candidates after v, the first-fit passes and tau_k the vertices after v
-in their order. mu_k's search filters those candidates with one
-narrow(v, later, undo) pass over the blind masks and what the push
-changed. mu_k_variant keeps every vertex but v live on each push, so
-every pair is exact: total and outer read the pairs that touch the
-complement, and dual reads the pairs inside it to accept a set and to cut
-a branch once two vertices that can no longer join lose sight of each
-other. Only covering.greedy_cover grows sets in no order, so its parts
-sweep the new member's DAG once per push. gp_number reads only _through.
+masks the pairs that read 0 and sweeps no DAG. fits reads v's new pairs
+off those masks and hands the member pairs to breaks, the one test of a
+pair that v's joining would zero. _search passes a node's candidates after
+v, the first-fit passes and tau_k the vertices after v in their order.
+mu_k's search filters those candidates with one narrow(v, later, undo)
+pass over the blind masks and what the push changed. mu_k_variant keeps
+every vertex but v live on each push, so every pair is exact: total and
+outer read the pairs that touch the complement with breaks, and dual reads
+the pairs inside it to accept a set and to cut a branch once two vertices
+that can no longer join lose sight of each other. Only
+covering.greedy_cover grows sets in no order, so its parts sweep the new
+member's DAG once per push. gp_number reads only _through.
 """
 
 from __future__ import annotations
@@ -241,8 +243,8 @@ class _IncrementalChecker:
     assumes the members are already mutual k-visible (true when the set
     only ever grows by a v that fits) and sweeps nothing:
 
-    - a new pair (q, v) keeps its geodesics' counts, so it passes iff
-      rows[q][v] != 0;
+    - a new pair (q, v) keeps its geodesics' counts, so it passes iff it
+      reads nonzero: off blind[v] & mask when carried, else rows[q][v];
     - an old pair (a, q) changes only if v is on one of its geodesics, that
       is, q in through[a][v]. Then T = rows[a][v] * rows[q][v] & full counts
       the a-q geodesics through v by members inside (the product of two
@@ -253,7 +255,8 @@ class _IncrementalChecker:
 
       new is zero iff every geodesic with at most k members inside has
       exactly k and passes through v: rows[a][q] == T with no field below
-      k'. The test reads it that way.
+      k'. breaks(v, mask, mask) tests the member pairs that way, and total,
+      outer and dual call breaks on pairs of their own.
 
     How push(v, later) keeps the rows depends on carried.
 
@@ -284,9 +287,9 @@ class _IncrementalChecker:
     push sets the bits of each pair it zeroes, and pop clears them before it
     restores the old value. Like the rows, the bits are right for pairs
     inside the live set: a node's candidates were live at every push on its
-    path, so mu_k's bound and narrow read their pairs off blind. Only a
-    carried checker keeps sigma and blind, and fresh() gives each copy its
-    own blind list.
+    path, so fits, mu_k's bound and narrow read their pairs off blind. Only
+    a carried checker keeps sigma, inside and blind, and fresh() gives each
+    copy its own blind list.
 
     narrow(v, later, undo) answers fits for all of later at once, right
     after push(v, later) on a carried checker, from the blind masks, the
@@ -323,7 +326,7 @@ class _IncrementalChecker:
                         above[w] |= bits
                 self.between.append(above)
         else:
-            self.sigma = self.between = self.blind = None
+            self.sigma = self.between = self.inside = self.blind = None
         self._empty()
 
     def _empty(self) -> None:
@@ -416,29 +419,48 @@ class _IncrementalChecker:
         self.mask ^= 1 << v
 
     def fits(self, v: int) -> bool:
-        """v is not a member."""
-        current = self.members
-        if len(current) + 1 <= self.k + 2:
+        """v is not a member and, when carried, is live."""
+        mask = self.mask
+        if len(self.members) + 1 <= self.k + 2:
             return True  # a geodesic holds at most |X|-2 internal members
-        rows = self.rows
-        for q in current:
-            if not rows[q][v]:
-                return False
-        through, mask, full, low = self.through, self.mask, self.full, self.low
-        for a in current:
-            inner = through[a][v] & mask & -(2 << a)  # each pair once, from its smaller end
-            if not inner:
-                continue
-            row = rows[a]
-            av = row[v]
+        if not self.carried:
+            rows = self.rows
+            for q in self.members:
+                if not rows[q][v]:
+                    return False
+        elif self.blind[v] & mask:
+            return False
+        return not self.breaks(v, mask, mask)
+
+    def breaks(self, v: int, sources: int, targets: int) -> bool:
+        """Some pair (s, t), s in sources, t in targets and neither of them
+        v, would read 0 were v a member, given that none does now: all its
+        counted geodesics run through v and none has fewer than k' members
+        inside. sources must lie within targets, so each pair is tested
+        once, from its first end in sources. rows[s] and rows[t] must be
+        exact at t and v: members s and t in any checker, live s, t and v in
+        a carried one, all in _AllPairsChecker."""
+        rows, through, full, low = self.rows, self.through, self.full, self.low
+        if self.inside is not None:
+            sources &= self.inside[v]
+        while sources:
+            bit = sources & -sources
+            sources ^= bit
+            targets &= ~bit  # the pairs of s are all tested below
+            s = bit.bit_length() - 1
+            row = rows[s]
+            sv = row[v]
+            if not sv:
+                continue  # no counted geodesic runs through v
+            inner = through[s][v] & targets
             while inner:
                 bit = inner & -inner
                 inner ^= bit
-                q = bit.bit_length() - 1
-                c = row[q]
-                if not c & low and c == av * rows[q][v] & full:
-                    return False
-        return True
+                t = bit.bit_length() - 1
+                c = row[t]
+                if not c & low and c == sv * rows[t][v] & full:
+                    return True
+        return False
 
     def narrow(self, v: int, later: int, undo) -> int:
         """The bits of later that still fit once v is pushed, given what
@@ -476,11 +498,8 @@ class _IncrementalChecker:
 
 class _AllPairsChecker(_IncrementalChecker):
     """A carried checker whose every push keeps all vertices but v live, so
-    rows[s][t] is exact for every pair of vertices, members or not, in any
-    push order. (v's own pairs keep their counts, since an end is never
-    inside; were v live, the push would shift them.) So are the blind
-    masks: outer reads v's new pairs off them, and dual the pairs inside
-    the complement of the held set."""
+    every pair's row and blind bit is exact in any push order; sighted
+    reads the blind masks of the pairs inside a set."""
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g, k, True)
@@ -488,33 +507,6 @@ class _AllPairsChecker(_IncrementalChecker):
     def push(self, v: int, later=None):
         """later is ignored: every vertex but v is live."""
         return super().push(v, (1 << self.n) - 1 ^ 1 << v)
-
-    def breaks(self, v: int, sources: int, targets: int) -> bool:
-        """Some pair (s, t), s in sources and t in targets, neither of them
-        v, would read 0 were v a member, given that none reads 0 now; each
-        pair is tested once, by fits' test: all its counted geodesics run
-        through v and none has fewer than k' members inside."""
-        rows, through, full, low = self.rows, self.through, self.full, self.low
-        vrow = rows[v]
-        sources &= self.inside[v]
-        while sources:
-            bit = sources & -sources
-            sources ^= bit
-            targets &= ~bit  # the pairs of s are all tested below
-            s = bit.bit_length() - 1
-            row = rows[s]
-            sv = row[v]
-            if not sv:
-                continue  # no counted geodesic runs through v
-            inner = through[s][v] & targets
-            while inner:
-                bit = inner & -inner
-                inner ^= bit
-                t = bit.bit_length() - 1
-                c = row[t]
-                if not c & low and c == sv * vrow[t] & full:
-                    return True
-        return False
 
     def sighted(self, out: int) -> bool:
         """No pair inside the bitmask out reads 0."""
@@ -717,7 +709,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     that reads the rows of the pairs that can change: adding v changes only
     pairs with v strictly inside one of their geodesics, that is, pairs
     (s, t) with t in through[s][v] and s, t != v, and such a pair fails by
-    the checker's own test. Total tests every such pair; outer tests those
+    the checker's breaks. Total tests every such pair; outer tests those
     with a member end, once v sees every vertex, since v's pairs are new.
 
     Dual is not downward-closed: dropping x adds every pair (x, c) with c

@@ -521,6 +521,42 @@ class TestIncrementalChecker:
                 assert checker.rows[s] == want, (s, checker.members)
                 assert checker.blind[s] == sum(1 << t for t in range(g.n) if not want[t]), (s, checker.members)
 
+    @given(support.graphs(min_n=3, max_n=9), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_breaks_matches_a_rebuild(self, g, k, seed):
+        """A swept checker and an _AllPairsChecker each grow a set by fits
+        in a random order drawn from seed. After every push, for every
+        non-member v and three random draws of targets T and sources S
+        within T, as every caller passes them, breaks(v, S, T) must be true
+        exactly when some pair (s, t), s in S, t in T and s != t, reads 0 in
+        counts rebuilt with v a member. The swept checker draws T among the
+        members; the all-pair checker among all vertices but v, skipping
+        draws where a pair of S x T reads 0 already."""
+        rnd = random.Random(seed)
+        n = g.n
+        for checker in (_IncrementalChecker(g, k), _AllPairsChecker(g, k)):
+            order = list(range(n))
+            rnd.shuffle(order)
+            for u in order:
+                if not checker.fits(u):
+                    continue
+                checker.push(u)
+                for v in range(n):
+                    if checker.mask >> v & 1:
+                        continue
+                    pool = (1 << n) - 1 ^ 1 << v if checker.carried else checker.mask
+                    rebuilt = [_path_counts(checker.dags[s], checker.mask | 1 << v, n, checker.width, checker.full)
+                               for s in range(n)]
+                    for _ in range(3):
+                        targets = sum(1 << w for w in range(n) if pool >> w & 1 and rnd.random() < 0.7)
+                        sources = sum(1 << w for w in range(n) if targets >> w & 1 and rnd.random() < 0.7)
+                        pairs = [(s, t) for s in range(n) for t in range(n)
+                                 if s != t and sources >> s & 1 and targets >> t & 1]
+                        if any(not checker.rows[s][t] for s, t in pairs):
+                            continue
+                        want = any(not rebuilt[s][t] for s, t in pairs)
+                        assert checker.breaks(v, sources, targets) == want, (v, sources, targets, checker.members)
+
     @given(support.graphs(min_n=2, max_n=8), st.integers(0, 2), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_blind_masks_mirror_zero_rows_across_fresh_copies(self, g, k, seed):
