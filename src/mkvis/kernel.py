@@ -16,7 +16,7 @@ does) sees their sweeps.
 
 mkv_check validates the set once and then does only the BFS work its pairs
 need, which keeps the MkV bound O(|S|(|V| + |E|) + |S|^2) and cuts the
-constant three ways:
+constant four ways:
 
 - peel: _peel drops, repeatedly, every non-member of degree at most 1. Such
   a vertex lies inside no geodesic between two other vertices, so the
@@ -29,6 +29,10 @@ constant three ways:
 - settle: pair counts are symmetric, so the sweep from v owes only the
   members after v in sorted order. It stops once the last of them is
   discovered and its level is complete, and the last member does not sweep.
+- stop: a member of degree at most 1 after the peel lies inside no
+  geodesic. When the members of higher degree can put at most k inside any
+  pair's geodesic, the check passes once the first member's sweep has found
+  every member in its component.
 
 Pairs are still read in lexicographic order, so the offending pair reported
 is the first (v, q), v < q, over k. ops counts every adjacency step the
@@ -364,12 +368,23 @@ class CheckReport:
 def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckReport:
     """Decide whether s is a mutual k-visible set of g.
 
-    Peels, shares rows between twins and settles each sweep early, as the
-    module docstring describes. Members in different components fail with a
-    structured reason instead of an infinite count: the first member's sweep
-    finds them. With collect_pair_counts the full matrix of pairwise
-    minimum internal counts is attached and no early exit happens; it is
-    refused above MAX_PAIR_COUNT_MEMBERS members.
+    Peels, shares rows between twins, settles each sweep early and stops,
+    as the module docstring describes. Members in different components fail
+    with a structured reason instead of an infinite count: the first
+    member's sweep finds them.
+
+    The stop: a vertex strictly inside a path has two neighbours on it, so a
+    member of degree at most 1 after the peel (which changes no geodesic
+    between the vertices left) lies inside none. With inner members of
+    higher degree and leaves = |S| - inner, the geodesics of a pair (v, q)
+    hold only inner members other than v and q, at most
+    inner - max(0, 2 - leaves) of them. Once that cap is at most k every
+    pair passes, which covers |S| <= k + 2, and the check returns after the
+    first member's sweep and its pair reads.
+
+    With collect_pair_counts the full matrix of pairwise minimum internal
+    counts is attached and no early exit happens; it is refused above
+    MAX_PAIR_COUNT_MEMBERS members.
     """
     _check_tolerance(k)
     members = sorted(check_vertex_set(g, s))
@@ -382,6 +397,8 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     adj, ops = _peel(g.adj, in_s)
     rep, last, steps = _twin_classes(adj, members)
     ops += steps
+    inner = sum(len(adj[v]) > 1 for v in members)
+    cap = inner - max(0, 2 - (len(members) - inner))
     rows = {}  # a class representative's count row, while a later twin needs it
     offending = offending_count = None
     for i, v in enumerate(members[:-1]):  # the last member owes no pair
@@ -394,6 +411,8 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
                 q = next((q for q in later if dist[q] is None), None)
                 if q is not None:
                     return CheckReport(False, k, offending_pair=(v, q), reason=REASON_DISCONNECTED, ops=ops)
+                if cap <= k and not collect_pair_counts:
+                    return CheckReport(True, k, ops=ops + len(later))
             if last[v] != v:
                 rows[v] = cnt
         else:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,16 @@ class TestMinInternalCount:
 
 
 @st.composite
+def tree_plus_edges(draw):
+    """A random tree on 2 to 11 vertices with up to 3 extra edges."""
+    n = draw(st.integers(2, 11))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    edges |= {(min(u, w), max(u, w)) for u, w in extra if u != w}
+    return build_graph(n, sorted(edges))
+
+
+@st.composite
 def twin_rich_graph_and_set(draw):
     """A graph rich in twins and leaves, with a vertex set drawn from it: a
     block graph (a block's vertices that are no cut vertex are closed twins),
@@ -184,11 +195,7 @@ def twin_rich_graph_and_set(draw):
         a, b = draw(st.integers(1, 4)), draw(st.integers(1, 5))
         g = build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     else:
-        n = draw(st.integers(2, 11))
-        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
-        edges |= {(min(u, w), max(u, w)) for u, w in extra if u != w}
-        g = build_graph(n, sorted(edges))
+        g = draw(tree_plus_edges())
     members = draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     return g, members
 
@@ -245,7 +252,7 @@ class TestMkvCheck:
         monkeypatch.setattr(kernel, "check_vertex_set", counting)
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
         assert len(calls) == 1
-        assert rep.verdict and rep.ops == 185  # worked out in TestCheckOps.test_cycle
+        assert rep.verdict and rep.ops == 12 + 12 + 34 + 5  # worked out in TestCheckOps.test_cycle
 
     @given(twin_rich_graph_and_set(), st.integers(0, 3), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -298,10 +305,15 @@ class TestCheckOps:
     lies) and one step per member pair."""
 
     def test_cycle(self):
-        # nothing to peel (12) or share (6 * 2); 0, 2 and 4 settle at level 6
-        # (12 + 11 * 2 each), 6 at level 4 (12 + 7 * 2), 8 at level 2 (12 + 3 * 2),
-        # and 10 does not sweep; 15 pairs
+        # nothing to peel (12) or share (6 * 2); no member has degree 1, so a
+        # geodesic holds at most 6 - 2 = 4 members inside. At k = 11 the check
+        # stops after 0 settles 6 at level 6 (12 + 11 * 2) and reads its 5 pairs
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
+        assert rep.verdict and rep.ops == 12 + 12 + 34 + 5
+        # at k = 2 the cap 4 does not hold: 0, 2 and 4 settle at level 6 (12 + 11 * 2
+        # each), 6 at level 4 (12 + 7 * 2), 8 at level 2 (12 + 3 * 2), and 10 does
+        # not sweep; 15 pairs
+        rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 2)
         assert rep.verdict and rep.ops == 12 + 12 + 3 * 34 + 26 + 18 + 15
 
     def test_path_with_pendant_trees(self):
@@ -309,9 +321,10 @@ class TestCheckOps:
         g = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (5, 7), (3, 8)])
         # peel 6, 7, 8 and then 5 (9 + 1 + 1 + 1 + 3), rebuild the lists of 1 and 3 (3 + 3);
         # twin keys 1 + 2 + 1; on the path that is left, 0 settles 4 at level 4
-        # (9 + 1 + 2 + 2 + 2) and 2 settles 4 at level 2 (9 + 2 + 2 + 2); 3 pairs
+        # (9 + 1 + 2 + 2 + 2). There 0 and 4 have degree 1, so only 2 can lie
+        # inside a geodesic: at k = 1 the check stops after 0's 2 pairs
         rep = mkv_check(g, {0, 2, 4}, 1)
-        assert rep.verdict and rep.ops == 21 + 4 + 16 + 15 + 3
+        assert rep.verdict and rep.ops == 21 + 4 + 16 + 2
         # at k = 0 the pair (0, 4) fails on 0's row, before 2 sweeps
         rep = mkv_check(g, {0, 2, 4}, 0)
         assert (rep.verdict, rep.offending_pair, rep.offending_count) == (False, (0, 4), 1)
@@ -410,6 +423,30 @@ def loose_graph_and_set(draw, max_n=9):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     members = draw(st.sets(st.integers(0, n - 1), max_size=n))
     return build_graph(n, edges), members
+
+
+@st.composite
+def leafy_graph_and_set(draw):
+    """A tree plus a few edges, or a graph that may be disconnected, with a
+    set drawn mostly from its degree-1 vertices plus 0 to 3 others."""
+    g = draw(tree_plus_edges() | loose_graph_and_set().map(lambda gs: gs[0]))
+    leaves = [v for v in range(g.n) if len(g.adj[v]) == 1]
+    members = set(draw(st.lists(st.sampled_from(leaves), unique=True))) if leaves else set()
+    return g, members | draw(st.sets(st.integers(0, g.n - 1), max_size=3))
+
+
+def _peeled_degrees(g, members):
+    """Each member's degree once non-members of degree at most 1 have been
+    dropped, again and again, until none is left."""
+    nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+    drop = [v for v in nbrs if v not in members and len(nbrs[v]) <= 1]
+    while drop:
+        v = drop.pop()
+        for w in nbrs.pop(v):
+            nbrs[w].discard(v)
+            if w not in members and len(nbrs[w]) == 1:
+                drop.append(w)
+    return {v: len(nbrs[v]) for v in members}
 
 
 def _expected_check(g, s, k, collect):
@@ -536,6 +573,37 @@ class TestLeanKernel:
                 rep = check_variant(g, x, k, variant)
                 assert rep == _expected_variant(g, x, k, variant), (variant, k)
                 assert rep.verdict == support.oracle_variant_check(g, x, k, variant), (variant, k)
+
+
+class TestLeafExit:
+    """mkv_check passes after its first sweep once at most k members can lie
+    inside a geodesic: the members of degree at least 2 after the peel, less
+    one for each endpoint that must be one of them."""
+
+    @given(leafy_graph_and_set(), st.integers(0, 4), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration_with_one_sweep_under_the_cap(self, gs, k, collect):
+        g, s = gs
+        with mock.patch.object(kernel, "_count_bfs", wraps=kernel._count_bfs) as sweeps:
+            rep = mkv_check(g, s, k, collect_pair_counts=collect)
+        assert dataclasses.replace(rep, ops=0) == _expected_check(g, s, k, collect)
+        assert rep.ops <= _ops_bound(g, s)
+        inner = sum(d > 1 for d in _peeled_degrees(g, s).values())
+        if len(s) > 1 and not collect and inner - max(0, 2 - (len(s) - inner)) <= k:
+            assert sweeps.call_count == 1
+
+    @given(leafy_graph_and_set())
+    @settings(max_examples=150, deadline=None)
+    def test_leaves_lie_inside_no_geodesic(self, gs):
+        g, s = gs
+        adj, _ = kernel._peel(g.adj, kernel._membership(g.n, s))
+        dist = support.distance_matrix(g)
+        for v in s:
+            if len(adj[v]) <= 1:
+                others = sorted(s - {v})
+                for i, u in enumerate(others):
+                    for w in others[i + 1:]:
+                        assert all(v not in p[1:-1] for p in support.all_geodesics(g, u, w, dist)), (v, u, w)
 
 
 class TestOracle:
