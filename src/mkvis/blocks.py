@@ -1,7 +1,9 @@
 """Block-cutpoint structure and mutual k-visibility on block graphs.
 
 A block graph is a connected graph whose blocks (maximal 2-connected
-subgraphs, including bridges) are all cliques. Its block-cutpoint tree has a
+subgraphs, including bridges) are all cliques; block_decomposition finds
+the blocks by one depth-first search that cuts each block off a stack of
+discovered vertices as it closes. The block-cutpoint tree has a
 node per articulation vertex and per block; a subset Z of tree nodes is
 k-admissible when no tree path between two Z-nodes passes through more than k
 selected articulation nodes. Expanding a k-admissible Z (all non-cut vertices
@@ -12,7 +14,8 @@ block-cut tree with a pendant leaf on every block node: a cut node stands
 for itself, a block node for its leaf, and Z is k-admissible exactly when
 these vertices are mutual k-visible there. Admissibility then only limits
 how many chosen vertices lie inside each tree path, so the heaviest such
-set comes from a linear post-order DP over the tree, not a search.
+set comes from a linear post-order DP over the tree, not a search, whose
+table entries carry their own members.
 """
 
 from __future__ import annotations
@@ -71,23 +74,31 @@ class BlockCutTree:
         self.n = n
         self.articulation = frozenset(articulation)
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
-        cut_nodes = tuple(cut_node(v) for v in sorted(self.articulation))
-        blk_nodes = tuple(block_node(i) for i in range(len(self.blocks)))
-        self.nodes = cut_nodes + blk_nodes
+        cuts = sorted(self.articulation)
+        self.nodes = tuple(cut_node(v) for v in cuts) + tuple(block_node(i) for i in range(len(self.blocks)))
         self._id = {node: i for i, node in enumerate(self.nodes)}
-        self.tree_edges = tuple(
-            (v, i) for i, blk in enumerate(self.blocks) for v in blk if v in self.articulation
-        )
-        if len(self.nodes) != len(self.tree_edges) + 1:
+        # one pass over the blocks, each in ascending order, gives the tree
+        # edges, each non-cut vertex's block and ascending adjacency lists
+        cut_id = {v: c for c, v in enumerate(cuts)}
+        proj = {v: cut_node(v) for v in cuts}
+        edges, adj = [], [[] for _ in self.nodes]
+        for i, blk in enumerate(self.blocks):
+            b = len(cuts) + i
+            for v in blk:
+                c = cut_id.get(v)
+                if c is None:
+                    proj[v] = block_node(i)
+                else:
+                    edges.append((v, i))
+                    adj[c].append(b)
+                    adj[b].append(c)
+        self.tree_edges = tuple(edges)
+        if len(self.nodes) != len(edges) + 1:
             raise RuntimeError("internal error: block-cutpoint structure is not a tree")
-        # blocks and each block's vertices are visited in ascending order, so
-        # every list comes out ascending
-        adj = [[] for _ in self.nodes]
-        for v, i in self.tree_edges:
-            c, b = self._id[cut_node(v)], len(cut_nodes) + i
-            adj[c].append(b)
-            adj[b].append(c)
+        if len(proj) != n:
+            raise RuntimeError("internal error: block cover misses a vertex")
         self._adj = adj
+        self._projection = proj
         self._depth, order = _bfs(adj, 0)
         if len(order) != len(self.nodes):
             raise RuntimeError("internal error: block-cutpoint tree is disconnected")
@@ -96,16 +107,6 @@ class BlockCutTree:
             for w in adj[u]:
                 if self._depth[w] > self._depth[u]:
                     self._parent[w] = u
-        proj = {}
-        for v in self.articulation:
-            proj[v] = cut_node(v)
-        for i, blk in enumerate(self.blocks):
-            for v in blk:
-                if v not in self.articulation:
-                    proj[v] = block_node(i)
-        if len(proj) != n:
-            raise RuntimeError("internal error: block cover misses a vertex")
-        self._projection = proj
 
     @property
     def node_count(self) -> int:
@@ -160,7 +161,15 @@ def _node_obj(node) -> dict:
 
 
 def block_decomposition(g: Graph) -> BlockCutTree:
-    """Blocks and articulation vertices by iterative lowpoint depth-first search."""
+    """Blocks and articulation vertices by iterative depth-first search on a
+    vertex stack (Hopcroft and Tarjan, CACM 16(6), 1973).
+
+    low[u] is the smallest discovery time adjacent to u's subtree; the edge
+    back to u's parent only ties it at disc[p]. When a child u of p finishes
+    with low[u] >= disc[p], its block is p plus every vertex discovered since
+    u, cut off the stack. A non-root p that closes a block is a cut vertex,
+    and the root is one exactly when it closes more than one block.
+    """
     require_connected(g)
     n = g.n
     if n == 0:
@@ -170,52 +179,44 @@ def block_decomposition(g: Graph) -> BlockCutTree:
     adj = g.adj
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
     next_i = [0] * n
-    articulation: set = set()
-    blocks: list = []
-    edge_stack: list = []
-    root = 0
-    disc[root] = low[root] = 0
+    disc[0] = 0
     timer = 1
-    root_children = 0
-    stack = [root]
-    while stack:
-        u = stack[-1]
+    path = [0]  # the DFS tree path from the root 0 to the current vertex
+    stack: list = []  # discovered vertices not yet cut off into a block
+    blocks: list = []
+    articulation: set = set()
+    root_blocks = 0
+    while True:
+        u = path[-1]
         if next_i[u] < len(adj[u]):
             w = adj[u][next_i[u]]
             next_i[u] += 1
-            if w == parent[u]:
-                continue
             if disc[w] == -1:
-                parent[w] = u
-                if u == root:
-                    root_children += 1
                 disc[w] = low[w] = timer
                 timer += 1
-                edge_stack.append((u, w))
                 stack.append(w)
-            elif disc[w] < disc[u]:  # back edge to an ancestor, push once
-                edge_stack.append((u, w))
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-        else:
-            stack.pop()
-            p = parent[u]
-            if p == -1:
-                continue
-            if low[u] < low[p]:
-                low[p] = low[u]
-            if low[u] >= disc[p]:
-                verts = set()
-                while True:
-                    e = edge_stack.pop()
-                    verts.update(e)
-                    if e == (p, u):
-                        break
-                blocks.append(verts)
-                if p != root or root_children > 1:
-                    articulation.add(p)
+                path.append(w)
+            elif disc[w] < low[u]:
+                low[u] = disc[w]
+            continue
+        path.pop()
+        if not path:
+            break
+        p = path[-1]
+        if low[u] < low[p]:
+            low[p] = low[u]
+        if low[u] >= disc[p]:
+            blk = [p]
+            while blk[-1] != u:
+                blk.append(stack.pop())
+            blocks.append(blk)
+            if p != 0:
+                articulation.add(p)
+            else:
+                root_blocks += 1
+    if root_blocks > 1:
+        articulation.add(0)
     return BlockCutTree(n, articulation, blocks)
 
 
@@ -321,23 +322,26 @@ def _heaviest_admissible(tree: Graph, weights, k: int):
     their size, not k. Dropping a zero-weight member keeps a set feasible,
     so none is chosen.
 
-    Returns (weight, members, DP table entries filled).
+    Each entry is (weight, members) and carries its own witness: members
+    starts as u or (), and each merge pairs the running members with the
+    child's as (xm, xb), so the root's best entry holds the whole set as
+    nested pairs for one flatten loop. Only strictly heavier entries
+    replace one, so ties go to the first reached.
+
+    Returns (weight, members in pre-order, DP table entries filled).
     """
     depth, order = _bfs(tree.adj, 0)
-    kids = [[w for w in tree.adj[u] if depth[w] > depth[u]] for u in range(tree.n)]
-    table = [None] * tree.n  # state -> (weight, s, running maximum m)
-    trails = [None] * tree.n  # trails[u][s][i][m after child i] = (m before, child state)
+    table = [None] * tree.n  # state -> (weight, members as nested pairs)
     filled = 0
     for u in reversed(order):
-        table[u] = {}
-        trails[u] = []
+        kids = [c for c in tree.adj[u] if depth[c] > depth[u]]
+        table[u] = best = {}
         for s in (0, 1) if weights[u] > 0 else (0,):
-            run = {-1: weights[u]} if s else {None: 0}
-            trail = []
-            for c in kids[u]:
-                merged, back = {}, {}
-                for m, wm in run.items():
-                    for b, (wb, _, _) in table[c].items():
+            run = {-1: (weights[u], u)} if s else {None: (0, ())}
+            for c in kids:
+                merged = {}
+                for m, (wm, xm) in run.items():
+                    for b, (wb, xb) in table[c].items():
                         if b is None:
                             mb = m
                         elif m is None:
@@ -346,32 +350,25 @@ def _heaviest_admissible(tree: Graph, weights, k: int):
                             mb = max(m, b)
                         else:
                             continue
-                        if wm + wb > merged.get(mb, -1):
-                            merged[mb] = wm + wb
-                            back[mb] = (m, b)
+                        w = wm + wb
+                        if mb not in merged or w > merged[mb][0]:
+                            merged[mb] = (w, (xm, xb))
                 filled += len(merged)
                 run = merged
-                trail.append(back)
-            trails[u].append(trail)
-            for m, wm in run.items():
+            for m, entry in run.items():
                 d = m + 1 if s else m
-                if wm > table[u].get(d, (-1,))[0]:
-                    table[u][d] = (wm, s, m)
-        filled += len(table[u])
-    best = max(table[0], key=lambda d: table[0][d][0])
-    members = []
-    stack = [(0, best)]
+                if d not in best or entry[0] > best[d][0]:
+                    best[d] = entry
+        filled += len(best)
+    weight, nested = max(table[0].values(), key=lambda entry: entry[0])
+    members, stack = [], [nested]
     while stack:
-        u, d = stack.pop()
-        if d is None:
-            continue
-        _, s, m = table[u][d]
-        if s:
-            members.append(u)
-        for c, back in zip(reversed(kids[u]), reversed(trails[u][s])):
-            m, b = back[m]
-            stack.append((c, b))
-    return table[0][best][0], members, filled
+        x = stack.pop()
+        if type(x) is tuple:
+            stack += reversed(x)
+        else:
+            members.append(x)
+    return weight, members, filled
 
 
 def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
@@ -380,9 +377,10 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
     |X_Z| is additive over nodes (cut nodes weigh 1, block nodes weigh their
     non-articulation vertex count), and Z is k-admissible exactly when its
     ids are mutual k-visible in _leafed_tree. That graph is a tree, so the
-    maximum is the tree DP _heaviest_admissible on the ids, O(N k^2) time
-    for N tree nodes; nodes_explored is the number of DP table entries it
-    filled. The witness is expanded and verified with mkv_check.
+    maximum is the tree DP _heaviest_admissible on the ids, O(N min(k, h)^2)
+    time for N tree nodes and tree height h; nodes_explored is the number of
+    DP table entries it filled. The witness is expanded and verified with
+    mkv_check.
     """
     _check_tolerance(k)
     t = block_decomposition(g)

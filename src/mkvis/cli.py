@@ -14,6 +14,7 @@ quietly with 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -266,16 +267,7 @@ def _cmd_poly(args, g):
 def _cmd_bounds(args, g):
     path = _parse_ids(args.path) if args.path is not None else None
     rec = bounds(g, args.k, isometric_path=path, gp_max_n=args.gp_max_n)
-    result = {
-        "diameter_bound": rec.diameter_bound,
-        "girth_bound": rec.girth_bound,
-        "trivial_bound": rec.trivial_bound,
-        "isometric_bound": rec.isometric_bound,
-        "degree_lower": rec.degree_lower,
-        "gp_lower": rec.gp_lower,
-        "upper": rec.upper(),
-        "lower": rec.lower(),
-    }
+    result = {**dataclasses.asdict(rec), "upper": rec.upper(), "lower": rec.lower()}
     return {"k": args.k, "path": path, "gp_max_n": args.gp_max_n}, result, 0
 
 

@@ -1,6 +1,9 @@
 """Block decomposition, block-cutpoint trees, admissible sets, mu on block graphs."""
 
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +12,7 @@ import hypothesis.strategies as st
 import support
 from mkvis.blocks import (
     _blocks_are_cliques,
+    _heaviest_admissible,
     _leafed_tree,
     block_decomposition,
     block_node,
@@ -27,6 +31,7 @@ from mkvis.graphs import (
     is_connected,
     path_graph,
     random_block_graph,
+    random_connected,
 )
 from mkvis.kernel import mkv_check
 from mkvis.solvers import mu_k
@@ -101,6 +106,18 @@ class TestDecomposition:
             else:
                 assert len(owners) == 1
                 assert t.projection(v) == block_node(owners[0])
+
+
+    @pytest.mark.parametrize("g, digest", [
+        # 64 cut vertices and 74 blocks
+        (random_connected(300, 0.003, 4), "2d25a5940a009aa12aefafb0783a249d1133f9dcaf64696f543662d68e68c38a"),
+        (random_block_graph(60, 4, 3), "3973bc07a01485bc2341e99210703cbc408e5ea27703ecb25657d999371ca354"),
+    ], ids=["random_connected", "random_block_graph"])
+    def test_block_order_is_pinned(self, g, digest):
+        """Block indices reach the blocks report, so the whole record is
+        pinned, block order included, not only its counts."""
+        text = json.dumps(block_decomposition(g).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTreePaths:
@@ -270,6 +287,39 @@ class TestExpandContract:
                 z2 = contract_set(t, x)
                 assert is_k_admissible(t, z2, k).admissible
                 assert x <= expand_admissible(t, z2)
+
+
+@st.composite
+def weighted_trees(draw):
+    """A tree on at most 10 vertices under a random labeling, with weights
+    0-3 (zeros included)."""
+    n = draw(st.integers(1, 10))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return build_graph(n, edges), weights
+
+
+class TestHeaviestAdmissible:
+    @given(weighted_trees(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_on_any_tree(self, tree_and_weights, k):
+        """The DP's value is the heaviest mutual k-visible set of positive-
+        weight vertices, and the members it returns weigh that value and
+        are mutual k-visible themselves."""
+        tree, weights = tree_and_weights
+        dist = support.distance_matrix(tree)
+        positive = [v for v in range(tree.n) if weights[v] > 0]
+        want = max(
+            sum(weights[v] for v in sub)
+            for r in range(len(positive) + 1)
+            for sub in combinations(positive, r)
+            if support.oracle_mkv_check(tree, sub, k, dist)
+        )
+        value, members, _ = _heaviest_admissible(tree, weights, k)
+        assert value == want
+        assert sum(weights[v] for v in members) == value
+        assert support.oracle_mkv_check(tree, members, k, dist)
 
 
 class TestMuKBlock:
