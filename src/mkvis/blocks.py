@@ -9,13 +9,13 @@ k-admissible when no tree path between two Z-nodes passes through more than k
 selected articulation nodes. Expanding a k-admissible Z (all non-cut vertices
 of its blocks plus its cut vertices) yields a mutual k-visible set, and every
 mutual k-visible set contracts back to a k-admissible Z, so the maximum
-expanded size equals mu_k. mu_k_block works on the leafed tree, the
-block-cut tree with a pendant leaf on every block node: a cut node stands
-for itself, a block node for its leaf, and Z is k-admissible exactly when
-these vertices are mutual k-visible there. Admissibility then only limits
-how many chosen vertices lie inside each tree path, so the heaviest such
-set comes from a linear post-order DP over the tree, not a search, whose
-table entries carry their own members.
+expanded size equals mu_k. mu_k_block weighs each cut node 1 and gives
+each block node its non-cut vertex count as an end-only weight: a pendant
+leaf that is never inside a tree path. Admissibility then only limits how
+many chosen cut nodes lie inside each path between two chosen nodes, so the
+heaviest such set comes from a linear post-order DP over the tree's own int
+adjacency, not a search, whose table entries carry their own members; the
+witness is read straight off the chosen cut and block ids.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, SizeLimitError
-from .graphs import Graph, _bfs, build_graph, check_vertex, check_vertex_set, require_connected
+from .graphs import Graph, _bfs, check_vertex, check_vertex_set, require_connected
 from .kernel import _check_tolerance, mkv_check
 from .solvers import SolveResult
 
@@ -67,7 +67,7 @@ class BlockCutTree:
     it. Each node has one int id, its index in nodes (which ascends in
     _node_key order), and the tree is held once as int adjacency lists on
     those ids, rooted at id 0 by _bfs so tree paths are parent-pointer
-    walks. _leafed_tree numbers its vertices by the same ids.
+    walks and mu_k_block's DP runs over the same BFS order, reversed.
     """
 
     def __init__(self, n: int, articulation, blocks):
@@ -99,11 +99,11 @@ class BlockCutTree:
             raise RuntimeError("internal error: block cover misses a vertex")
         self._adj = adj
         self._projection = proj
-        self._depth, order = _bfs(adj, 0)
-        if len(order) != len(self.nodes):
+        self._depth, self._order = _bfs(adj, 0)
+        if len(self._order) != len(self.nodes):
             raise RuntimeError("internal error: block-cutpoint tree is disconnected")
         self._parent = [None] * len(adj)
-        for u in order:
+        for u in self._order:
             for w in adj[u]:
                 if self._depth[w] > self._depth[u]:
                     self._parent[w] = u
@@ -286,41 +286,28 @@ def contract_set(t: BlockCutTree, x) -> set:
     return {t.projection(v) for v in check_vertex_set(t, x)}
 
 
-def _leafed_tree(t: BlockCutTree):
-    """The block-cut tree as a Graph with a pendant leaf on every block node,
-    and the vertex id that stands for each tree node in it.
-
-    Tree nodes keep the int id t gives them (their index in t.nodes) as
-    vertex ids, and the leaf of block i is vertex node_count + i. A cut node
-    is represented by its own id, a block node by its leaf. A leaf is never
-    inside a path and a block node itself is never represented, so the
-    represented vertices inside the (unique) path between two ids are the
-    selected cut nodes inside the tree path of their nodes: Z is k-admissible
-    exactly when its ids are mutual k-visible in this graph. Ids ascend in
-    _node_key order.
-    """
-    size = t.node_count
-    edges = [(t._id[cut_node(v)], t._id[block_node(i)]) for v, i in t.tree_edges]
-    edges += [(t._id[block_node(i)], size + i) for i in range(len(t.blocks))]
-    ids = {node: i if node[0] == "cut" else size + node[1] for node, i in t._id.items()}
-    return build_graph(size + len(t.blocks), edges), ids
-
-
-def _heaviest_admissible(tree: Graph, weights, k: int):
+def _heaviest_admissible(adj, depth, order, weights, ends, k: int):
     """Heaviest set X of positive-weight vertices of a tree in which every
     pair has at most k members of X strictly inside its path.
 
-    A post-order DP from root 0, over _bfs's order reversed. The state of
-    a vertex u is the largest count of members strictly between a member in
-    u's subtree and u's parent, or None when the subtree holds no member.
-    With s = 1 when u is a member, u merges its children one at a time under
-    their running maximum m: a child of state b joins when m + b + s <= k,
-    a member u starts m at -1 (so every member below is within k of u), and
-    u's state is m + s. So a member takes no child state above k and no
-    state exceeds k + 1, the value that bars any member outside the subtree.
-    Tables are dicts of the states that occur, so the tree's height bounds
-    their size, not k. Dropping a zero-weight member keeps a set feasible,
-    so none is chosen.
+    The tree is given as adjacency lists with each vertex's depth and a BFS
+    order from the root, as _bfs returns them. A vertex u may also carry an
+    end-only weight ends[u]: a pendant leaf of that weight hung below u,
+    which can be chosen but is never inside a path; ~u stands for it among
+    the members.
+
+    A post-order DP over order reversed. The state of a vertex u is the
+    largest count of members strictly between a member in u's subtree and
+    u's parent, or None when the subtree holds no member. With s = 1 when u
+    is a member, u merges its children one at a time under their running
+    maximum m: a child of state b joins when m + b + s <= k, a member u
+    starts m at -1 (so every member below is within k of u), and u's state
+    is m + s. So a member takes no child state above k and no state exceeds
+    k + 1, the value that bars any member outside the subtree. An end-only
+    weight merges last, as the table of a lone chosen leaf, whose state is
+    0. Tables are dicts of the states that occur, so the tree's height
+    bounds their size, not k. Dropping a zero-weight member keeps a set
+    feasible, so none is chosen.
 
     Each entry is (weight, members) and carries its own witness: members
     starts as u or (), and each merge pairs the running members with the
@@ -330,18 +317,19 @@ def _heaviest_admissible(tree: Graph, weights, k: int):
 
     Returns (weight, members in pre-order, DP table entries filled).
     """
-    depth, order = _bfs(tree.adj, 0)
-    table = [None] * tree.n  # state -> (weight, members as nested pairs)
+    table = [None] * len(adj)  # state -> (weight, members as nested pairs)
     filled = 0
     for u in reversed(order):
-        kids = [c for c in tree.adj[u] if depth[c] > depth[u]]
+        kids = [table[c] for c in adj[u] if depth[c] > depth[u]]
+        if ends[u] > 0:
+            kids.append({None: (0, ()), 0: (ends[u], ~u)})
         table[u] = best = {}
         for s in (0, 1) if weights[u] > 0 else (0,):
             run = {-1: (weights[u], u)} if s else {None: (0, ())}
-            for c in kids:
+            for kid in kids:
                 merged = {}
                 for m, (wm, xm) in run.items():
-                    for b, (wb, xb) in table[c].items():
+                    for b, (wb, xb) in kid.items():
                         if b is None:
                             mb = m
                         elif m is None:
@@ -360,7 +348,7 @@ def _heaviest_admissible(tree: Graph, weights, k: int):
                 if d not in best or entry[0] > best[d][0]:
                     best[d] = entry
         filled += len(best)
-    weight, nested = max(table[0].values(), key=lambda entry: entry[0])
+    weight, nested = max(table[order[0]].values(), key=lambda entry: entry[0])
     members, stack = [], [nested]
     while stack:
         x = stack.pop()
@@ -374,13 +362,13 @@ def _heaviest_admissible(tree: Graph, weights, k: int):
 def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
     """Exact mu_k of a block graph via k-admissible subsets of its tree.
 
-    |X_Z| is additive over nodes (cut nodes weigh 1, block nodes weigh their
-    non-articulation vertex count), and Z is k-admissible exactly when its
-    ids are mutual k-visible in _leafed_tree. That graph is a tree, so the
-    maximum is the tree DP _heaviest_admissible on the ids, O(N min(k, h)^2)
-    time for N tree nodes and tree height h; nodes_explored is the number of
-    DP table entries it filled. The witness is expanded and verified with
-    mkv_check.
+    |X_Z| is additive over nodes: a cut node weighs 1, and a block node's
+    non-articulation vertex count is an end-only weight, since those
+    vertices are never inside a tree path. The maximum is the tree DP
+    _heaviest_admissible on the tree's own int adjacency and BFS order,
+    O(N min(k, h)^2) time for N tree nodes and tree height h;
+    nodes_explored is the number of DP table entries it filled. The witness
+    is read off the chosen cut and block ids and verified with mkv_check.
     """
     _check_tolerance(k)
     t = block_decomposition(g)
@@ -390,13 +378,17 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
         raise SizeLimitError(
             f"mu_k_block limited to {max_nodes} tree nodes, got {t.node_count}; raise max_nodes to override"
         )
-    tree, ids = _leafed_tree(t)
-    weights = [0] * tree.n
-    for (kind, idx), i in ids.items():
-        weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)
-    best_w, best_ids, filled = _heaviest_admissible(tree, weights, k)
-    node_of = {i: node for node, i in ids.items()}
-    witness = expand_admissible(t, {node_of[i] for i in best_ids})
+    art = t.articulation
+    cuts = t.node_count - len(t.blocks)  # cut nodes take ids 0..cuts-1, blocks the rest
+    weights = [1] * cuts + [0] * len(t.blocks)
+    ends = [0] * cuts + [sum(v not in art for v in blk) for blk in t.blocks]
+    best_w, best_ids, filled = _heaviest_admissible(t._adj, t._depth, t._order, weights, ends, k)
+    witness = set()
+    for x in best_ids:
+        if x >= 0:
+            witness.add(t.nodes[x][1])
+        else:
+            witness.update(v for v in t.blocks[~x - cuts] if v not in art)
     if len(witness) != best_w:
         raise RuntimeError("internal error: expanded witness size mismatch")
     if not mkv_check(g, witness, k).verdict:

@@ -29,16 +29,21 @@ constant four ways:
 - settle: pair counts are symmetric, so the sweep from v owes only the
   members after v in sorted order. It stops once the last of them is
   discovered and its level is complete, and the last member does not sweep.
-- stop: a member of degree at most 1 after the peel lies inside no
-  geodesic. When the members of higher degree can put at most k inside any
-  pair's geodesic, the check passes once the first member's sweep has found
-  every member in its component.
+- stop: after the peel, a member lies inside a geodesic only if it has two
+  non-adjacent neighbours. One of degree at most 1 has no two, and one whose
+  neighbours are pairwise adjacent (simplicial) would give the path a
+  shortcut. When the members left can put at most k inside any pair's
+  geodesic, the check passes once the first member's sweep has found every
+  member in its component. Degrees alone decide most sets; the neighbour
+  test runs only when they do not, once per twin class, and ends once k + 1
+  members fail it.
 
 Pairs are still read in lexicographic order, so the offending pair reported
 is the first (v, q), v < q, over k. ops counts every adjacency step the
-call makes (in the peel pass, the twin keys and each sweep; the pass and
-each sweep also count n) plus one step per member pair read. It never
-exceeds |S|(n + 2m + |S|) + n + 2m.
+call makes (in the peel pass, the twin keys, the simplicial test and each
+sweep; the pass and each sweep also count n) plus one step per member pair
+read. It never exceeds |S|(n + 2m + |S|) + n + 2m: the test spends only
+what that bound leaves once every class's sweep and every pair is paid for.
 
 The exact solvers probe thousands of sets on one small graph. For them
 _geodesic_dags builds, once per solve, each source's shortest-path DAG: the
@@ -262,6 +267,47 @@ def _twin_classes(adj, members: list):
     return rep, last, steps
 
 
+def _non_simplicial(adj, inner, rep, limit: int, room: int):
+    """The members of inner with two non-adjacent neighbours, and the steps
+    taken to find them.
+
+    A member whose neighbours are pairwise adjacent (a simplicial member)
+    lies inside no geodesic: a path through it enters and leaves by two
+    neighbours, and the edge between them is a shortcut. Twins share the
+    answer, so each class tests only its representative r, the smallest
+    member: every neighbour a of r but the last must be adjacent to all of
+    r's other neighbours, which reads r's list and each a's list. Testing
+    ends once limit members are known to be non-simplicial, or before a
+    test that could take the steps past room; the members left untested
+    are kept.
+    """
+    kept = []
+    simplicial = {}
+    steps = 0
+    for i, v in enumerate(inner):
+        r = rep[v]
+        if r not in simplicial:
+            nbrs = adj[r]
+            reads = [adj[a] for a in nbrs[:-1]]
+            spend = len(nbrs) + sum(map(len, reads))
+            if steps + spend > room:
+                return kept + inner[i:], steps
+            steps += len(nbrs)
+            near = set(nbrs)
+            want = len(nbrs) - 1  # a's list holds r but not a itself
+            simplicial[r] = True
+            for nbrs_a in reads:
+                steps += len(nbrs_a)
+                if len(near.intersection(nbrs_a)) < want:
+                    simplicial[r] = False
+                    break
+        if not simplicial[r]:
+            kept.append(v)
+            if len(kept) == limit:
+                return kept + inner[i + 1:], steps
+    return kept, steps
+
+
 def _geodesic_dags(g: Graph):
     """Per source, the shortest-path DAG and the geodesic counts.
 
@@ -373,14 +419,22 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     with a structured reason instead of an infinite count: the first
     member's sweep finds them.
 
-    The stop: a vertex strictly inside a path has two neighbours on it, so a
-    member of degree at most 1 after the peel (which changes no geodesic
-    between the vertices left) lies inside none. With inner members of
-    higher degree and leaves = |S| - inner, the geodesics of a pair (v, q)
-    hold only inner members other than v and q, at most
-    inner - max(0, 2 - leaves) of them. Once that cap is at most k every
-    pair passes, which covers |S| <= k + 2, and the check returns after the
-    first member's sweep and its pair reads.
+    The stop: a vertex strictly inside a geodesic has two neighbours on it
+    that are not adjacent, or the path would have a shortcut. So after the
+    peel (which changes no geodesic between the vertices left) a member lies
+    inside none unless it has two non-adjacent neighbours there. Call such
+    members inner and let leaves = |S| - inner count the rest. The
+    geodesics of a pair (v, q) hold only inner members other than v and q,
+    at most inner - max(0, 2 - leaves) of them. Once that cap is at most k
+    every pair passes, which covers |S| <= k + 2, and the check returns
+    after the first member's sweep and its pair reads.
+
+    The cap is first taken with every member of degree above 1 as inner.
+    Only when it exceeds k, and no pair counts are asked for (they need
+    every sweep anyway), does _non_simplicial test those members'
+    neighbours. A cap above k means |S| >= k + 3, so once k + 1 members
+    fail the test the cap stays above k and testing ends. A test that could
+    take ops past the bound is skipped; untested members count as inner.
 
     With collect_pair_counts the full matrix of pairwise minimum internal
     counts is attached and no early exit happens; it is refused above
@@ -397,8 +451,14 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     adj, ops = _peel(g.adj, in_s)
     rep, last, steps = _twin_classes(adj, members)
     ops += steps
-    inner = sum(len(adj[v]) > 1 for v in members)
-    cap = inner - max(0, 2 - (len(members) - inner))
+    size = len(members)
+    inner = [v for v in members if len(adj[v]) > 1]
+    if len(inner) - max(0, 2 - (size - len(inner))) > k and not collect_pair_counts:
+        # what the bound leaves once every class's sweep and every pair is paid for
+        room = (size - len(last) + 1) * (g.n + 2 * g.m) + size * (size + 1) // 2 - ops
+        inner, steps = _non_simplicial(adj, inner, rep, k + 1, room)
+        ops += steps
+    cap = len(inner) - max(0, 2 - (size - len(inner)))
     rows = {}  # a class representative's count row, while a later twin needs it
     offending = offending_count = None
     for i, v in enumerate(members[:-1]):  # the last member owes no pair

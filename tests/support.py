@@ -6,9 +6,9 @@ power set. No logic is shared with the package internals, so agreement
 between the two sides is evidence, not tautology. The one exception is
 bnb_mu_k_block, the retired branch-and-bound solver for block graphs: it
 runs the package's search engine and incremental checker on the leafed
-block-cut tree, so it checks the tree DP that replaced it, and both rest
-on the same _leafed_tree reduction (tested on its own against
-is_k_admissible).
+block-cut tree (leafed_tree, tested on its own against is_k_admissible),
+so it checks the tree DP that replaced it, which takes the same leaves as
+end-only weights.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from mkvis.blocks import _blocks_are_cliques, _leafed_tree, block_decomposition, expand_admissible
+from mkvis.blocks import _blocks_are_cliques, block_decomposition, block_node, cut_node, expand_admissible
 from mkvis.errors import GraphInputError
-from mkvis.graphs import Graph, random_connected
+from mkvis.graphs import Graph, build_graph, random_connected
 from mkvis.kernel import _check_tolerance, mkv_check
 from mkvis.solvers import SolveResult, _IncrementalChecker, _search
 
@@ -321,11 +321,31 @@ def graph_and_set(draw, min_n: int = 2, max_n: int = 9):
     return g, members
 
 
+def leafed_tree(t):
+    """The block-cut tree t as a Graph with a pendant leaf on every block
+    node, and the vertex id that stands for each tree node in it.
+
+    Tree nodes keep the int id t gives them (their index in t.nodes) as
+    vertex ids, and the leaf of block i is vertex node_count + i. A cut node
+    is represented by its own id, a block node by its leaf. A leaf is never
+    inside a path and a block node itself is never represented, so the
+    represented vertices inside the (unique) path between two ids are the
+    selected cut nodes inside the tree path of their nodes: Z is k-admissible
+    exactly when its ids are mutual k-visible in this graph. Ids ascend in
+    the order of t.nodes.
+    """
+    size = t.node_count
+    edges = [(t._id[cut_node(v)], t._id[block_node(i)]) for v, i in t.tree_edges]
+    edges += [(t._id[block_node(i)], size + i) for i in range(len(t.blocks))]
+    ids = {node: i if node[0] == "cut" else size + node[1] for node, i in t._id.items()}
+    return build_graph(size + len(t.blocks), edges), ids
+
+
 def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
     """The retired branch-and-bound mu_k_block, kept as the tree DP's oracle.
 
     The one helper here that reuses package internals: a weighted mu_k on
-    the leafed block-cut tree (blocks._leafed_tree), solvers._search over
+    the leafed block-cut tree (leafed_tree), solvers._search over
     the node ids, heaviest first, with solvers._IncrementalChecker deciding
     each probe. Zero-weight nodes sort last and the weight prune skips them.
     It has no size limit; its time grows about 3x per 6 tree nodes at k = 1.
@@ -334,7 +354,7 @@ def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
     t = block_decomposition(g)
     if not _blocks_are_cliques(g, t):
         raise GraphInputError("not a block graph: some block is not a clique")
-    tree, ids = _leafed_tree(t)
+    tree, ids = leafed_tree(t)
     weights = [0] * tree.n
     for (kind, idx), i in ids.items():
         weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)

@@ -13,7 +13,6 @@ import support
 from mkvis.blocks import (
     _blocks_are_cliques,
     _heaviest_admissible,
-    _leafed_tree,
     block_decomposition,
     block_node,
     contract_set,
@@ -25,6 +24,7 @@ from mkvis.blocks import (
 )
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
+    _bfs,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -225,7 +225,7 @@ class TestAdmissibility:
         """mu_k_block's reduction: Z is k-admissible exactly when its ids are
         mutual k-visible in the leafed tree, and ids keep the tree's order."""
         t = block_decomposition(random_block_graph(blocks, size, seed))
-        tree, ids = _leafed_tree(t)
+        tree, ids = support.leafed_tree(t)
         assert [ids[nd] for nd in t.nodes] == sorted(ids.values())
         z = {nd for nd in t.nodes if rnd.random() < 0.5}
         assert mkv_check(tree, [ids[nd] for nd in z], k).verdict == is_k_admissible(t, z, k).admissible
@@ -290,14 +290,20 @@ class TestExpandContract:
 
 
 @st.composite
-def weighted_trees(draw):
-    """A tree on at most 10 vertices under a random labeling, with weights
-    0-3 (zeros included)."""
-    n = draw(st.integers(1, 10))
+def weighted_trees(draw, max_n=10):
+    """A tree on at most max_n vertices under a random labeling, with
+    weights 0-3 (zeros included)."""
+    n = draw(st.integers(1, max_n))
     label = draw(st.permutations(range(n)))
     edges = [(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
     weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     return build_graph(n, edges), weights
+
+
+def _heaviest(tree, weights, k, ends=None):
+    """_heaviest_admissible on a tree Graph rooted at 0."""
+    depth, order = _bfs(tree.adj, 0)
+    return _heaviest_admissible(tree.adj, depth, order, weights, ends or [0] * tree.n, k)
 
 
 class TestHeaviestAdmissible:
@@ -316,10 +322,38 @@ class TestHeaviestAdmissible:
             for sub in combinations(positive, r)
             if support.oracle_mkv_check(tree, sub, k, dist)
         )
-        value, members, _ = _heaviest_admissible(tree, weights, k)
+        value, members, _ = _heaviest(tree, weights, k)
         assert value == want
         assert sum(weights[v] for v in members) == value
         assert support.oracle_mkv_check(tree, members, k, dist)
+
+    @given(weighted_trees(max_n=6), st.data(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_end_weights_are_pendant_leaves(self, tree_and_weights, data, k):
+        """End-only weights (zeros included) give the value of the same tree
+        with a pendant leaf of that weight on each vertex, checked by brute
+        force there, where ~u in the members stands for u's leaf. Each leaf
+        is its vertex's last child, so the DP on that tree returns the same
+        members too."""
+        tree, weights = tree_and_weights
+        n = tree.n
+        ends = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        leafed = build_graph(2 * n, list(tree.edges()) + [(u, n + u) for u in range(n)])
+        full = weights + ends
+        dist = support.distance_matrix(leafed)
+        positive = [v for v in range(2 * n) if full[v] > 0]
+        want = max(
+            sum(full[v] for v in sub)
+            for r in range(len(positive) + 1)
+            for sub in combinations(positive, r)
+            if support.oracle_mkv_check(leafed, sub, k, dist)
+        )
+        value, members, _ = _heaviest(tree, weights, k, ends)
+        chosen = [x if x >= 0 else n + ~x for x in members]
+        assert value == want
+        assert sum(full[v] for v in chosen) == value
+        assert support.oracle_mkv_check(leafed, chosen, k, dist)
+        assert _heaviest(leafed, full, k)[:2] == (value, chosen)
 
 
 class TestMuKBlock:

@@ -300,9 +300,11 @@ class TestMkvCheck:
 class TestCheckOps:
     """mkv_check's ops on hand-worked graphs. ops adds up the peel pass (n,
     then the adjacency of every dropped vertex and of every list rebuilt),
-    the members' adjacency read for the twin classes, each sweep (n plus the
-    adjacency of every vertex below the level where its last later member
-    lies) and one step per member pair."""
+    the members' adjacency read for the twin classes, the lists the
+    simplicial test reads (only when the cap on degrees exceeds k and no
+    pair counts are asked for), each sweep (n plus the adjacency of every
+    vertex below the level where its last later member lies) and one step
+    per member pair."""
 
     def test_cycle(self):
         # nothing to peel (12) or share (6 * 2); no member has degree 1, so a
@@ -310,11 +312,13 @@ class TestCheckOps:
         # stops after 0 settles 6 at level 6 (12 + 11 * 2) and reads its 5 pairs
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
         assert rep.verdict and rep.ops == 12 + 12 + 34 + 5
-        # at k = 2 the cap 4 does not hold: 0, 2 and 4 settle at level 6 (12 + 11 * 2
-        # each), 6 at level 4 (12 + 7 * 2), 8 at level 2 (12 + 3 * 2), and 10 does
-        # not sweep; 15 pairs
+        # at k = 2 the cap 4 does not hold, so the members are tested: each has two
+        # non-adjacent neighbours, found by reading its list and its first
+        # neighbour's (2 + 2), and testing ends once k + 1 = 3 are found. Then 0, 2
+        # and 4 settle at level 6 (12 + 11 * 2 each), 6 at level 4 (12 + 7 * 2), 8
+        # at level 2 (12 + 3 * 2), and 10 does not sweep; 15 pairs
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 2)
-        assert rep.verdict and rep.ops == 12 + 12 + 3 * 34 + 26 + 18 + 15
+        assert rep.verdict and rep.ops == 12 + 12 + 3 * 4 + 3 * 34 + 26 + 18 + 15
 
     def test_path_with_pendant_trees(self):
         # the path 0-1-2-3-4 with the tree 5, 6, 7 hanging off 1 and the leaf 8 off 3
@@ -325,10 +329,12 @@ class TestCheckOps:
         # inside a geodesic: at k = 1 the check stops after 0's 2 pairs
         rep = mkv_check(g, {0, 2, 4}, 1)
         assert rep.verdict and rep.ops == 21 + 4 + 16 + 2
-        # at k = 0 the pair (0, 4) fails on 0's row, before 2 sweeps
+        # at k = 0 the cap 1 does not hold, and the test finds 2's neighbours 1 and 3
+        # non-adjacent by reading 2's list and 1's (2 + 2); the pair (0, 4) then
+        # fails on 0's row, before 2 sweeps
         rep = mkv_check(g, {0, 2, 4}, 0)
         assert (rep.verdict, rep.offending_pair, rep.offending_count) == (False, (0, 4), 1)
-        assert rep.ops == 21 + 4 + 16 + 2
+        assert rep.ops == 21 + 4 + 4 + 16 + 2
 
     def test_clique_with_twins(self):
         # K4 on 0..3 with the leaf 4 off 3: 0, 1 and 2 are closed twins
@@ -338,15 +344,23 @@ class TestCheckOps:
         rep = mkv_check(g, {0, 1, 2, 4}, 0, collect_pair_counts=True)
         assert rep.verdict and rep.ops == 5 + 10 + 18 + 6
         assert rep.pair_counts == {(0, 1): 0, (0, 2): 0, (0, 4): 0, (1, 2): 0, (1, 4): 0, (2, 4): 0}
+        # without pair counts the cap 3 - 1 = 2 > 0 sends the class of 0 to the test: its
+        # neighbours 1, 2, 3 are pairwise adjacent (0's list, then 1's and 2's: 3 * 3).
+        # No member is left inner, so the check stops after 0's sweep and 3 pairs
+        rep = mkv_check(g, {0, 1, 2, 4}, 0)
+        assert rep.verdict and rep.ops == 5 + 10 + 9 + 18 + 3
         # with 3 a member every twin reads the count 1 for its pair with 4
         rep = mkv_check(g, {0, 1, 2, 3, 4}, 0, collect_pair_counts=True)
         assert (rep.verdict, rep.offending_pair, rep.offending_count) == (False, (0, 4), 1)
         assert [rep.pair_counts[v, 4] for v in range(4)] == [1, 1, 1, 0]
 
     def test_whole_clique_is_one_class(self):
-        # one sweep settles every member at level 1 (5 + 4); twin keys 5 * 4; 10 pairs
+        # twin keys 5 * 4; the cap 5 - 2 > 0 sends the one class to the test, which
+        # reads 0's list and those of 1, 2 and 3 (4 * 4) and finds them pairwise
+        # adjacent. So no member is inner: the check stops after one sweep, which
+        # settles every member at level 1 (5 + 4), and its 4 pairs
         rep = mkv_check(complete_graph(5), range(5), 0)
-        assert rep.verdict and rep.ops == 5 + 20 + 9 + 10
+        assert rep.verdict and rep.ops == 5 + 20 + 16 + 9 + 4
 
 
 class TestCheckVariant:
@@ -435,9 +449,33 @@ def leafy_graph_and_set(draw):
     return g, members | draw(st.sets(st.integers(0, g.n - 1), max_size=3))
 
 
-def _peeled_degrees(g, members):
-    """Each member's degree once non-members of degree at most 1 have been
-    dropped, again and again, until none is left."""
+@st.composite
+def clique_rich_graph_and_set(draw):
+    """A block graph, or a few overlapping cliques on up to 10 vertices
+    joined by a random forest (so it may be disconnected), with a set drawn
+    mostly from its simplicial vertices (neighbours pairwise adjacent) plus
+    0 to 3 others."""
+    if draw(st.booleans()):
+        g = random_block_graph(draw(st.integers(1, 6)), draw(st.integers(2, 5)), draw(st.integers(0, 10**6)))
+    else:
+        n = draw(st.integers(2, 10))
+        cliques = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=5), min_size=1, max_size=4))
+        edges = {(u, w) for c in cliques for u, w in itertools.combinations(sorted(c), 2)}
+        edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n) if draw(st.booleans())}
+        g = build_graph(n, sorted(edges))
+    simplicial = [v for v in range(g.n) if _simplicial(g.adj, v)]
+    members = set(draw(st.lists(st.sampled_from(simplicial), unique=True))) if simplicial else set()
+    return g, members | draw(st.sets(st.integers(0, g.n - 1), max_size=3))
+
+
+def _simplicial(nbrs, v):
+    """True when v's neighbours are pairwise adjacent."""
+    return all(b in nbrs[a] for a, b in itertools.combinations(nbrs[v], 2))
+
+
+def _peeled_neighbours(g, members):
+    """Every vertex's neighbour set once non-members of degree at most 1
+    have been dropped, again and again, until none is left."""
     nbrs = {v: set(g.adj[v]) for v in range(g.n)}
     drop = [v for v in nbrs if v not in members and len(nbrs[v]) <= 1]
     while drop:
@@ -446,6 +484,31 @@ def _peeled_degrees(g, members):
             nbrs[w].discard(v)
             if w not in members and len(nbrs[w]) == 1:
                 drop.append(w)
+    return nbrs
+
+
+def _test_fits(g, members, nbrs):
+    """Whether mkv_check's simplicial test, run on every twin class, fits in
+    its room: the ops bound less the peel, the twin keys, a full sweep per
+    class and every member pair. A class's test reads its smallest member's
+    list and the lists of all its neighbours but the last."""
+    size = len(members)
+    first, classes = {}, set()
+    for v in sorted(members):
+        keys = (frozenset(nbrs[v]), frozenset(nbrs[v] | {v}))
+        r = first.get(keys[0], first.get(keys[1]))
+        if r is None:
+            r = first[keys[0]] = first[keys[1]] = v
+        classes.add(r)
+    spend = sum(len(nbrs[r]) + sum(len(nbrs[a]) for a in sorted(nbrs[r])[:-1]) for r in classes if len(nbrs[r]) > 1)
+    _, peel = kernel._peel(g.adj, kernel._membership(g.n, members))
+    room = (size - len(classes) + 1) * (g.n + 2 * g.m) + size * (size + 1) // 2 - peel
+    return spend <= room - sum(len(nbrs[v]) for v in members)
+
+
+def _peeled_degrees(g, members):
+    """Each member's degree after that peel."""
+    nbrs = _peeled_neighbours(g, members)
     return {v: len(nbrs[v]) for v in members}
 
 
@@ -577,8 +640,8 @@ class TestLeanKernel:
 
 class TestLeafExit:
     """mkv_check passes after its first sweep once at most k members can lie
-    inside a geodesic: the members of degree at least 2 after the peel, less
-    one for each endpoint that must be one of them."""
+    inside a geodesic: the members with two non-adjacent neighbours after
+    the peel, less one for each endpoint that must be one of them."""
 
     @given(leafy_graph_and_set(), st.integers(0, 4), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -592,14 +655,35 @@ class TestLeafExit:
         if len(s) > 1 and not collect and inner - max(0, 2 - (len(s) - inner)) <= k:
             assert sweeps.call_count == 1
 
-    @given(leafy_graph_and_set())
+    @given(clique_rich_graph_and_set(), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_one_sweep_when_simplicial_members_keep_the_cap(self, gs, k):
+        """Without pair counts, the check stops after one sweep whenever
+        the members with two non-adjacent neighbours after the peel, counted
+        here apart from the kernel, leave at most k for any geodesic, and
+        testing every class fits in what the ops bound leaves."""
+        g, s = gs
+        with mock.patch.object(kernel, "_count_bfs", wraps=kernel._count_bfs) as sweeps:
+            rep = mkv_check(g, s, k)
+        assert dataclasses.replace(rep, ops=0) == _expected_check(g, s, k, False)
+        assert rep.ops <= _ops_bound(g, s)
+        nbrs = _peeled_neighbours(g, s)
+        inner = sum(not _simplicial(nbrs, v) for v in s)
+        if len(s) > 1 and inner - max(0, 2 - (len(s) - inner)) <= k and _test_fits(g, s, nbrs):
+            assert sweeps.call_count == 1
+
+    @given(leafy_graph_and_set() | clique_rich_graph_and_set())
     @settings(max_examples=150, deadline=None)
     def test_leaves_lie_inside_no_geodesic(self, gs):
+        """No member of degree at most 1 after the peel, and no member whose
+        neighbours there are pairwise adjacent, is inside a geodesic between
+        two other members."""
         g, s = gs
         adj, _ = kernel._peel(g.adj, kernel._membership(g.n, s))
         dist = support.distance_matrix(g)
+        nbrs = [set(a) for a in adj]
         for v in s:
-            if len(adj[v]) <= 1:
+            if _simplicial(nbrs, v):
                 others = sorted(s - {v})
                 for i, u in enumerate(others):
                     for w in others[i + 1:]:

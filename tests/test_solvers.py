@@ -830,13 +830,14 @@ def _grid(rows, cols):
         # interior bridge blocks of a path weigh 0 and are never branched on
         (lambda: support.bnb_mu_k_block(path_graph(12), 1), (3, 220, [1, 2, 3])),
         (lambda: support.bnb_mu_k_block(path_graph(12), 2), (4, 495, [1, 2, 3, 4])),
-        # the tree DP: nodes_explored counts DP table entries filled
-        (lambda: mu_k_block(random_block_graph(9, 4, 2), 0), (9, 136, [3, 5, 7, 9, 10, 11, 12, 13, 14])),
-        (lambda: mu_k_block(random_block_graph(9, 4, 2), 1), (10, 154, [3, 5, 7, 8, 9, 10, 11, 12, 13, 14])),
+        # the tree DP: nodes_explored counts DP table entries filled; a block's
+        # non-cut vertices merge as one end-only weight, and a block with none adds nothing
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 0), (9, 112, [3, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k_block(random_block_graph(9, 4, 2), 1), (10, 129, [3, 5, 7, 8, 9, 10, 11, 12, 13, 14])),
         (lambda: mu_k_block(random_block_graph(9, 4, 2), 2),
-         (12, 163, [1, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])),
-        (lambda: mu_k_block(path_graph(12), 1), (3, 238, [0, 10, 11])),
-        (lambda: mu_k_block(path_graph(12), 2), (4, 284, [0, 9, 10, 11])),
+         (12, 137, [1, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k_block(path_graph(12), 1), (3, 190, [0, 10, 11])),
+        (lambda: mu_k_block(path_graph(12), 2), (4, 229, [0, 9, 10, 11])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, TOTAL), (2, 3, [2, 10])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, OUTER), (7, 92, [2, 3, 5, 6, 10, 11, 17])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL),
