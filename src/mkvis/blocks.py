@@ -54,20 +54,16 @@ def block_node(i: int) -> tuple:
     return ("block", i)
 
 
-def _node_key(node):
-    kind, idx = node
-    return (0 if kind == "cut" else 1, idx)
-
-
 class BlockCutTree:
     """Block-cutpoint tree of a connected graph.
 
     Nodes are ("cut", vertex) for articulation vertices and ("block", index)
     for blocks; an edge joins an articulation vertex to each block containing
-    it. Each node has one int id, its index in nodes (which ascends in
-    _node_key order), and the tree is held once as int adjacency lists on
-    those ids, rooted at id 0 by _bfs so tree paths are parent-pointer
-    walks and mu_k_block's DP runs over the same BFS order, reversed.
+    it. Each node has one int id, its index in nodes (cut nodes by vertex,
+    then block nodes by index), and the tree is held once as int adjacency
+    lists on those ids, rooted at id 0 by _bfs so tree paths are
+    parent-pointer walks and mu_k_block's DP runs over the same BFS order,
+    reversed.
     """
 
     def __init__(self, n: int, articulation, blocks):
@@ -257,7 +253,7 @@ def is_k_admissible(t: BlockCutTree, z, k: int) -> AdmissibleWitness:
     _check_tolerance(k)
     znodes = _check_nodes(t, z)
     zcut = {node for node in znodes if node[0] == "cut"}
-    ordered = sorted(znodes, key=_node_key)
+    ordered = sorted(znodes, key=t._id.__getitem__)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
             path = t.tree_path(a, b)

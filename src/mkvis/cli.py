@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--path", metavar="IDS", default=None,
                     help="comma-separated isometric path for the path bound")
     sp.add_argument("--gp-max-n", type=_at_least(0), default=DEFAULT_GP_MAX_N, dest="gp_max_n",
-                    help="skip the general-position lower bound above this size (0: always)")
+                    help="skip the general-position lower bound above this size (0 always leaves it out)")
 
     graph_command("tau", _cmd_tau, "exact k-visibility covering number", k=True, max_n=DEFAULT_TAU_MAX_N)
     graph_command("cover-greedy", _cmd_cover_greedy, "first-fit k-visibility cover",

@@ -600,12 +600,13 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     a path that is the unique geodesic between its ends, the two extreme
     members of X see each other only along it, past every other member there,
     so it holds at most k + 2 members. With such paths from _convex_paths, a
-    candidate whose path is full is dropped, a branch can add at most its free
-    candidates plus, per path, the fewer of its candidates left and its free
-    room, and the same sum over V(g) caps the cheap diameter/girth bound.
-    Every room is free at the root, whose candidates fits filters; below it
-    the checker's narrow does, after the rest of a path whose room a push
-    used up is dropped.
+    branch can add at most its free candidates plus, per path, the fewer of
+    its candidates left and its room: k + 2 less the members on it, which
+    bound counts off the checker's mask. The same sum over V(g) caps the
+    cheap diameter/girth bound. A full path keeps no candidate: one more
+    member on it would put k + 1 members inside the unique geodesic between
+    two members there, so fits at the root and the checker's narrow below
+    it, which is exact, drop it.
 
     Two candidates whose pair already reads 0, blind to each other, are
     never both in a set below the node, since counts only grow. So a
@@ -623,47 +624,37 @@ def _solve_mu(g: Graph, k: int, order: list, checker: _IncrementalChecker) -> So
     """mu_k past its entry checks, on an empty carried checker;
     covering.tau_k shares its checker this way."""
     n = g.n
-    parts = _convex_paths(checker.sigma, checker.between, k + 2)
-    part_of = [len(parts)] * n  # the last slot holds the vertices on no path
-    for i, bits in enumerate(parts):
+    path_of = [0] * n  # the convex path through each vertex, 0 off every path
+    for bits in _convex_paths(checker.sigma, checker.between, k + 2):
         for v in range(n):
             if bits >> v & 1:
-                part_of[v] = i
-    # the last slot's room of n never runs out while a candidate is left
-    part_bits = parts + [0]
-    room = [k + 2] * len(parts) + [n]
-
-    def push(v, later):
-        room[part_of[v]] -= 1
-        return checker.push(v, later)
-
-    def pop(v, undo) -> None:
-        room[part_of[v]] += 1
-        checker.pop(v, undo)
-
-    def narrow(v, later, undo) -> int:
-        part = part_of[v]
-        return checker.narrow(v, later if room[part] else later & ~part_bits[part], undo)
-
+                path_of[v] = bits
     blind = checker.blind
 
     def bound(cands) -> list:
         """For every idx, the fewer of two caps on cands[idx:], in one pass
         from the end: the free candidates plus, per path, the fewer of its
-        candidates and its room; and the cliques of a greedy clique cover of
-        the candidates' blind pairs. A candidate joins the first clique it
-        is blind to in full, or opens one."""
-        left = [0] * len(room)
+        candidates and its room, k + 2 less the members on it, counted off
+        the checker's mask when the pass first meets the path; and the
+        cliques of a greedy clique cover of the candidates' blind pairs. A
+        candidate joins the first clique it is blind to in full, or opens
+        one."""
+        mask = checker.mask
+        room = {}  # per path met so far, the room its candidates seen leave
         caps = []
         cap = 0
         seen = 0
         cliques = []
         count = 0  # len(cliques)
         for v in reversed(cands):
-            part = part_of[v]
-            if left[part] < room[part]:
+            path = path_of[v]
+            if not path:
                 cap += 1
-            left[part] += 1
+            else:
+                free = room[path] if path in room else k + 2 - (mask & path).bit_count()
+                if free > 0:
+                    cap += 1
+                room[path] = free - 1
             bit = 1 << v
             hit = blind[v] & seen
             seen |= bit
@@ -684,8 +675,8 @@ def _solve_mu(g: Graph, k: int, order: list, checker: _IncrementalChecker) -> So
 
     goal = min(bounds(g, k, gp_max_n=0).upper(), bound(order)[0])
     start = _first_fit(checker, order[::-1], goal)
-    best, best_set, nodes, _ = _search(order, checker.fits, push, pop, [1] * n, goal, bound, incumbent=start,
-                                       narrow=narrow)
+    best, best_set, nodes, _ = _search(order, checker.fits, checker.push, checker.pop, [1] * n, goal, bound,
+                                       incumbent=start, narrow=checker.narrow)
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
     return SolveResult(best, best_set, nodes)
@@ -862,7 +853,7 @@ def bounds(g: Graph, k: int, isometric_path=None, gp_max_n: int = DEFAULT_GP_MAX
         trivial_bound=n,
         isometric_bound=n - ell + k + 1,
         degree_lower=ms.max_degree + 1 if k >= 1 else ms.max_degree,
-        gp_lower=gp_number(g).value if n <= gp_max_n else None,
+        gp_lower=gp_number(g, max_n=gp_max_n).value if n <= gp_max_n else None,
     )
 
 

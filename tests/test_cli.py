@@ -428,6 +428,13 @@ class TestExitCodes:
         code, rep, _ = run_json(capsys, monkeypatch, ["oracle", "--set", "0", "--cap", "1"], PATH5)
         assert code == 0 and rep["result"]["match"] is True
 
+    def test_gp_max_n_lets_bounds_solve_gp_past_its_default(self, capsys, monkeypatch):
+        """--gp-max-n 30 solves gp at n = 22, above gp's own limit of 20."""
+        text = format_edge_list(random_connected(22, 0.3, 1))
+        code, rep, _ = run_json(capsys, monkeypatch, ["bounds", "-k", "0", "--gp-max-n", "30"], text)
+        assert code == 0
+        assert (rep["result"]["gp_lower"], rep["result"]["lower"]) == (10, 13)
+
     @pytest.mark.parametrize("argv,text", [
         (["mu", "-k", "0"], "100000000000 0\n"),
         (["mu", "--json", "-k", "0"], '{"n": 100000000000, "edges": []}'),

@@ -139,6 +139,10 @@ class TestTauBounds:
         assert tb.upper_uniform == 4 and tb.upper_peel == 3
         assert tb.upper() == 3 == tau_k(cycle_graph(7), 0).value
 
+    def test_rejects_empty_graph(self):
+        with pytest.raises(GraphInputError, match="covering bounds need at least one vertex"):
+            tau_bounds(build_graph(0, []), 0)
+
     def test_accepts_known_mu(self):
         tb = tau_bounds(cycle_graph(7), 0, mu_value=3)
         assert tb.lower == 3 and tb.upper() == 3

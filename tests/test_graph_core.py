@@ -150,6 +150,7 @@ class TestMetricSummary:
             # the only cycle lies 20 levels from vertex 0, past where the
             # girth scans of the first roots stop
             (build_graph(23, [(i, i + 1) for i in range(22)] + [(20, 22)]), 21, 3, 3),
+            (build_graph(0, []), INFINITE, INFINITE, 0),
         ],
     )
     def test_known_values(self, g, diameter, girth, max_degree):
@@ -181,6 +182,10 @@ class TestMetricSummary:
         p = diametral_path(g)
         assert len(p) - 1 == metric_summary(g).diameter
         assert is_isometric_path(g, p)
+
+    def test_empty_graph_has_no_diametral_path(self):
+        with pytest.raises(GraphInputError, match="empty graph has no diametral path"):
+            diametral_path(build_graph(0, []))
 
     @given(st.lists(support.graphs(max_n=8), min_size=1, max_size=3), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -344,6 +349,15 @@ class TestGenerators:
 
     def test_random_block_graph_determinism(self):
         assert random_block_graph(4, 3, 5) == random_block_graph(4, 3, 5)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: random_connected(0, 0.5, 1), "need at least one vertex, got 0"),
+        (lambda: random_block_graph(0, 3, 1), "need at least one block, got 0"),
+        (lambda: random_block_graph(3, 1, 1), "blocks need at least two vertices, got 1"),
+    ])
+    def test_random_generators_reject_empty_shapes(self, make, message):
+        with pytest.raises(GraphInputError, match=message):
+            make()
 
 
 class TestEdgeListFormat:

@@ -218,6 +218,10 @@ class TestBounds:
         assert rec.gp_lower is None
         assert rec.lower() == rec.degree_lower
 
+    def test_gp_lower_solved_up_to_the_limit(self):
+        """gp runs under gp_max_n, not under gp_number's own default of 20."""
+        assert bounds(random_connected(22, 0.3, 1), 0, gp_max_n=30).gp_lower == 10
+
     @given(support.graphs(min_n=2, max_n=9), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_sandwich(self, g, k):
@@ -842,11 +846,12 @@ def _grid(rows, cols):
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, OUTER), (7, 92, [2, 3, 5, 6, 10, 11, 17])),
         (lambda: mu_k_variant(random_connected(18, 0.2, 3), 0, DUAL),
          (7, 193, [5, 8, 10, 11, 14, 15, 16])),
+        (lambda: mu_k(build_graph(0, []), 0), (0, 0, [])),
     ],
     ids=["grid3x5-k0", "grid3x5-k1", "grid4x5-k1", "grid4x5-k2", "c9-k1", "random14-k0", "random14-k1", "random24-k0",
          "gp-random14", "block9-k0", "block9-k1", "block9-k2", "path12-block-k1", "path12-block-k2",
          "dp-block9-k0", "dp-block9-k1", "dp-block9-k2", "dp-path12-block-k1", "dp-path12-block-k2",
-         "total-random18-k0", "outer-random18-k0", "dual-random18-k0"],
+         "total-random18-k0", "outer-random18-k0", "dual-random18-k0", "mu-empty-k0"],
 )
 def test_search_effort_is_pinned(solve, want):
     """Search order and pruning fix the value, the witness and the node count
