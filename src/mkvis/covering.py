@@ -3,10 +3,12 @@
 tau_k is the least number of parts, found by backtracking over part counts
 from the ceil(n/mu_k) lower bound upward; only ever opening the next fresh
 part breaks symmetric labelings. Every part is a solvers._IncrementalChecker
-over geodesic tables built once per call, grown only by a vertex that fits:
-tau_k's parts carry count rows and name the vertices after each new member,
-and greedy_cover's parts, grown in no such order, are the sweeping checker's,
-whose rows exist only for members, as its memory at n = 1000 needs.
+grown only by a vertex that fits. tau_k's parts share geodesic tables built
+once per call, carry count rows and name the vertices after each new member.
+greedy_cover's parts, grown in no such order, are the sweeping checker's:
+nothing is built up front, each push runs one BFS from the new member for
+its count row and its through row (shared by the parts), and rows exist
+only for members, as its memory at n = 1000 needs.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ __all__ = [
 ]
 
 DEFAULT_TAU_MAX_N = 16
-# greedy_cover's geodesic tables hold n^2 masks of n bits and its parts one
-# packed count per member and vertex: about 265-275 MB at n = 1000, k <= 1
+# greedy_cover keeps a through row of n masks of n bits per vertex and its
+# parts one packed count per member and vertex: about 155-165 MB at n = 1000, k <= 1
 DEFAULT_COVER_MAX_N = 1000
 
 LOWER_CEIL_MU = "ceil(n/mu_k)"

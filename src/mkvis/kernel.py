@@ -49,12 +49,13 @@ The exact solvers probe thousands of sets on one small graph. For them
 _geodesic_dags builds, once per solve, each source's shortest-path DAG: the
 BFS order with every vertex's forward neighbours (those one level further
 out), gathered in the same BFS pass that discovers them, which also sums the
-geodesic counts along those edges. _path_counts walks
-a DAG with the tracked set as an int bitmask and counts, per target, the
-geodesics with exactly j tracked vertices strictly inside, for each j up to
-a cap, packed into one int: one addition per DAG edge, with no validation.
-A target has a geodesic with at most that many tracked internal vertices
-exactly when its packed count is nonzero.
+geodesic counts along those edges. The solvers' checker keeps, per pair,
+the geodesics with exactly j tracked vertices strictly inside, for each j
+up to a cap, packed into one int, so a pair has a geodesic with at most
+that many tracked internal vertices exactly when its packed count is
+nonzero. Its carried rows start from these counts; greedy_cover's checker
+builds no DAG and packs each new member's counts in a BFS of its own. The
+test suite rebuilds such counts from a DAG (support.path_counts).
 
 oracle_min_internal_count recomputes the same quantity by enumerating every
 geodesic outright, on distances from graphs.bfs_distances (the plain
@@ -349,31 +350,6 @@ def _geodesic_dags(g: Graph):
         dags.append(tuple(dag))
         sigma.append(paths)
     return dags, sigma
-
-
-def _path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
-    """Per target, its geodesics from dag's source by tracked internal count.
-
-    Field j of counts[t], bits j*width up to (j+1)*width, is the number of
-    source-t geodesics with exactly j vertices of mask strictly inside; the
-    fields run up to the one full still covers, and geodesics with more
-    tracked vertices are dropped. A tracked vertex shifts what passes through
-    it up one field. Neither endpoint counts, and an unreachable target reads
-    0. width must exceed the bit length of every pair's geodesic count, so no
-    field carries into the next. Inputs are trusted: callers build dag with
-    _geodesic_dags and mask from validated ids.
-    """
-    counts = [0] * n
-    source = dag[0][0]
-    counts[source] = 1
-    mask &= ~(1 << source)
-    for u, forward in dag:
-        c = counts[u]
-        if mask >> u & 1:
-            c = c << width & full
-        for w in forward:
-            counts[w] += c
-    return counts
 
 
 def internal_counts(g: Graph, x, source: int) -> list:

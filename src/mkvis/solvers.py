@@ -32,8 +32,9 @@ every vertex but v live on each push, so every pair is exact: total and
 outer read the pairs that touch the complement with breaks, and dual reads
 the pairs inside it to accept a set and to cut a branch once two vertices
 that can no longer join lose sight of each other. Only
-covering.greedy_cover grows sets in no order, so its parts sweep the new
-member's DAG once per push. gp_number reads only _through.
+covering.greedy_cover grows sets in no order, so its parts build nothing
+up front and run one BFS from each new member at its push, which counts
+its geodesics and gives its through row. gp_number reads only _through.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .kernel import (
     _check_tolerance,
     _check_variant_name,
     _geodesic_dags,
-    _path_counts,
     check_variant,
     mkv_check,
 )
@@ -229,19 +229,20 @@ def _through(dags, n: int) -> list:
 class _IncrementalChecker:
     """Feasibility of growing a mutual k-visible set one vertex at a time.
 
-    Built once per solve, it owns the geodesic tables: each source's
-    shortest-path DAG and sigma[a][b], the number of a-b geodesics (from
-    _geodesic_dags), and _through's masks. It holds a member list and its
-    bitmask, mask; push(v, later) adds v and returns what pop(v, undo) needs
-    to take it out again, and fresh() gives an empty set over the tables.
-    rows[a][t] is _path_counts from a with the members tracked, so field j
+    Built once per solve, it owns the geodesic tables, among them
+    through[a][v], the bitmask of vertices b such that v lies on some a-b
+    geodesic. It holds a member list and its bitmask, mask; push(v, later)
+    adds v and returns what pop(v, undo) needs to take it out again, and
+    fresh() gives an empty set over the tables. Field j of rows[a][t]
     counts the a-t geodesics with exactly j members strictly inside, for
-    j <= k'. width and full pack them: width is one bit more than the
-    largest geodesic count of any pair, read off sigma, and full keeps
-    fields 0..k', where k' = min(k, n - 2) since no geodesic has more
-    internal vertices. A pair passes while its vector is nonzero. fits(v)
-    assumes the members are already mutual k-visible (true when the set
-    only ever grows by a v that fits) and sweeps nothing:
+    j <= k', where k' = min(k, n - 2) since no geodesic has more internal
+    vertices. width and full pack them: full keeps fields 0..k', and width
+    exceeds the bit length of every geodesic count sigma(a, t) the rows can
+    meet, so no field of a row, or of the products below (which count
+    geodesics of one pair), carries into the next. A pair passes while its
+    vector is nonzero. fits(v) assumes the members are already mutual
+    k-visible (true when the set only ever grows by a v that fits) and
+    sweeps nothing:
 
     - a new pair (q, v) keeps its geodesics' counts, so it passes iff it
       reads nonzero: off blind[v] & mask when carried, else rows[q][v];
@@ -261,21 +262,33 @@ class _IncrementalChecker:
     How push(v, later) keeps the rows depends on carried.
 
     Without it (greedy_cover, where every vertex not yet placed stays a
-    candidate of every part) there is a row per member only, and later is
-    ignored. push(v) sweeps v's DAG once for rows[v] and applies the update
-    above to rows[a][t] for every member a and t in through[a][v]. It
-    replaces each changed row by an updated copy and returns the old rows,
-    so pop(v, undo) restores them and nothing outlives the pop; a caller
-    that never pops drops them at once.
+    candidate of every part) nothing is built up front, there is a row per
+    member only, and later is ignored. push(v) runs one BFS from v that
+    counts v's geodesics and packs rows[v] with the members tracked, both
+    final when a vertex is dequeued (Brandes' single-source path counting),
+    and, the first time any copy pushes v, walks the BFS order back for
+    through[v], which does not depend on the set and sits in a list that
+    fresh() copies share. It then applies the update above to rows[a][t]
+    for every member a and t in through[a][v], replacing each changed row
+    by an updated copy, and returns the old rows, so pop(v, undo) restores
+    them and nothing outlives the pop; a caller that never pops drops them
+    at once. Every count the rows and their products hold is at most
+    sigma(a, t) for a member a, so width starts at 4 and grows, in steps of
+    4 bits, only when a push's BFS meets a larger count: the member rows
+    are then repacked before the undo is recorded, and pop repacks the rows
+    it restores.
 
-    With it (every ordered solve) every vertex has a row from the start, its
-    sigma row (the geodesic counts with nothing tracked), and no push
-    sweeps. Then fits and every later push read only pairs inside the live
-    set, the members plus later, a bitmask of vertices other than v that
-    holds every vertex a later fits or push names, so rows[s][t] is kept
-    correct only for s and t both live. _search passes its node's candidates
-    after v, and the first-fit passes and tau_k the vertices after v in
-    their order. _AllPairsChecker passes every vertex but v, so every pair
+    With it (every ordered solve) the checker builds, once, each source's
+    shortest-path DAG and sigma[a][b], the number of a-b geodesics (from
+    _geodesic_dags), and through from them (_through), and the width from
+    the largest sigma. Every vertex has a row from the start, its sigma row
+    (the geodesic counts with nothing tracked), and no push sweeps. Then
+    fits and every later push read only pairs inside the live set, the
+    members plus later, a bitmask of vertices other than v that holds every
+    vertex a later fits or push names, so rows[s][t] is kept correct only
+    for s and t both live. _search passes its node's candidates after v,
+    and the first-fit passes and tau_k the vertices after v in their
+    order. _AllPairsChecker passes every vertex but v, so every pair
     stays exact in any push order. push(v, later) applies the update above
     to each pair {s, t} of the live set with t in through[s][v], in both
     orientations, and returns the old values for pop. A pair that drops out
@@ -295,24 +308,24 @@ class _IncrementalChecker:
     after push(v, later) on a carried checker, from the blind masks, the
     member pairs that push changed, v's new pairs and between.
 
-    Memory on top of through: packed ints of at most (k' + 1) * width bits
-    each (an int holds only the bits up to its top nonzero field), n per
-    member without carried, so n^2 once all n vertices are members, as they
-    are across greedy_cover's parts; n^2 per carried checker, which also
-    keeps sigma and between, n^2 masks of n bits like through, and inside
-    and blind, n masks each.
+    Memory on top of through (n masks of n bits per source, every vertex
+    a source when carried, each vertex ever pushed without): packed ints of
+    at most (k' + 1) * width bits each (an int holds only the bits up to
+    its top nonzero field), n per member without carried, so n^2 once all n
+    vertices are members, as they are across greedy_cover's parts; n^2 per
+    carried checker, which also keeps the DAGs, sigma and between, n^2
+    masks of n bits like through, and inside and blind, n masks each.
     """
 
     def __init__(self, g: Graph, k: int, carried: bool = False):
         n = self.n = g.n
         self.k = k
         self.carried = carried
-        self.dags, self.sigma = _geodesic_dags(g)
-        self.through = _through(self.dags, n)
-        self.width = max((max(row) for row in self.sigma), default=1).bit_length() + 1
-        self.full = (1 << (min(k, max(n - 2, 0)) + 1) * self.width) - 1
-        self.low = self.full >> self.width  # the fields below k'
+        self.fields = min(k, max(n - 2, 0)) + 1
         if carried:
+            self.dags, self.sigma = _geodesic_dags(g)
+            self.through = _through(self.dags, n)
+            self._pack(max((max(row) for row in self.sigma), default=1).bit_length() + 1)
             self.inside = [0] * n
             self.between = []
             for s, dag in enumerate(self.dags):
@@ -326,8 +339,17 @@ class _IncrementalChecker:
                         above[w] |= bits
                 self.between.append(above)
         else:
+            self.adj = g.adj
+            self.through = [None] * n  # filled per member at its push, shared by fresh() copies
+            self._pack(4)  # widened in 4-bit steps
             self.sigma = self.between = self.inside = self.blind = None
         self._empty()
+
+    def _pack(self, width: int) -> None:
+        """Pack the fields width bits apart."""
+        self.width = width
+        self.full = (1 << self.fields * width) - 1
+        self.low = self.full >> width  # the fields below k'
 
     def _empty(self) -> None:
         """Hold the empty set, with rows from sigma when carried."""
@@ -336,6 +358,7 @@ class _IncrementalChecker:
             self.rows, self.blind = [row[:] for row in self.sigma], [0] * self.n
         else:
             self.rows = [None] * self.n
+            self.widths = []  # widths[i]: the field width of the rows the i-th push hands back
 
     def fresh(self):
         other = copy(self)
@@ -376,11 +399,59 @@ class _IncrementalChecker:
         return undo
 
     def _sweep_push(self, v: int):
-        width, full, rows = self.width, self.full, self.rows
-        vrow = _path_counts(self.dags[v], self.mask, self.n, width, full)
+        n, adj, width, full, rows = self.n, self.adj, self.width, self.full, self.rows
+        tracked = bytearray(n)
+        for a in self.members:
+            tracked[a] = 1
+        # one BFS from v: paths[t] counts the v-t geodesics and vrow[t] packs
+        # them by members strictly inside, both final when t is dequeued
+        dist: list = [None] * n
+        dist[v] = 0
+        paths = [0] * n
+        paths[v] = 1
+        vrow = [0] * n
+        vrow[v] = 1
+        order = [v]
+        for u in order:  # the list grows while it is walked: a FIFO queue
+            du1 = dist[u] + 1
+            pu = paths[u]
+            c = vrow[u]
+            if tracked[u]:
+                c = c << width & full
+            for w in adj[u]:
+                dw = dist[w]
+                if dw is None:
+                    dist[w] = du1
+                    order.append(w)
+                    paths[w] = pu
+                    vrow[w] = c
+                elif dw == du1:
+                    paths[w] += pu
+                    vrow[w] += c
+        need = max(paths).bit_length() + 1
+        if need > width:
+            self._pack((need + 3) // 4 * 4)  # in 4-bit steps, so the rows are repacked less often
+            for a in self.members:
+                rows[a] = self._repacked(rows[a], width)
+            if self.members:  # with none, vrow holds every geodesic in field 0 at any width
+                if need > width + 1:
+                    return self._sweep_push(v)  # a field of vrow may have carried into the next
+                vrow = self._repacked(vrow, width)
+            width, full = self.width, self.full
+        through = self.through
+        if through[v] is None:
+            below = [0] * n
+            for u in reversed(order):
+                bits = 1 << u
+                du1 = dist[u] + 1
+                for w in adj[u]:
+                    if dist[w] == du1:
+                        bits |= below[w]
+                below[u] = bits
+            through[v] = below
         undo = []
         for a in self.members:
-            bits = self.through[a][v] ^ 1 << v
+            bits = through[a][v] ^ 1 << v
             if not bits:
                 continue
             old = rows[a]
@@ -399,13 +470,25 @@ class _IncrementalChecker:
         rows[v] = vrow
         self.members.append(v)
         self.mask |= 1 << v
+        self.widths.append(width)
         return undo
+
+    def _repacked(self, row: list, old: int) -> list:
+        """row, packed old bits apart, repacked to the current width."""
+        width, keep = self.width, (1 << old) - 1
+        if old == width or self.fields == 1:
+            return row
+        packed = [c & keep for c in row]
+        for j in range(1, self.fields):
+            packed = [p | (c >> j * old & keep) << j * width for p, c in zip(packed, row)]
+        return packed
 
     def pop(self, v: int, undo) -> None:
         rows = self.rows
         if not self.carried:
+            width = self.widths.pop()
             for a, old in undo:
-                rows[a] = old
+                rows[a] = self._repacked(old, width)
             rows[v] = None
         else:
             blind = self.blind

@@ -3,12 +3,15 @@
 Everything here recomputes from first principles: Floyd-Warshall distances,
 explicit materialization of whole shortest paths, raw subset scans over the
 power set. No logic is shared with the package internals, so agreement
-between the two sides is evidence, not tautology. The one exception is
-bnb_mu_k_block, the retired branch-and-bound solver for block graphs: it
-runs the package's search engine and incremental checker on the leafed
-block-cut tree (leafed_tree, tested on its own against is_k_admissible),
-so it checks the tree DP that replaced it, which takes the same leaves as
-end-only weights.
+between the two sides is evidence, not tautology. There are two
+exceptions. bnb_mu_k_block, the retired branch-and-bound solver for block
+graphs, runs the package's search engine and incremental checker on the
+leafed block-cut tree (leafed_tree, tested on its own against
+is_k_admissible), so it checks the tree DP that replaced it, which takes
+the same leaves as end-only weights. path_counts walks the DAGs of
+kernel._geodesic_dags, which the suite checks against whole-path
+enumeration, to rebuild the checker's packed count rows; the checker's own
+push computes them in its BFS and calls neither.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import random
 from collections import deque
 from itertools import combinations
 
+import hypothesis
 import hypothesis.strategies as st
 
 from mkvis.blocks import _blocks_are_cliques, block_decomposition, block_node, cut_node, expand_admissible
 from mkvis.errors import GraphInputError
-from mkvis.graphs import Graph, build_graph, random_connected
+from mkvis.graphs import Graph, build_graph, complete_bipartite, random_connected
 from mkvis.kernel import _check_tolerance, mkv_check
 from mkvis.solvers import SolveResult, _IncrementalChecker, _search
 
@@ -299,6 +303,65 @@ def seeded_graph(i: int, max_n: int = 10) -> Graph:
     return random_connected(n, p, seed=1000 + i)
 
 
+def lattice(rows: int, cols: int, wrap: bool = False) -> Graph:
+    """The rows x cols grid, or with wrap the torus, vertex r * cols + c."""
+    edges = set()
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            for r2, c2 in ((r + 1, c), (r, c + 1)):
+                if wrap:
+                    r2, c2 = r2 % rows, c2 % cols
+                if r2 < rows and c2 < cols and (r2, c2) != (r, c):
+                    edges.add(tuple(sorted((v, r2 * cols + c2))))
+    return build_graph(rows * cols, sorted(edges))
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d: the d-bit words, adjacent when they differ in one bit."""
+    return build_graph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1])
+
+
+def with_examples(cases):
+    """Decorate a hypothesis test with one explicit example per tuple of
+    arguments in cases, run on top of the drawn ones."""
+    def apply(test):
+        for args in cases:
+            test = hypothesis.example(*args)(test)
+        return test
+    return apply
+
+
+def geodesic_rich_graphs() -> list:
+    """Graphs with many geodesics per pair, up to C(7, 3) = 35 between the
+    corners of the 4x5 grid and 4! = 24 between antipodes of Q4, so the
+    packed count fields of a growing set must widen."""
+    return [lattice(3, 3), lattice(3, 5), lattice(4, 4), lattice(4, 5), lattice(4, 4, wrap=True),
+            hypercube(4), complete_bipartite(2, 7), complete_bipartite(4, 5)]
+
+
+def diamond_chain(diamonds: int) -> Graph:
+    """Hubs 0..diamonds in a row, consecutive hubs joined through two middle
+    vertices (diamonds + 1 + 2i and the next id for the i-th diamond), so
+    2^diamonds geodesics join the end hubs."""
+    hubs = diamonds + 1
+    edges = [(i, m) for i in range(diamonds) for m in (hubs + 2 * i, hubs + 2 * i + 1)]
+    edges += [(m, i + 1) for i in range(diamonds) for m in (hubs + 2 * i, hubs + 2 * i + 1)]
+    return build_graph(hubs + 2 * diamonds, edges)
+
+
+def rising_counts_steps(g: Graph) -> list:
+    """Push and pop steps for g whose pushes meet ever larger geodesic
+    counts. With the vertices ordered by their largest geodesic count to
+    any vertex, smallest first, the first eight are pushed, three popped,
+    the next four pushed and five popped (rising[0], a member throughout,
+    stands for a pop of the last member)."""
+    dist = distance_matrix(g)
+    most = [max(len(all_geodesics(g, v, w, dist)) for w in range(g.n)) for v in range(g.n)]
+    rising = sorted(range(g.n), key=lambda v: (most[v], v))
+    return rising[:8] + [rising[0]] * 3 + rising[8:12] + [rising[0]] * 5
+
+
 def random_subset(rng: random.Random, n: int, max_size=None) -> set[int]:
     size = rng.randint(0, n if max_size is None else min(max_size, n))
     return set(rng.sample(range(n), size))
@@ -339,6 +402,32 @@ def leafed_tree(t):
     edges += [(t._id[block_node(i)], size + i) for i in range(len(t.blocks))]
     ids = {node: i if node[0] == "cut" else size + node[1] for node, i in t._id.items()}
     return build_graph(size + len(t.blocks), edges), ids
+
+
+def path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
+    """Per target, its geodesics from dag's source by tracked internal count:
+    the rebuild reference for the checker's packed count rows.
+
+    dag is one source's entry of kernel._geodesic_dags. Field j of
+    counts[t], bits j*width up to (j+1)*width, is the number of source-t
+    geodesics with exactly j vertices of mask strictly inside; the fields
+    run up to the one full still covers, and geodesics with more tracked
+    vertices are dropped. A tracked vertex shifts what passes through it up
+    one field. Neither endpoint counts, and an unreachable target reads 0.
+    width must exceed the bit length of every pair's geodesic count, so no
+    field carries into the next.
+    """
+    counts = [0] * n
+    source = dag[0][0]
+    counts[source] = 1
+    mask &= ~(1 << source)
+    for u, forward in dag:
+        c = counts[u]
+        if mask >> u & 1:
+            c = c << width & full
+        for w in forward:
+            counts[w] += c
+    return counts
 
 
 def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:

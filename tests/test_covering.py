@@ -177,6 +177,7 @@ class TestGreedyCover:
         assert is_visibility_cover(g, parts, k)
         assert len(parts) >= tau_k(g, k).value
 
+    @support.with_examples([(g, k) for g in support.geodesic_rich_graphs() for k in range(4)])
     @given(support.graphs(min_n=1, max_n=9), st.integers(0, 2))
     @settings(max_examples=50, deadline=None)
     def test_is_first_fit_in_degree_order(self, g, k):

@@ -27,7 +27,6 @@ from mkvis.kernel import (
     TOTAL,
     VARIANTS,
     _geodesic_dags,
-    _path_counts,
     bfs_mkv,
     check_variant,
     internal_counts,
@@ -115,7 +114,7 @@ class TestGeodesicDags:
             for v, forward in dags[u]:
                 assert forward == tuple(w for w in g.adj[v] if dist[u][w] == dist[u][v] + 1)
             assert sigma[u] == [len(geodesics[u, w]) for w in range(g.n)]
-            counts = _path_counts(dags[u], mask, g.n, width, full)
+            counts = support.path_counts(dags[u], mask, g.n, width, full)
             fused = bfs_mkv(g, x, u).cnt
             for w in range(g.n):
                 if w == u:

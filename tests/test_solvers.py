@@ -26,7 +26,7 @@ from mkvis.graphs import (
     random_block_graph,
     random_connected,
 )
-from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _path_counts, mkv_check
+from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _geodesic_dags, mkv_check
 from mkvis.solvers import (
     DEFAULT_VARIANT_MAX_N,
     Polynomial,
@@ -397,14 +397,22 @@ def test_invariant_under_relabeling(g, k, rnd, blocks, block_size, seed):
 
 
 class TestIncrementalChecker:
+    # the chain's middle hub 5 widens the fields to 8 bits, then end hub 0 meets 2^10 geodesics
+    @support.with_examples([(g, k, support.rising_counts_steps(g)) for g in support.geodesic_rich_graphs() for k in range(4)]
+                           + [(support.diamond_chain(10), k, [5, 0, 10, 12, 21, 5, 5, 7, 3, 5, 5]) for k in range(4)])
     @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.lists(st.integers(0, 7), max_size=14))
     @settings(max_examples=80, deadline=None)
     def test_rows_match_a_rebuild_after_push_and_pop(self, g, k, steps):
         """A step pushes vertex step % n when it is no member (after checking
         fits against the oracle whenever the members are mutual k-visible),
         else pops the last member; the count rows must then equal rows
-        rebuilt by _path_counts for the held set."""
+        rebuilt by support.path_counts for the held set, with fields wider
+        than every member's geodesic counts. The examples push vertices
+        with ever larger geodesic counts, so the fields widen while rows
+        are held (on the diamond chain by more than one bit at once), and
+        pop back past the widening."""
         checker = _IncrementalChecker(g, k)
+        dags, sigma = _geodesic_dags(g)
         undos = []
         dist = support.distance_matrix(g)
         for step in steps:
@@ -417,7 +425,8 @@ class TestIncrementalChecker:
                 undos.append(checker.push(v))
             for a in range(g.n):
                 if a in checker.members:
-                    want = _path_counts(checker.dags[a], checker.mask, g.n, checker.width, checker.full)
+                    assert checker.width > max(sigma[a]).bit_length(), (a, checker.members)  # no field carries
+                    want = support.path_counts(dags[a], checker.mask, g.n, checker.width, checker.full)
                     assert checker.rows[a] == want, (a, checker.members)
                 else:
                     assert checker.rows[a] is None
@@ -425,10 +434,10 @@ class TestIncrementalChecker:
     @staticmethod
     def assert_rows_match_a_rebuild(checker, live):
         """The carried counts between live vertices equal counts rebuilt by
-        _path_counts for the held set."""
+        support.path_counts for the held set."""
         for s in range(checker.n):
             if live >> s & 1:
-                want = _path_counts(checker.dags[s], checker.mask, checker.n, checker.width, checker.full)
+                want = support.path_counts(checker.dags[s], checker.mask, checker.n, checker.width, checker.full)
                 for t in range(checker.n):
                     if live >> t & 1:
                         assert checker.rows[s][t] == want[t], (s, t, checker.members)
@@ -521,7 +530,7 @@ class TestIncrementalChecker:
             else:
                 undos.append(checker.push(rnd.choice(outside)))
             for s in range(g.n):
-                want = _path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
+                want = support.path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
                 assert checker.rows[s] == want, (s, checker.members)
                 assert checker.blind[s] == sum(1 << t for t in range(g.n) if not want[t]), (s, checker.members)
 
@@ -538,6 +547,7 @@ class TestIncrementalChecker:
         draws where a pair of S x T reads 0 already."""
         rnd = random.Random(seed)
         n = g.n
+        dags = _geodesic_dags(g)[0]
         for checker in (_IncrementalChecker(g, k), _AllPairsChecker(g, k)):
             order = list(range(n))
             rnd.shuffle(order)
@@ -549,7 +559,7 @@ class TestIncrementalChecker:
                     if checker.mask >> v & 1:
                         continue
                     pool = (1 << n) - 1 ^ 1 << v if checker.carried else checker.mask
-                    rebuilt = [_path_counts(checker.dags[s], checker.mask | 1 << v, n, checker.width, checker.full)
+                    rebuilt = [support.path_counts(dags[s], checker.mask | 1 << v, n, checker.width, checker.full)
                                for s in range(n)]
                     for _ in range(3):
                         targets = sum(1 << w for w in range(n) if pool >> w & 1 and rnd.random() < 0.7)
@@ -675,22 +685,25 @@ class TestIncrementalChecker:
 
     def test_diamond_chain_counts_past_64_bits(self):
         """70 diamonds in a row: 2^70 geodesics between the end hubs, so a
-        field needs 72 bits and the packed ints exceed machine words."""
+        field needs 72 bits and the packed ints exceed machine words. A
+        carried checker packs them so from the start, and one without
+        carried once a hub's push meets that count."""
         hubs = 71
         edges = []
         for i in range(hubs - 1):
             for middle in (hubs + 2 * i, hubs + 2 * i + 1):
                 edges += [(i, middle), (middle, i + 1)]
         g = build_graph(hubs + 2 * (hubs - 1), edges)
-        tables = _IncrementalChecker(g, 1)
+        tables = _IncrementalChecker(g, 1, True)
         assert tables.width == 72
-        assert _path_counts(tables.dags[0], 0, g.n, tables.width, tables.full)[hubs - 1] == 2**70
+        assert support.path_counts(tables.dags[0], 0, g.n, tables.width, tables.full)[hubs - 1] == 2**70
         # a tracked middle hub moves every geodesic to field 1
-        counts = _path_counts(tables.dags[0], 1 << 35, g.n, tables.width, tables.full)
+        counts = support.path_counts(tables.dags[0], 1 << 35, g.n, tables.width, tables.full)
         assert counts[hubs - 1] == 2**70 << 72
         checker = _IncrementalChecker(g, 0)
         for v in (0, hubs - 1):
             checker.push(v)
+        assert checker.width > 71  # the 2^70 end-to-end geodesics need 71 bits
         assert not checker.fits(35)  # every end-to-end geodesic runs through hub 35
         assert checker.fits(hubs)  # half of them avoid this diamond's middle vertex
 
@@ -784,20 +797,20 @@ class TestIncrementalChecker:
     def test_polynomial_sweeps_only_while_building_tables(self):
         """With carried rows no push sweeps, and the geodesic counts that
         build the tables come from the DAG pass: the polynomial, mu_k (its
-        first-fit passes included), tau_k and gp_number make no _path_counts
-        call at all."""
+        first-fit passes included), tau_k and gp_number make no sweeping
+        push (_sweep_push) at all."""
         g = random_connected(14, 0.2, 2)
-        path_counts = mkvis.solvers._path_counts
+        sweep_push = _IncrementalChecker._sweep_push
         results = {}
         for name, solve in [("poly", lambda: visibility_polynomial(g, 1)), ("mu", lambda: mu_k(g, 1)),
                             ("tau", lambda: tau_k(g, 1)), ("gp", lambda: gp_number(g))]:
             masks = []
 
-            def counting(dag, mask, *args):
-                masks.append(mask)
-                return path_counts(dag, mask, *args)
+            def counting(self, v):
+                masks.append(self.mask)
+                return sweep_push(self, v)
 
-            with mock.patch.object(mkvis.solvers, "_path_counts", counting):
+            with mock.patch.object(_IncrementalChecker, "_sweep_push", counting):
                 results[name] = solve()
             assert masks == [], name
         assert sum(results["poly"].coefficients) > 1000
