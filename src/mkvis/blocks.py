@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import GraphInputError, SizeLimitError
 from .graphs import Graph, _bfs, check_vertex, check_vertex_set, require_connected
-from .kernel import _check_tolerance, mkv_check
+from .kernel import _check_count, _check_tolerance, mkv_check
 from .solvers import SolveResult
 
 __all__ = [
@@ -367,6 +367,7 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
     is read off the chosen cut and block ids and verified with mkv_check.
     """
     _check_tolerance(k)
+    _check_count(max_nodes, "max_nodes")
     t = block_decomposition(g)
     if not _blocks_are_cliques(g, t):
         raise GraphInputError("not a block graph: some block is not a clique")

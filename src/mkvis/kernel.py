@@ -45,17 +45,9 @@ sweep; the pass and each sweep also count n) plus one step per member pair
 read. It never exceeds |S|(n + 2m + |S|) + n + 2m: the test spends only
 what that bound leaves once every class's sweep and every pair is paid for.
 
-The exact solvers probe thousands of sets on one small graph. For them
-_geodesic_dags builds, once per solve, each source's shortest-path DAG: the
-BFS order with every vertex's forward neighbours (those one level further
-out), gathered in the same BFS pass that discovers them, which also sums the
-geodesic counts along those edges. The solvers' checker keeps, per pair,
-the geodesics with exactly j tracked vertices strictly inside, for each j
-up to a cap, packed into one int, so a pair has a geodesic with at most
-that many tracked internal vertices exactly when its packed count is
-nonzero. Its carried rows start from these counts; greedy_cover's checker
-builds no DAG and packs each new member's counts in a BFS of its own. The
-test suite rebuilds such counts from a DAG (support.path_counts).
+The exact solvers, which probe thousands of sets on one small graph, keep
+packed geodesic counts per pair instead (solvers._IncrementalChecker); the
+tests rebuild them from shortest-path DAGs (support.geodesic_dags).
 
 oracle_min_internal_count recomputes the same quantity by enumerating every
 geodesic outright, on distances from graphs.bfs_distances (the plain
@@ -109,10 +101,15 @@ REASON_PAIR = "pair_exceeds_tolerance"
 REASON_DISCONNECTED = "members_in_different_components"
 
 
+def _check_count(value, name: str) -> int:
+    """The one check of the tolerance k and of every size limit."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise GraphInputError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def _check_tolerance(k) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise GraphInputError(f"tolerance k must be a nonnegative integer, got {k!r}")
-    return k
+    return _check_count(k, "tolerance k")
 
 
 def _check_variant_name(variant) -> str:
@@ -307,49 +304,6 @@ def _non_simplicial(adj, inner, rep, limit: int, room: int):
             if len(kept) == limit:
                 return kept + inner[i + 1:], steps
     return kept, steps
-
-
-def _geodesic_dags(g: Graph):
-    """Per source, the shortest-path DAG and the geodesic counts.
-
-    Returns (dags, sigma). dags[s] lists (u, forward) pairs in BFS order from
-    s; forward holds the neighbours w of u with dist[w] == dist[u] + 1, in
-    adjacency order. It is gathered in the BFS pass itself: when u leaves the
-    queue every vertex up to u's level is discovered, so a neighbour one
-    level out is either undiscovered (and is discovered from u now) or
-    already at that level. sigma[s][t] is the number of s-t geodesics, summed
-    along the same forward edges (1 at s, 0 where unreachable). Only vertices
-    reachable from the source appear in its DAG. Cost O(n (n + m)).
-    """
-    n = g.n
-    adj = g.adj
-    dags = []
-    sigma = []
-    for source in range(n):
-        dist: list = [None] * n
-        dist[source] = 0
-        paths = [0] * n
-        paths[source] = 1
-        order = [source]
-        dag = []
-        for u in order:  # the list grows while it is walked: a FIFO queue
-            du1 = dist[u] + 1
-            pu = paths[u]
-            forward = []
-            for w in adj[u]:
-                dw = dist[w]
-                if dw is None:
-                    dist[w] = du1
-                    order.append(w)
-                    forward.append(w)
-                    paths[w] = pu
-                elif dw == du1:
-                    forward.append(w)
-                    paths[w] += pu
-            dag.append((u, tuple(forward)))
-        dags.append(tuple(dag))
-        sigma.append(paths)
-    return dags, sigma
 
 
 def internal_counts(g: Graph, x, source: int) -> list:

@@ -22,19 +22,18 @@ first-fit passes, mu_k_variant, visibility_polynomial and covering.tau_k's
 parts) builds it carried: it holds a count row for every vertex from the
 start, and each push(v, later) names the vertices that may still join, so
 it updates only the pairs among the members and those, marks in blind
-masks the pairs that read 0 and sweeps no DAG. fits reads v's new pairs
+masks the pairs that read 0 and sweeps nothing. fits reads v's new pairs
 off those masks and hands the member pairs to breaks, the one test of a
-pair that v's joining would zero. _search passes a node's candidates after
-v, the first-fit passes and tau_k the vertices after v in their order.
-mu_k's search filters those candidates with one narrow(v, later, undo)
-pass over the blind masks and what the push changed. mu_k_variant keeps
-every vertex but v live on each push, so every pair is exact: total and
-outer read the pairs that touch the complement with breaks, and dual reads
-the pairs inside it to accept a set and to cut a branch once two vertices
-that can no longer join lose sight of each other. Only
-covering.greedy_cover grows sets in no order, so its parts build nothing
-up front and run one BFS from each new member at its push, which counts
-its geodesics and gives its through row. gp_number reads only _through.
+pair that v's joining would zero. mu_k's search filters a node's
+candidates with one narrow(v, later, undo) pass over the blind masks and
+what the push changed. mu_k_variant keeps every vertex but v live on each
+push, so every pair is exact: total and outer read the pairs that touch
+the complement with breaks, and dual reads the pairs inside it to accept
+a set and to cut a branch once two vertices that can no longer join lose
+sight of each other. Only covering.greedy_cover grows sets in no order,
+so its parts build nothing up front and run one BFS from each new member
+at its push. Every geodesic table comes from one BFS per source
+(_geodesics) and one walk back over its order (_below, all gp_number uses).
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ from .kernel import (
     DUAL,
     OUTER,
     TOTAL,
+    _check_count,
     _check_tolerance,
     _check_variant_name,
-    _geodesic_dags,
     check_variant,
     mkv_check,
 )
@@ -211,19 +210,44 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
     return best, best_set, nodes, sizes
 
 
-def _through(dags, n: int) -> list:
-    """through[a][v]: the bitmask of vertices b such that v lies on some a-b
-    geodesic, that is, v's descendants in a's DAG, v included."""
-    through = []
-    for dag in dags:
-        below = [0] * n
-        for u, forward in reversed(dag):
-            bits = 1 << u
-            for w in forward:
+def _geodesics(adj, s: int):
+    """One BFS from s (Brandes' forward pass): the order, dist (None where
+    unreached), sigma[t], the number of s-t geodesics, and between[t], the
+    bitmask of the vertices on one, s and t included. Both sum or OR a
+    vertex's parents, so they are final when it is dequeued."""
+    n = len(adj)
+    dist: list = [None] * n
+    sigma, between = [0] * n, [0] * n
+    dist[s], sigma[s], between[s] = 0, 1, 1 << s
+    order = [s]
+    for u in order:  # the list grows while it is walked: a FIFO queue
+        du1 = dist[u] + 1
+        pu, bu = sigma[u], between[u]
+        for w in adj[u]:
+            dw = dist[w]
+            if dw is None:
+                dist[w] = du1
+                order.append(w)
+                sigma[w] = pu
+                between[w] = bu | 1 << w
+            elif dw == du1:
+                sigma[w] += pu
+                between[w] |= bu
+    return order, dist, sigma, between
+
+
+def _below(adj, order, dist) -> list:
+    """through[v] for the source order[0], in one walk back over its BFS
+    order: the bitmask of the t with v on some source-t geodesic."""
+    below = [0] * len(adj)
+    for u in reversed(order):
+        bits = 1 << u
+        du1 = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] == du1:
                 bits |= below[w]
-            below[u] = bits
-        through.append(below)
-    return through
+        below[u] = bits
+    return below
 
 
 class _IncrementalChecker:
@@ -267,42 +291,41 @@ class _IncrementalChecker:
     counts v's geodesics and packs rows[v] with the members tracked, both
     final when a vertex is dequeued (Brandes' single-source path counting),
     and, the first time any copy pushes v, walks the BFS order back for
-    through[v], which does not depend on the set and sits in a list that
-    fresh() copies share. It then applies the update above to rows[a][t]
-    for every member a and t in through[a][v], replacing each changed row
-    by an updated copy, and returns the old rows, so pop(v, undo) restores
-    them and nothing outlives the pop; a caller that never pops drops them
-    at once. Every count the rows and their products hold is at most
-    sigma(a, t) for a member a, so width starts at 4 and grows, in steps of
-    4 bits, only when a push's BFS meets a larger count: the member rows
-    are then repacked before the undo is recorded, and pop repacks the rows
-    it restores.
+    through[v] (_below), which does not depend on the set and sits in a list
+    that fresh() copies share. It then applies the update above to
+    rows[a][t] for every member a and t in through[a][v], replacing each
+    changed row by an updated copy, and returns the old rows, so pop(v,
+    undo) restores them and nothing outlives the pop; a caller that never
+    pops drops them at once. Every count the rows and their products hold is
+    at most sigma(a, t) for a member a, so width starts at 4 and grows, in
+    steps of 4 bits, only when a push's BFS meets a larger count: the member
+    rows are then repacked before the undo is recorded, and pop repacks the
+    rows it restores.
 
-    With it (every ordered solve) the checker builds, once, each source's
-    shortest-path DAG and sigma[a][b], the number of a-b geodesics (from
-    _geodesic_dags), and through from them (_through), and the width from
-    the largest sigma. Every vertex has a row from the start, its sigma row
-    (the geodesic counts with nothing tracked), and no push sweeps. Then
-    fits and every later push read only pairs inside the live set, the
-    members plus later, a bitmask of vertices other than v that holds every
-    vertex a later fits or push names, so rows[s][t] is kept correct only
-    for s and t both live. _search passes its node's candidates after v,
-    and the first-fit passes and tau_k the vertices after v in their
-    order. _AllPairsChecker passes every vertex but v, so every pair
-    stays exact in any push order. push(v, later) applies the update above
-    to each pair {s, t} of the live set with t in through[s][v], in both
-    orientations, and returns the old values for pop. A pair that drops out
-    of the live set keeps its old value, which is right again once v is
-    popped. A carried checker also keeps between[s][t], the bitmask of
-    vertices on some s-t geodesic (t's ancestors in s's DAG, s and t
-    included), inside[v], the sources s with v strictly inside some s-t
-    geodesic, and blind[s], the bitmask of the t whose pair with s reads 0:
-    push sets the bits of each pair it zeroes, and pop clears them before it
-    restores the old value. Like the rows, the bits are right for pairs
-    inside the live set: a node's candidates were live at every push on its
-    path, so fits, mu_k's bound and narrow read their pairs off blind. Only
-    a carried checker keeps sigma, inside and blind, and fresh() gives each
-    copy its own blind list.
+    With it (every ordered solve) the checker builds, once, sigma[a][b], the
+    number of a-b geodesics, and the between and through rows of every
+    source a (_geodesics and _below), and takes the width from the largest
+    sigma. Every vertex has a row from the start, its sigma row (the
+    geodesic counts with nothing tracked), and no push sweeps. Then fits and
+    every later push read only pairs inside the live set, the members plus
+    later, a bitmask of vertices other than v that holds every vertex a
+    later fits or push names, so rows[s][t] is kept correct only for s and t
+    both live. _search passes its node's candidates after v, and the
+    first-fit passes and tau_k the vertices after v in their order.
+    _AllPairsChecker passes every vertex but v, so every pair stays exact in
+    any push order. push(v, later) applies the update above to each pair
+    {s, t} of the live set with t in through[s][v], in both orientations,
+    and returns the old values for pop. A pair that drops out of the live
+    set keeps its old value, which is right again once v is popped. A
+    carried checker also keeps between[s][t], the bitmask of vertices on
+    some s-t geodesic, s and t included, inside[v], the sources s with v
+    strictly inside some s-t geodesic, and blind[s], the bitmask of the t
+    whose pair with s reads 0: push sets the bits of each pair it zeroes,
+    and pop clears them before it restores the old value. Like the rows, the
+    bits are right for pairs inside the live set: a node's candidates were
+    live at every push on its path, so fits, mu_k's bound and narrow read
+    their pairs off blind. Only a carried checker keeps sigma, between,
+    inside and blind, and fresh() gives each copy its own blind list.
 
     narrow(v, later, undo) answers fits for all of later at once, right
     after push(v, later) on a carried checker, from the blind masks, the
@@ -313,8 +336,8 @@ class _IncrementalChecker:
     at most (k' + 1) * width bits each (an int holds only the bits up to
     its top nonzero field), n per member without carried, so n^2 once all n
     vertices are members, as they are across greedy_cover's parts; n^2 per
-    carried checker, which also keeps the DAGs, sigma and between, n^2
-    masks of n bits like through, and inside and blind, n masks each.
+    carried checker, which also keeps sigma and between (n^2 masks of
+    n bits, like through) and inside and blind, n masks each.
     """
 
     def __init__(self, g: Graph, k: int, carried: bool = False):
@@ -323,21 +346,17 @@ class _IncrementalChecker:
         self.carried = carried
         self.fields = min(k, max(n - 2, 0)) + 1
         if carried:
-            self.dags, self.sigma = _geodesic_dags(g)
-            self.through = _through(self.dags, n)
-            self._pack(max((max(row) for row in self.sigma), default=1).bit_length() + 1)
-            self.inside = [0] * n
-            self.between = []
-            for s, dag in enumerate(self.dags):
-                above = [0] * n
-                for u, forward in dag:
-                    bits = above[u] | 1 << u
-                    above[u] = bits
-                    if forward and u != s:
+            self.sigma, self.through, self.between, self.inside = [], [], [], [0] * n
+            for s in range(n):
+                order, dist, sigma, between = _geodesics(g.adj, s)
+                below = _below(g.adj, order, dist)
+                for u in order[1:]:
+                    if below[u] != 1 << u:  # some geodesic from s runs on past u
                         self.inside[u] |= 1 << s
-                    for w in forward:
-                        above[w] |= bits
-                self.between.append(above)
+                self.sigma.append(sigma)
+                self.through.append(below)
+                self.between.append(between)
+            self._pack(max((max(row) for row in self.sigma), default=1).bit_length() + 1)
         else:
             self.adj = g.adj
             self.through = [None] * n  # filled per member at its push, shared by fresh() copies
@@ -406,11 +425,8 @@ class _IncrementalChecker:
         # one BFS from v: paths[t] counts the v-t geodesics and vrow[t] packs
         # them by members strictly inside, both final when t is dequeued
         dist: list = [None] * n
-        dist[v] = 0
-        paths = [0] * n
-        paths[v] = 1
-        vrow = [0] * n
-        vrow[v] = 1
+        paths, vrow = [0] * n, [0] * n
+        dist[v], paths[v], vrow[v] = 0, 1, 1
         order = [v]
         for u in order:  # the list grows while it is walked: a FIFO queue
             du1 = dist[u] + 1
@@ -440,15 +456,7 @@ class _IncrementalChecker:
             width, full = self.width, self.full
         through = self.through
         if through[v] is None:
-            below = [0] * n
-            for u in reversed(order):
-                bits = 1 << u
-                du1 = dist[u] + 1
-                for w in adj[u]:
-                    if dist[w] == du1:
-                        bits |= below[w]
-                below[u] = bits
-            through[v] = below
+            through[v] = _below(adj, order, dist)
         undo = []
         for a in self.members:
             bits = through[a][v] ^ 1 << v
@@ -605,11 +613,12 @@ class _AllPairsChecker(_IncrementalChecker):
 
 def _admit(name: str, g: Graph, k, max_n: int) -> list:
     """Entry checks of every exact solver, in one order: the tolerance k
-    (None when the solver has none or checked it already), connectivity,
-    then the size limit, refused under the solver's name. Returns the search
-    order: vertices by descending degree, ties by id."""
+    (None when the solver has none or checked it already), max_n's type,
+    connectivity, then the size limit, refused under the solver's name.
+    Returns the search order: vertices by descending degree, ties by id."""
     if k is not None:
         _check_tolerance(k)
+    _check_count(max_n, "max_n")
     require_connected(g)
     n = g.n
     if n > max_n:
@@ -861,7 +870,7 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    through = _through(_geodesic_dags(g)[0], n)
+    through = [_below(g.adj, *_geodesics(g.adj, s)[:2]) for s in range(n)]
     members, mask = [], 0
 
     def placeable(v) -> bool:
@@ -915,6 +924,7 @@ def bounds(g: Graph, k: int, isometric_path=None, gp_max_n: int = DEFAULT_GP_MAX
     gp_lower is omitted (None) when the graph exceeds gp_max_n.
     """
     _check_tolerance(k)
+    _check_count(gp_max_n, "gp_max_n")
     require_connected(g)
     n = g.n
     if n == 0:

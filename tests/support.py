@@ -3,15 +3,17 @@
 Everything here recomputes from first principles: Floyd-Warshall distances,
 explicit materialization of whole shortest paths, raw subset scans over the
 power set. No logic is shared with the package internals, so agreement
-between the two sides is evidence, not tautology. There are two
-exceptions. bnb_mu_k_block, the retired branch-and-bound solver for block
+between the two sides is evidence, not tautology. There is one
+exception: bnb_mu_k_block, the retired branch-and-bound solver for block
 graphs, runs the package's search engine and incremental checker on the
 leafed block-cut tree (leafed_tree, tested on its own against
 is_k_admissible), so it checks the tree DP that replaced it, which takes
-the same leaves as end-only weights. path_counts walks the DAGs of
-kernel._geodesic_dags, which the suite checks against whole-path
-enumeration, to rebuild the checker's packed count rows; the checker's own
-push computes them in its BFS and calls neither.
+the same leaves as end-only weights. geodesic_dags builds each source's
+shortest-path DAG, which the suite checks against whole-path enumeration,
+and path_counts walks those DAGs to rebuild the checker's packed count
+rows; the checker builds its own from one BFS per source and calls
+neither. connected_labelled_graphs lists every connected graph on a few
+labelled vertices, the corpus the solvers are checked on in full.
 """
 
 from __future__ import annotations
@@ -224,6 +226,17 @@ def _subset_connected(g: Graph, vs) -> bool:
     return seen == vs
 
 
+def connected_labelled_graphs(n: int):
+    """Every connected graph on the labelled vertices 0..n-1, one per edge
+    set: 1, 1, 4, 38 and 728 of them for n = 1 to 5. Each isomorphism class
+    comes under each of its labelings."""
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        g = build_graph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+        if _subset_connected(g, range(n)):
+            yield g
+
+
 def brute_articulation(g: Graph) -> set[int]:
     full = set(range(g.n))
     return {
@@ -404,11 +417,47 @@ def leafed_tree(t):
     return build_graph(size + len(t.blocks), edges), ids
 
 
+def geodesic_dags(g: Graph):
+    """Per source, the shortest-path DAG and the geodesic counts: the
+    reference path_counts walks.
+
+    Returns (dags, sigma). dags[s] lists (u, forward) pairs in BFS order from
+    s; forward holds the neighbours w of u with dist[w] == dist[u] + 1, in
+    adjacency order. sigma[s][t] is the number of s-t geodesics, summed
+    along the same forward edges (1 at s, 0 where unreachable). Only
+    vertices reachable from the source appear in its DAG.
+    """
+    n = g.n
+    dags = []
+    sigma = []
+    for source in range(n):
+        dist: list = [None] * n
+        dist[source] = 0
+        paths = [0] * n
+        paths[source] = 1
+        order = deque([source])
+        dag = []
+        while order:
+            u = order.popleft()
+            forward = []
+            for w in g.adj[u]:
+                if dist[w] is None:
+                    dist[w] = dist[u] + 1
+                    order.append(w)
+                if dist[w] == dist[u] + 1:
+                    forward.append(w)
+                    paths[w] += paths[u]
+            dag.append((u, tuple(forward)))
+        dags.append(tuple(dag))
+        sigma.append(paths)
+    return dags, sigma
+
+
 def path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
     """Per target, its geodesics from dag's source by tracked internal count:
     the rebuild reference for the checker's packed count rows.
 
-    dag is one source's entry of kernel._geodesic_dags. Field j of
+    dag is one source's entry of geodesic_dags. Field j of
     counts[t], bits j*width up to (j+1)*width, is the number of source-t
     geodesics with exactly j vertices of mask strictly inside; the fields
     run up to the one full still covers, and geodesics with more tracked

@@ -109,17 +109,17 @@ class TestTauK:
 
     def test_geodesic_tables_built_once(self, monkeypatch):
         """The mu_k behind the lower bound shares tau_k's checker, so the
-        geodesic DAGs are built once per call."""
+        geodesic tables are built once per call: one BFS per source."""
         built = []
-        geodesic_dags = solvers._geodesic_dags
+        geodesics = solvers._geodesics
 
-        def counting(g):
-            built.append(g.n)
-            return geodesic_dags(g)
+        def counting(adj, s):
+            built.append(s)
+            return geodesics(adj, s)
 
-        monkeypatch.setattr(solvers, "_geodesic_dags", counting)
+        monkeypatch.setattr(solvers, "_geodesics", counting)
         res = tau_k(random_connected(16, 0.2, 1), 0)
-        assert built == [16]
+        assert built == list(range(16))
         assert (res.value, res.partition, res.lower_bound_used) == (
             3, ((0, 1, 3, 6, 10), (2, 4, 5, 7, 9, 13), (8, 11, 12, 14, 15)), LOWER_SEARCH)
 

@@ -26,7 +26,6 @@ from mkvis.kernel import (
     REASON_PAIR,
     TOTAL,
     VARIANTS,
-    _geodesic_dags,
     bfs_mkv,
     check_variant,
     internal_counts,
@@ -95,7 +94,7 @@ class TestBfsMkv:
 
 class TestGeodesicDags:
     def test_path_dag(self):
-        dags, sigma = _geodesic_dags(path_graph(3))
+        dags, sigma = support.geodesic_dags(path_graph(3))
         assert dags[1] == ((1, (0, 2)), (0, ()), (2, ()))
         assert sigma[1] == [1, 1, 1]
 
@@ -104,7 +103,7 @@ class TestGeodesicDags:
     def test_sweep_and_fused_kernel_match_enumeration(self, gs, cap):
         g, x = gs
         dist = support.distance_matrix(g)
-        dags, sigma = _geodesic_dags(g)
+        dags, sigma = support.geodesic_dags(g)
         mask = sum(1 << v for v in x)
         geodesics = {(u, w): support.all_geodesics(g, u, w, dist) for u in range(g.n) for w in range(g.n)}
         width = max(len(paths) for paths in geodesics.values()).bit_length() + 1

@@ -26,7 +26,7 @@ from mkvis.graphs import (
     random_block_graph,
     random_connected,
 )
-from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, _geodesic_dags, mkv_check
+from mkvis.kernel import DUAL, OUTER, TOTAL, VARIANTS, mkv_check
 from mkvis.solvers import (
     DEFAULT_VARIANT_MAX_N,
     Polynomial,
@@ -365,6 +365,35 @@ class TestEntryCheckOrder:
         assert str(info.value) == f"{name} limited to 4 vertices, got 6; raise max_n to override"
 
 
+# (the argument a malformed limit is refused under, call(g, limit)) for every public size limit
+_SIZE_LIMITS = [
+    ("max_n", lambda g, m: mu_k(g, 0, max_n=m)),
+    ("max_n", lambda g, m: mu_k_variant(g, 0, TOTAL, max_n=m)),
+    ("max_n", lambda g, m: gp_number(g, max_n=m)),
+    ("max_n", lambda g, m: visibility_polynomial(g, 0, max_n=m)),
+    ("max_n", lambda g, m: tau_k(g, 0, max_n=m)),
+    ("max_n", lambda g, m: greedy_cover(g, 0, max_n=m)),
+    ("max_n", lambda g, m: tau_bounds(g, 0, mu_max_n=m)),  # the mu_k it solves checks it
+    ("gp_max_n", lambda g, m: bounds(g, 0, gp_max_n=m)),
+    ("max_nodes", lambda g, m: mu_k_block(g, 0, max_nodes=m)),
+]
+
+
+@pytest.mark.parametrize("name,call", _SIZE_LIMITS, ids=[
+    "mu_k", "mu_k_variant", "gp_number", "visibility_polynomial", "tau_k", "greedy_cover", "tau_bounds",
+    "bounds", "mu_k_block"])
+def test_size_limit_must_be_a_nonnegative_int(name, call):
+    """A size limit that is not a nonnegative int, a bool included (True
+    would read as 1), is malformed input: GraphInputError, not a bare
+    TypeError or a refusal. The limit 3 holds the 3-vertex path, whose
+    block-cut tree has 3 nodes."""
+    g = path_graph(3)
+    for limit in (None, "5", True, False, 3.0, -1):
+        with pytest.raises(GraphInputError, match=f"^{name} must be a nonnegative integer, got {limit!r}$"):
+            call(g, limit)
+    call(g, 3)
+
+
 def _relabeled(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
@@ -412,7 +441,7 @@ class TestIncrementalChecker:
         are held (on the diamond chain by more than one bit at once), and
         pop back past the widening."""
         checker = _IncrementalChecker(g, k)
-        dags, sigma = _geodesic_dags(g)
+        dags, sigma = support.geodesic_dags(g)
         undos = []
         dist = support.distance_matrix(g)
         for step in steps:
@@ -432,12 +461,13 @@ class TestIncrementalChecker:
                     assert checker.rows[a] is None
 
     @staticmethod
-    def assert_rows_match_a_rebuild(checker, live):
+    def assert_rows_match_a_rebuild(g, checker, live):
         """The carried counts between live vertices equal counts rebuilt by
         support.path_counts for the held set."""
+        dags = support.geodesic_dags(g)[0]
         for s in range(checker.n):
             if live >> s & 1:
-                want = support.path_counts(checker.dags[s], checker.mask, checker.n, checker.width, checker.full)
+                want = support.path_counts(dags[s], checker.mask, checker.n, checker.width, checker.full)
                 for t in range(checker.n):
                     if live >> t & 1:
                         assert checker.rows[s][t] == want[t], (s, t, checker.members)
@@ -472,7 +502,7 @@ class TestIncrementalChecker:
                     assert checker.fits(v) == support.oracle_mkv_check(g, checker.members + [v], k, dist)
                 undos.append(checker.push(v, after[v]))
             live = checker.mask | (after[checker.members[-1]] if checker.members else (1 << g.n) - 1)
-            self.assert_rows_match_a_rebuild(checker, live)
+            self.assert_rows_match_a_rebuild(g, checker, live)
 
     @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -505,7 +535,7 @@ class TestIncrementalChecker:
                 later = sum(1 << w for w in cands[idx + 1 :] if rnd.random() < 0.7)
                 undos.append(checker.push(cands[idx], later))
                 nodes.append(later)
-            self.assert_rows_match_a_rebuild(checker, checker.mask | nodes[-1])
+            self.assert_rows_match_a_rebuild(g, checker, checker.mask | nodes[-1])
             if support.oracle_mkv_check(g, checker.members, k, dist):
                 for w in range(g.n):
                     if nodes[-1] >> w & 1:
@@ -521,6 +551,7 @@ class TestIncrementalChecker:
         must hold exactly the t whose rebuilt count is 0."""
         rnd = random.Random(seed)
         checker = _AllPairsChecker(g, k)
+        dags = support.geodesic_dags(g)[0]
         undos = []
         for _ in range(40):
             outside = [v for v in range(g.n) if not checker.mask >> v & 1]
@@ -530,7 +561,7 @@ class TestIncrementalChecker:
             else:
                 undos.append(checker.push(rnd.choice(outside)))
             for s in range(g.n):
-                want = support.path_counts(checker.dags[s], checker.mask, g.n, checker.width, checker.full)
+                want = support.path_counts(dags[s], checker.mask, g.n, checker.width, checker.full)
                 assert checker.rows[s] == want, (s, checker.members)
                 assert checker.blind[s] == sum(1 << t for t in range(g.n) if not want[t]), (s, checker.members)
 
@@ -547,7 +578,7 @@ class TestIncrementalChecker:
         draws where a pair of S x T reads 0 already."""
         rnd = random.Random(seed)
         n = g.n
-        dags = _geodesic_dags(g)[0]
+        dags = support.geodesic_dags(g)[0]
         for checker in (_IncrementalChecker(g, k), _AllPairsChecker(g, k)):
             order = list(range(n))
             rnd.shuffle(order)
@@ -659,7 +690,8 @@ class TestIncrementalChecker:
         """A carried checker's inside[v] holds exactly the sources s != v
         with v strictly inside some s-t geodesic, through[s][v] the t with v
         on an s-t geodesic and between[s][t] the v on one, all read from
-        Floyd-Warshall distances; gp_number builds the same through."""
+        Floyd-Warshall distances; gp_number builds the same through, and a
+        swept checker that every vertex is pushed into the same rows."""
         n = g.n
         dist = support.distance_matrix(g)
         checker = _IncrementalChecker(g, 1, True)
@@ -673,15 +705,19 @@ class TestIncrementalChecker:
                     on = dist[s][v] + dist[v][t] == dist[s][t]
                     assert checker.between[s][t] >> v & 1 == checker.through[s][v] >> t & 1 == on
         built = []
-        through = mkvis.solvers._through
+        below = mkvis.solvers._below
 
-        def recording(dags, n):
-            built.append(through(dags, n))
+        def recording(adj, order, dist):
+            built.append(below(adj, order, dist))
             return built[-1]
 
-        with mock.patch.object(mkvis.solvers, "_through", recording):
+        with mock.patch.object(mkvis.solvers, "_below", recording):
             gp_number(g)
-        assert built == [checker.through]
+        assert built == checker.through
+        swept = _IncrementalChecker(g, 1)
+        for v in range(n):
+            swept.push(v)
+        assert swept.through == checker.through
 
     def test_diamond_chain_counts_past_64_bits(self):
         """70 diamonds in a row: 2^70 geodesics between the end hubs, so a
@@ -696,9 +732,10 @@ class TestIncrementalChecker:
         g = build_graph(hubs + 2 * (hubs - 1), edges)
         tables = _IncrementalChecker(g, 1, True)
         assert tables.width == 72
-        assert support.path_counts(tables.dags[0], 0, g.n, tables.width, tables.full)[hubs - 1] == 2**70
+        dag = support.geodesic_dags(g)[0][0]
+        assert support.path_counts(dag, 0, g.n, tables.width, tables.full)[hubs - 1] == 2**70
         # a tracked middle hub moves every geodesic to field 1
-        counts = support.path_counts(tables.dags[0], 1 << 35, g.n, tables.width, tables.full)
+        counts = support.path_counts(dag, 1 << 35, g.n, tables.width, tables.full)
         assert counts[hubs - 1] == 2**70 << 72
         checker = _IncrementalChecker(g, 0)
         for v in (0, hubs - 1):
@@ -1219,3 +1256,43 @@ class TestConvexMonotonicity:
             return
         sub, _ = induced_subgraph(g, convex_hull(g, s))
         assert mu_k(sub, k).value <= mu_k(g, k).value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+class TestEveryConnectedGraph:
+    """Every connected labelled graph on n <= 5 vertices, 772 in all, each
+    isomorphism class under all its labelings, against brute force."""
+
+    def test_solvers_match_brute_force(self, n):
+        for g in support.connected_labelled_graphs(n):
+            assert gp_number(g).value == support.brute_gp(g), g.edges()
+            for k in range(3):
+                assert mu_k(g, k).value == support.brute_mu(g, k), (g.edges(), k)
+                for variant in VARIANTS:
+                    assert mu_k_variant(g, k, variant).value == support.brute_variant_mu(g, k, variant), (
+                        g.edges(), k, variant)
+                assert list(visibility_polynomial(g, k).coefficients) == support.brute_polynomial(g, k), (
+                    g.edges(), k)
+                assert tau_k(g, k).value == support.brute_tau(g, k), (g.edges(), k)
+
+    def test_carried_tables_match_distances(self, n):
+        """sigma counts the geodesics, through[s][v] holds the t with v on
+        an s-t geodesic, between[s][t] the v on one, and inside[v] the
+        sources s != v with v strictly inside some s-t geodesic."""
+        graphs = list(support.connected_labelled_graphs(n))
+        assert len(graphs) == [1, 1, 4, 38, 728][n - 1]  # OEIS A001187
+        for g in graphs:
+            dist = support.distance_matrix(g)
+            checker = _IncrementalChecker(g, 0, True)
+            for s in range(n):
+                for t in range(n):
+                    assert checker.sigma[s][t] == len(support.all_geodesics(g, s, t, dist)), (g.edges(), s, t)
+                    on = [dist[s][v] + dist[v][t] == dist[s][t] for v in range(n)]
+                    assert checker.between[s][t] == sum(1 << v for v in range(n) if on[v]), (g.edges(), s, t)
+                    for v in range(n):
+                        assert checker.through[s][v] >> t & 1 == on[v], (g.edges(), s, t, v)
+            for v in range(n):
+                assert checker.inside[v] == sum(
+                    1 << s for s in range(n)
+                    if s != v and any(t != v and dist[s][v] + dist[v][t] == dist[s][t] for t in range(n))), (
+                    g.edges(), v)
