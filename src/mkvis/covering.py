@@ -2,13 +2,13 @@
 
 tau_k is the least number of parts, found by backtracking over part counts
 from the ceil(n/mu_k) lower bound upward; only ever opening the next fresh
-part breaks symmetric labelings. Every part is a solvers._IncrementalChecker
-grown only by a vertex that fits. tau_k's parts share geodesic tables built
-once per call, carry count rows and name the vertices after each new member.
-greedy_cover's parts, grown in no such order, are the sweeping checker's:
-nothing is built up front, each push runs one BFS from the new member for
-its count row and its through row (shared by the parts), and rows exist
-only for members, as its memory at n = 1000 needs.
+part breaks symmetric labelings. Every part is a checker grown only by a
+vertex that fits. tau_k's parts, solvers._CarriedChecker copies, share
+tables built once per call, carry count rows and name the vertices after
+each new member. greedy_cover's parts, grown in no such order, are
+solvers._SweptChecker copies: nothing is built up front, each push runs one
+BFS from the new member for its count row and its through row (shared by
+the parts), and rows exist only for members, as its memory at n = 1000 needs.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import GraphInputError
 from .graphs import Graph, check_vertex_set, require_connected
-from .kernel import _check_tolerance, mkv_check
-from .solvers import DEFAULT_MU_MAX_N, _IncrementalChecker, _admit, _solve_mu, mu_k
+from .kernel import _check_count, _check_tolerance, mkv_check
+from .solvers import DEFAULT_MU_MAX_N, _CarriedChecker, _SweptChecker, _admit, _solve_mu, mu_k
 
 __all__ = [
     "CoverResult",
@@ -75,6 +75,7 @@ def is_visibility_cover(g: Graph, parts, k: int) -> bool:
 def tau_bounds(g: Graph, k: int, mu_value: int | None = None, mu_max_n: int = DEFAULT_MU_MAX_N) -> TauBounds:
     """Bounds on tau_k from mu_k, given as mu_value or solved within mu_max_n."""
     _check_tolerance(k)
+    _check_count(mu_max_n, "mu_max_n")
     require_connected(g)
     n = g.n
     if n == 0:
@@ -104,7 +105,7 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
     n = g.n
     if n == 0:
         return CoverResult(0, (), "empty graph")
-    checker = _IncrementalChecker(g, k, True)
+    checker = _CarriedChecker(g, k)
     lower = tau_bounds(g, k, mu_value=_solve_mu(g, k, order, checker).value).lower
     later = [0] * n  # later[i]: the vertices after order[i]
     for i in range(n - 1, 0, -1):
@@ -142,7 +143,7 @@ def greedy_cover(g: Graph, k: int, max_n: int = DEFAULT_COVER_MAX_N) -> list[lis
     """First-fit cover: each vertex joins the first part that stays mutual
     k-visible, else opens a new one. Valid by construction, not optimal."""
     order = _admit("greedy_cover", g, k, max_n)
-    checker = _IncrementalChecker(g, k)
+    checker = _SweptChecker(g, k)
     parts: list = []
     for v in order:
         part = next((p for p in parts if p.fits(v)), None)

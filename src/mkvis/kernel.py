@@ -46,8 +46,8 @@ read. It never exceeds |S|(n + 2m + |S|) + n + 2m: the test spends only
 what that bound leaves once every class's sweep and every pair is paid for.
 
 The exact solvers, which probe thousands of sets on one small graph, keep
-packed geodesic counts per pair instead (solvers._IncrementalChecker); the
-tests rebuild them from shortest-path DAGs (support.geodesic_dags).
+packed geodesic counts per pair instead (solvers._CarriedChecker and
+_SweptChecker); the tests rebuild them from DAGs (support.geodesic_dags).
 
 oracle_min_internal_count recomputes the same quantity by enumerating every
 geodesic outright, on distances from graphs.bfs_distances (the plain
@@ -101,10 +101,10 @@ REASON_PAIR = "pair_exceeds_tolerance"
 REASON_DISCONNECTED = "members_in_different_components"
 
 
-def _check_count(value, name: str) -> int:
-    """The one check of the tolerance k and of every size limit."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise GraphInputError(f"{name} must be a nonnegative integer, got {value!r}")
+def _check_count(value, name: str, least: int = 0) -> int:
+    """The one check of the tolerance k, every size limit and the oracle's cap."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise GraphInputError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
     return value
 
 
@@ -476,6 +476,7 @@ def oracle_min_internal_count(g: Graph, x, u: int, w: int, cap: int = DEFAULT_GE
     takes the minimum over complete paths. Refuses with GeodesicCapError once
     more than cap geodesics have been enumerated; it never approximates.
     """
+    _check_count(cap, "cap", 1)
     xs = check_vertex_set(g, x)
     check_vertex(g, u)
     check_vertex(g, w)

@@ -16,13 +16,13 @@ which are not downward-closed, are searched within the mutual k-visible
 family and accepted one by one. All solvers are desk-scale exhaustive
 searches with configurable size limits and refuse larger inputs.
 
-Feasibility is probed by _IncrementalChecker, the one owner of the
-geodesic tables, without a sweep. Every ordered solve (mu_k's search and
-first-fit passes, mu_k_variant, visibility_polynomial and covering.tau_k's
-parts) builds it carried: it holds a count row for every vertex from the
-start, and each push(v, later) names the vertices that may still join, so
-it updates only the pairs among the members and those, marks in blind
-masks the pairs that read 0 and sweeps nothing. fits reads v's new pairs
+Feasibility is probed by a checker, the one owner of the geodesic
+tables. Every ordered solve (mu_k's search and first-fit passes,
+mu_k_variant, visibility_polynomial and covering.tau_k's parts) builds a
+_CarriedChecker: it holds a count row for every vertex from the start,
+and each push(v, later) names the vertices that may still join, so it
+updates only the pairs among the members and those, marks in blind masks
+the pairs that read 0 and sweeps nothing. fits reads v's new pairs
 off those masks and hands the member pairs to breaks, the one test of a
 pair that v's joining would zero. mu_k's search filters a node's
 candidates with one narrow(v, later, undo) pass over the blind masks and
@@ -31,9 +31,9 @@ push, so every pair is exact: total and outer read the pairs that touch
 the complement with breaks, and dual reads the pairs inside it to accept
 a set and to cut a branch once two vertices that can no longer join lose
 sight of each other. Only covering.greedy_cover grows sets in no order,
-so its parts build nothing up front and run one BFS from each new member
-at its push. Every geodesic table comes from one BFS per source
-(_geodesics) and one walk back over its order (_below, all gp_number uses).
+so its parts, _SweptChecker copies, build nothing up front and run one
+BFS from each new member at its push. Every geodesic table comes from one
+BFS per source (_geodesics) and one walk back (_below, all gp_number uses).
 """
 
 from __future__ import annotations
@@ -250,10 +250,11 @@ def _below(adj, order, dist) -> list:
     return below
 
 
-class _IncrementalChecker:
-    """Feasibility of growing a mutual k-visible set one vertex at a time.
+class _Checker:
+    """Feasibility of growing a mutual k-visible set one vertex at a time:
+    _CarriedChecker in every ordered solve, _SweptChecker in greedy_cover.
 
-    Built once per solve, it owns the geodesic tables, among them
+    Built once per solve, a checker owns the geodesic tables, among them
     through[a][v], the bitmask of vertices b such that v lies on some a-b
     geodesic. It holds a member list and its bitmask, mask; push(v, later)
     adds v and returns what pop(v, undo) needs to take it out again, and
@@ -269,7 +270,7 @@ class _IncrementalChecker:
     sweeps nothing:
 
     - a new pair (q, v) keeps its geodesics' counts, so it passes iff it
-      reads nonzero: off blind[v] & mask when carried, else rows[q][v];
+      reads nonzero;
     - an old pair (a, q) changes only if v is on one of its geodesics, that
       is, q in through[a][v]. Then T = rows[a][v] * rows[q][v] & full counts
       the a-q geodesics through v by members inside (the product of two
@@ -282,86 +283,13 @@ class _IncrementalChecker:
       exactly k and passes through v: rows[a][q] == T with no field below
       k'. breaks(v, mask, mask) tests the member pairs that way, and total,
       outer and dual call breaks on pairs of their own.
-
-    How push(v, later) keeps the rows depends on carried.
-
-    Without it (greedy_cover, where every vertex not yet placed stays a
-    candidate of every part) nothing is built up front, there is a row per
-    member only, and later is ignored. push(v) runs one BFS from v that
-    counts v's geodesics and packs rows[v] with the members tracked, both
-    final when a vertex is dequeued (Brandes' single-source path counting),
-    and, the first time any copy pushes v, walks the BFS order back for
-    through[v] (_below), which does not depend on the set and sits in a list
-    that fresh() copies share. It then applies the update above to
-    rows[a][t] for every member a and t in through[a][v], replacing each
-    changed row by an updated copy, and returns the old rows, so pop(v,
-    undo) restores them and nothing outlives the pop; a caller that never
-    pops drops them at once. Every count the rows and their products hold is
-    at most sigma(a, t) for a member a, so width starts at 4 and grows, in
-    steps of 4 bits, only when a push's BFS meets a larger count: the member
-    rows are then repacked before the undo is recorded, and pop repacks the
-    rows it restores.
-
-    With it (every ordered solve) the checker builds, once, sigma[a][b], the
-    number of a-b geodesics, and the between and through rows of every
-    source a (_geodesics and _below), and takes the width from the largest
-    sigma. Every vertex has a row from the start, its sigma row (the
-    geodesic counts with nothing tracked), and no push sweeps. Then fits and
-    every later push read only pairs inside the live set, the members plus
-    later, a bitmask of vertices other than v that holds every vertex a
-    later fits or push names, so rows[s][t] is kept correct only for s and t
-    both live. _search passes its node's candidates after v, and the
-    first-fit passes and tau_k the vertices after v in their order.
-    _AllPairsChecker passes every vertex but v, so every pair stays exact in
-    any push order. push(v, later) applies the update above to each pair
-    {s, t} of the live set with t in through[s][v], in both orientations,
-    and returns the old values for pop. A pair that drops out of the live
-    set keeps its old value, which is right again once v is popped. A
-    carried checker also keeps between[s][t], the bitmask of vertices on
-    some s-t geodesic, s and t included, inside[v], the sources s with v
-    strictly inside some s-t geodesic, and blind[s], the bitmask of the t
-    whose pair with s reads 0: push sets the bits of each pair it zeroes,
-    and pop clears them before it restores the old value. Like the rows, the
-    bits are right for pairs inside the live set: a node's candidates were
-    live at every push on its path, so fits, mu_k's bound and narrow read
-    their pairs off blind. Only a carried checker keeps sigma, between,
-    inside and blind, and fresh() gives each copy its own blind list.
-
-    narrow(v, later, undo) answers fits for all of later at once, right
-    after push(v, later) on a carried checker, from the blind masks, the
-    member pairs that push changed, v's new pairs and between.
-
-    Memory on top of through (n masks of n bits per source, every vertex
-    a source when carried, each vertex ever pushed without): packed ints of
-    at most (k' + 1) * width bits each (an int holds only the bits up to
-    its top nonzero field), n per member without carried, so n^2 once all n
-    vertices are members, as they are across greedy_cover's parts; n^2 per
-    carried checker, which also keeps sigma and between (n^2 masks of
-    n bits, like through) and inside and blind, n masks each.
     """
 
-    def __init__(self, g: Graph, k: int, carried: bool = False):
-        n = self.n = g.n
+    def __init__(self, g: Graph, k: int, width: int):
+        self.n = g.n
         self.k = k
-        self.carried = carried
-        self.fields = min(k, max(n - 2, 0)) + 1
-        if carried:
-            self.sigma, self.through, self.between, self.inside = [], [], [], [0] * n
-            for s in range(n):
-                order, dist, sigma, between = _geodesics(g.adj, s)
-                below = _below(g.adj, order, dist)
-                for u in order[1:]:
-                    if below[u] != 1 << u:  # some geodesic from s runs on past u
-                        self.inside[u] |= 1 << s
-                self.sigma.append(sigma)
-                self.through.append(below)
-                self.between.append(between)
-            self._pack(max((max(row) for row in self.sigma), default=1).bit_length() + 1)
-        else:
-            self.adj = g.adj
-            self.through = [None] * n  # filled per member at its push, shared by fresh() copies
-            self._pack(4)  # widened in 4-bit steps
-            self.sigma = self.between = self.inside = self.blind = None
+        self.fields = min(k, max(g.n - 2, 0)) + 1
+        self._pack(width)
         self._empty()
 
     def _pack(self, width: int) -> None:
@@ -370,23 +298,87 @@ class _IncrementalChecker:
         self.full = (1 << self.fields * width) - 1
         self.low = self.full >> width  # the fields below k'
 
-    def _empty(self) -> None:
-        """Hold the empty set, with rows from sigma when carried."""
-        self.members, self.mask = [], 0
-        if self.carried:
-            self.rows, self.blind = [row[:] for row in self.sigma], [0] * self.n
-        else:
-            self.rows = [None] * self.n
-            self.widths = []  # widths[i]: the field width of the rows the i-th push hands back
-
     def fresh(self):
         other = copy(self)
         other._empty()
         return other
 
-    def push(self, v: int, later=None):
-        if not self.carried:
-            return self._sweep_push(v)
+    def breaks(self, v: int, sources: int, targets: int) -> bool:
+        """Some pair (s, t), s in sources, t in targets and neither of them
+        v, would read 0 were v a member, given that none does now: all its
+        counted geodesics run through v and none has fewer than k' members
+        inside. sources must lie within targets, so each pair is tested
+        once, from its first end in sources; only those in inside[v] are
+        read. rows[s] and rows[t] must be exact at t and v: members s and t
+        in any checker, live s, t and v in a _CarriedChecker, all in
+        _AllPairsChecker."""
+        rows, through, full, low = self.rows, self.through, self.full, self.low
+        sources &= self.inside[v]
+        while sources:
+            bit = sources & -sources
+            sources ^= bit
+            targets &= ~bit  # the pairs of s are all tested below
+            s = bit.bit_length() - 1
+            row = rows[s]
+            sv = row[v]
+            if not sv:
+                continue  # no counted geodesic runs through v
+            inner = through[s][v] & targets
+            while inner:
+                bit = inner & -inner
+                inner ^= bit
+                t = bit.bit_length() - 1
+                c = row[t]
+                if not c & low and c == sv * rows[t][v] & full:
+                    return True
+        return False
+
+
+class _CarriedChecker(_Checker):
+    """Rows for every vertex from the start, kept right for the live set.
+
+    Built once: sigma[a][b], the number of a-b geodesics, and the between
+    and through rows of every source a (_geodesics and _below); the width
+    comes from the largest sigma, every row starts as its sigma row, and no
+    push sweeps. fits and every later push read only pairs inside the live
+    set, the members plus later, a bitmask of vertices other than v that
+    holds every vertex a later fits or push names: _search passes its
+    node's candidates after v, and the first-fit passes and tau_k the
+    vertices after v in their order. push(v, later) applies the update to
+    each pair {s, t} of the live set with t in through[s][v], in both
+    orientations, and returns the old values for pop. A pair that drops
+    out of the live set keeps its old value, right again once v is popped.
+    It also keeps between[s][t], the bitmask of vertices on some s-t
+    geodesic, s and t included, inside[v], the sources s with v strictly
+    inside some s-t geodesic, and blind[s], the bitmask of the t whose pair
+    with s reads 0: push sets the bits of each pair it zeroes, and pop
+    clears them before it restores the old value. Like the rows, the bits
+    are right for pairs inside the live set: a node's candidates were live
+    at every push on its path, so fits, mu_k's bound and narrow read their
+    pairs off blind. fresh() gives each copy its own rows and blind list.
+    Memory: n^2 masks of n bits each in sigma, through and between, n^2
+    packed ints of at most (k' + 1) * width bits in the rows (an int holds
+    only the bits up to its top nonzero field), n masks in inside and blind.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        self.sigma, self.through, self.between, self.inside = [], [], [], [0] * g.n
+        for s in range(g.n):
+            order, dist, sigma, between = _geodesics(g.adj, s)
+            below = _below(g.adj, order, dist)
+            for u in order[1:]:
+                if below[u] != 1 << u:  # some geodesic from s runs on past u
+                    self.inside[u] |= 1 << s
+            self.sigma.append(sigma)
+            self.through.append(below)
+            self.between.append(between)
+        super().__init__(g, k, max((max(row) for row in self.sigma), default=1).bit_length() + 1)
+
+    def _empty(self) -> None:
+        self.members, self.mask = [], 0
+        self.rows, self.blind = [row[:] for row in self.sigma], [0] * self.n
+
+    def push(self, v: int, later: int):
         width, full, rows, through, blind = self.width, self.full, self.rows, self.through, self.blind
         live = self.mask | later
         vrow = rows[v]
@@ -417,7 +409,114 @@ class _IncrementalChecker:
         self.mask |= 1 << v
         return undo
 
-    def _sweep_push(self, v: int):
+    def pop(self, v: int, undo) -> None:
+        rows, blind = self.rows, self.blind
+        for s, t, old in undo:
+            row = rows[s]
+            if not row[t]:
+                blind[s] ^= 1 << t
+                blind[t] ^= 1 << s
+            row[t] = rows[t][s] = old
+        self.members.pop()
+        self.mask ^= 1 << v
+
+    def fits(self, v: int) -> bool:
+        """v is not a member and is live; its new pairs read off blind."""
+        mask = self.mask
+        if len(self.members) + 1 <= self.k + 2:
+            return True  # a geodesic holds at most |X|-2 internal members
+        return not self.blind[v] & mask and not self.breaks(v, mask, mask)
+
+    def narrow(self, v: int, later: int, undo) -> int:
+        """The bits of later that still fit once v is pushed, given what
+        push(v, later) returned; each w in later must have fit the members
+        before v. Counts only grow, so w now fails only if its pair with a
+        member, v included, reads 0, as blind tells (w and the member were
+        live at every push on the path), or if a member pair in undo, or a
+        new pair (v, q), has all its counted geodesics through w: fits'
+        test, for the w in between[a][q]. A member pair the push left
+        unchanged keeps its verdict: were v on an a-w-q geodesic with at
+        most k' members inside, the push would have changed rows[a][q]."""
+        members = self.members
+        if len(members) + 1 <= self.k + 2:
+            return later
+        rows, mask, full, low, between = self.rows, self.mask, self.full, self.low, self.between
+        keep = later
+        for a in members:
+            keep &= ~self.blind[a]
+        pairs = [(v, q) for q in members[:-1]]  # v is the last member
+        pairs += [(s, t) for s, t, _ in undo if mask >> s & 1 and mask >> t & 1]
+        for a, q in pairs:
+            c = rows[a][q]
+            if c & low:
+                continue
+            bits = between[a][q] & keep
+            ra, rq = rows[a], rows[q]
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                w = bit.bit_length() - 1
+                if c == ra[w] * rq[w] & full:
+                    keep ^= bit
+        return keep
+
+
+class _AllPairsChecker(_CarriedChecker):
+    """A _CarriedChecker whose every push keeps all vertices but v live, so
+    every pair's row and blind bit is exact in any push order; sighted
+    reads the blind masks of the pairs inside a set."""
+
+    def push(self, v: int, later=None):
+        """later is ignored: every vertex but v is live."""
+        return super().push(v, (1 << self.n) - 1 ^ 1 << v)
+
+    def sighted(self, out: int) -> bool:
+        """No pair inside the bitmask out reads 0."""
+        blind = self.blind
+        bits = out
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            if blind[bit.bit_length() - 1] & out:
+                return False
+        return True
+
+
+class _SweptChecker(_Checker):
+    """Rows for the members only, each built by one BFS at its push, as
+    greedy_cover's parts, grown in no order, need: nothing is built up front.
+
+    push(v) runs one BFS from v that counts v's geodesics and packs rows[v]
+    with the members tracked, both final when a vertex is dequeued (Brandes'
+    single-source path counting), and, the first time any copy pushes v,
+    walks the BFS order back for through[v] (_below), which does not depend
+    on the set and sits in a list that fresh() copies share. It then applies
+    the update to rows[a][t] for every member a and t in through[a][v],
+    replacing each changed row by an updated copy, and returns the old rows,
+    so pop(v, undo) restores them and nothing outlives the pop; a caller
+    that never pops drops them at once. Every count the rows and their
+    products hold is at most sigma(a, t) for a member a, so width starts at
+    4 and grows, in steps of 4 bits, only when a push's BFS meets a larger
+    count: the member rows are then repacked before the undo is recorded,
+    and pop repacks the rows it restores. Memory: n masks of n bits in
+    through[v] for each vertex ever pushed, and n packed ints of at most
+    (k' + 1) * width bits per member, so n^2 once all n vertices are
+    members, as across greedy_cover's parts.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        self.adj = g.adj
+        self.through = [None] * g.n  # filled per member at its push, shared by fresh() copies
+        self.inside = [-1] * g.n  # every source, so breaks filters none
+        super().__init__(g, k, 4)  # widened in 4-bit steps
+
+    def _empty(self) -> None:
+        self.members, self.mask = [], 0
+        self.rows = [None] * self.n
+        self.widths = []  # widths[i]: the field width of the rows the i-th push hands back
+
+    def push(self, v: int, later=None):
+        """later is ignored: every vertex stays a candidate."""
         n, adj, width, full, rows = self.n, self.adj, self.width, self.full, self.rows
         tracked = bytearray(n)
         for a in self.members:
@@ -451,7 +550,7 @@ class _IncrementalChecker:
                 rows[a] = self._repacked(rows[a], width)
             if self.members:  # with none, vrow holds every geodesic in field 0 at any width
                 if need > width + 1:
-                    return self._sweep_push(v)  # a field of vrow may have carried into the next
+                    return _SweptChecker.push(self, v)  # a field of vrow may have carried into the next
                 vrow = self._repacked(vrow, width)
             width, full = self.width, self.full
         through = self.through
@@ -492,123 +591,22 @@ class _IncrementalChecker:
         return packed
 
     def pop(self, v: int, undo) -> None:
-        rows = self.rows
-        if not self.carried:
-            width = self.widths.pop()
-            for a, old in undo:
-                rows[a] = self._repacked(old, width)
-            rows[v] = None
-        else:
-            blind = self.blind
-            for s, t, old in undo:
-                row = rows[s]
-                if not row[t]:
-                    blind[s] ^= 1 << t
-                    blind[t] ^= 1 << s
-                row[t] = rows[t][s] = old
+        width = self.widths.pop()
+        for a, old in undo:
+            self.rows[a] = self._repacked(old, width)
+        self.rows[v] = None
         self.members.pop()
         self.mask ^= 1 << v
 
     def fits(self, v: int) -> bool:
-        """v is not a member and, when carried, is live."""
-        mask = self.mask
+        """v is not a member; its new pairs read off the member rows."""
         if len(self.members) + 1 <= self.k + 2:
             return True  # a geodesic holds at most |X|-2 internal members
-        if not self.carried:
-            rows = self.rows
-            for q in self.members:
-                if not rows[q][v]:
-                    return False
-        elif self.blind[v] & mask:
-            return False
-        return not self.breaks(v, mask, mask)
-
-    def breaks(self, v: int, sources: int, targets: int) -> bool:
-        """Some pair (s, t), s in sources, t in targets and neither of them
-        v, would read 0 were v a member, given that none does now: all its
-        counted geodesics run through v and none has fewer than k' members
-        inside. sources must lie within targets, so each pair is tested
-        once, from its first end in sources. rows[s] and rows[t] must be
-        exact at t and v: members s and t in any checker, live s, t and v in
-        a carried one, all in _AllPairsChecker."""
-        rows, through, full, low = self.rows, self.through, self.full, self.low
-        if self.inside is not None:
-            sources &= self.inside[v]
-        while sources:
-            bit = sources & -sources
-            sources ^= bit
-            targets &= ~bit  # the pairs of s are all tested below
-            s = bit.bit_length() - 1
-            row = rows[s]
-            sv = row[v]
-            if not sv:
-                continue  # no counted geodesic runs through v
-            inner = through[s][v] & targets
-            while inner:
-                bit = inner & -inner
-                inner ^= bit
-                t = bit.bit_length() - 1
-                c = row[t]
-                if not c & low and c == sv * rows[t][v] & full:
-                    return True
-        return False
-
-    def narrow(self, v: int, later: int, undo) -> int:
-        """The bits of later that still fit once v is pushed, given what
-        push(v, later) returned; each w in later must have fit the members
-        before v. Counts only grow, so w now fails only if its pair with a
-        member, v included, reads 0, as blind tells (w and the member were
-        live at every push on the path), or if a member pair in undo, or a
-        new pair (v, q), has all its counted geodesics through w: fits'
-        test, for the w in between[a][q]. A member pair the push left
-        unchanged keeps its verdict: were v on an a-w-q geodesic with at
-        most k' members inside, the push would have changed rows[a][q]."""
-        members = self.members
-        if len(members) + 1 <= self.k + 2:
-            return later
-        rows, mask, full, low, between = self.rows, self.mask, self.full, self.low, self.between
-        keep = later
-        for a in members:
-            keep &= ~self.blind[a]
-        pairs = [(v, q) for q in members[:-1]]  # v is the last member
-        pairs += [(s, t) for s, t, _ in undo if mask >> s & 1 and mask >> t & 1]
-        for a, q in pairs:
-            c = rows[a][q]
-            if c & low:
-                continue
-            bits = between[a][q] & keep
-            ra, rq = rows[a], rows[q]
-            while bits:
-                bit = bits & -bits
-                bits ^= bit
-                w = bit.bit_length() - 1
-                if c == ra[w] * rq[w] & full:
-                    keep ^= bit
-        return keep
-
-
-class _AllPairsChecker(_IncrementalChecker):
-    """A carried checker whose every push keeps all vertices but v live, so
-    every pair's row and blind bit is exact in any push order; sighted
-    reads the blind masks of the pairs inside a set."""
-
-    def __init__(self, g: Graph, k: int):
-        super().__init__(g, k, True)
-
-    def push(self, v: int, later=None):
-        """later is ignored: every vertex but v is live."""
-        return super().push(v, (1 << self.n) - 1 ^ 1 << v)
-
-    def sighted(self, out: int) -> bool:
-        """No pair inside the bitmask out reads 0."""
-        blind = self.blind
-        bits = out
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            if blind[bit.bit_length() - 1] & out:
+        rows = self.rows
+        for q in self.members:
+            if not rows[q][v]:
                 return False
-        return True
+        return not self.breaks(v, self.mask, self.mask)
 
 
 def _admit(name: str, g: Graph, k, max_n: int) -> list:
@@ -630,7 +628,7 @@ def _convex_paths(sigma, between, size: int) -> list:
     """Vertex-disjoint paths of more than size vertices, each the unique
     geodesic between its ends, as bitmasks picked greedily longest first.
 
-    sigma and between are a carried checker's: a pair with sigma[s][t] == 1
+    sigma and between are a _CarriedChecker's: a pair with sigma[s][t] == 1
     has one geodesic, and between[s][t] holds exactly its vertices. Every
     subpath of a unique geodesic is the unique geodesic between its own
     ends, so the path is geodesically convex.
@@ -709,11 +707,11 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     order = _admit("mu_k", g, k, max_n)
     if g.n == 0:
         return SolveResult(0, frozenset(), 0)
-    return _solve_mu(g, k, order, _IncrementalChecker(g, k, True))
+    return _solve_mu(g, k, order, _CarriedChecker(g, k))
 
 
-def _solve_mu(g: Graph, k: int, order: list, checker: _IncrementalChecker) -> SolveResult:
-    """mu_k past its entry checks, on an empty carried checker;
+def _solve_mu(g: Graph, k: int, order: list, checker: _CarriedChecker) -> SolveResult:
+    """mu_k past its entry checks, on an empty _CarriedChecker;
     covering.tau_k shares its checker this way."""
     n = g.n
     path_of = [0] * n  # the convex path through each vertex, 0 off every path
@@ -990,7 +988,7 @@ def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> 
     """
     order = _admit("visibility_polynomial", g, k, max_n)
     n = g.n
-    checker = _IncrementalChecker(g, k, True)
+    checker = _CarriedChecker(g, k)
     _, _, _, sizes = _search(order, checker.fits, checker.push, checker.pop, [1] * n, None)
     return Polynomial(tuple(sizes))
 

@@ -13,7 +13,9 @@ shortest-path DAG, which the suite checks against whole-path enumeration,
 and path_counts walks those DAGs to rebuild the checker's packed count
 rows; the checker builds its own from one BFS per source and calls
 neither. connected_labelled_graphs lists every connected graph on a few
-labelled vertices, the corpus the solvers are checked on in full.
+labelled vertices, and connected_graphs one per isomorphism class on a few
+more, told apart by certificate: the corpora the solvers are checked on in
+full.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from mkvis.blocks import _blocks_are_cliques, block_decomposition, block_node, c
 from mkvis.errors import GraphInputError
 from mkvis.graphs import Graph, build_graph, complete_bipartite, random_connected
 from mkvis.kernel import _check_tolerance, mkv_check
-from mkvis.solvers import SolveResult, _IncrementalChecker, _search
+from mkvis.solvers import SolveResult, _SweptChecker, _search
 
 INF = math.inf
 
@@ -210,6 +212,21 @@ def brute_tau(g: Graph, k: int) -> int:
     return best
 
 
+def brute_greedy_cover(g: Graph, k: int) -> list[list[int]]:
+    """First-fit cover in descending degree order, ties by id, each probe
+    decided by oracle_mkv_check."""
+    dist = distance_matrix(g)
+    parts: list = []
+    for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u)):
+        for part in parts:
+            if oracle_mkv_check(g, part + [v], k, dist):
+                part.append(v)
+                break
+        else:
+            parts.append([v])
+    return [sorted(p) for p in parts]
+
+
 def _subset_connected(g: Graph, vs) -> bool:
     vs = set(vs)
     if not vs:
@@ -235,6 +252,68 @@ def connected_labelled_graphs(n: int):
         g = build_graph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
         if _subset_connected(g, range(n)):
             yield g
+
+
+def _refined(g: Graph, colours: list) -> list:
+    """Colour refinement from colours until no class splits. A vertex's new
+    colour is the rank of its colour and its neighbours' sorted colours, so
+    relabeling g relabels the result alike."""
+    while True:
+        keys = [(colours[v], tuple(sorted(colours[w] for w in g.adj[v]))) for v in range(g.n)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(rank) == len(set(colours)):
+            return colours
+        colours = [rank[key] for key in keys]
+
+
+def certificate(g: Graph) -> tuple:
+    """A canonical form of g: two graphs share it iff they are isomorphic.
+
+    Colour refinement from one colour splits the vertices; each vertex of
+    the first class still holding more than one is then individualised in
+    turn, refined again, and so on until every class is a single vertex.
+    Each such colouring numbers the vertices, and the certificate is the
+    least sorted edge list over all of them. Refinement alone would merge
+    graphs it cannot tell apart, such as K_{3,3} and the triangular prism.
+    """
+    best = None
+    stack = [_refined(g, [0] * g.n)]
+    while stack:
+        colours = stack.pop()
+        cells: dict = {}
+        for v, c in enumerate(colours):
+            cells.setdefault(c, []).append(v)
+        split = min((c for c, vs in cells.items() if len(vs) > 1), default=None)
+        if split is None:
+            edges = tuple(sorted(tuple(sorted((colours[u], colours[w]))) for u, w in g.edges()))
+            if best is None or edges < best:
+                best = edges
+            continue
+        for v in cells[split]:
+            marked = [2 * c + 1 if c == split and u != v else 2 * c for u, c in enumerate(colours)]
+            stack.append(_refined(g, marked))
+    return best
+
+
+def connected_graphs(n: int):
+    """One connected graph on the vertices 0..n-1 per isomorphism class: 1,
+    1, 2, 6, 21, 112 and 853 of them for n = 1 to 7 (OEIS A001349).
+
+    Removing a leaf of a spanning tree leaves a connected graph, so every
+    class on n >= 2 vertices arises from one on n - 1 by joining the new
+    vertex n - 1 to a nonempty set of old ones. All those are generated,
+    and the first graph of each certificate is kept."""
+    if n == 1:
+        yield build_graph(1, [])
+        return
+    seen = set()
+    for h in connected_graphs(n - 1):
+        for bits in range(1, 1 << (n - 1)):
+            g = build_graph(n, list(h.edges()) + [(v, n - 1) for v in range(n - 1) if bits >> v & 1])
+            key = certificate(g)
+            if key not in seen:
+                seen.add(key)
+                yield g
 
 
 def brute_articulation(g: Graph) -> set[int]:
@@ -484,7 +563,7 @@ def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
 
     The one helper here that reuses package internals: a weighted mu_k on
     the leafed block-cut tree (leafed_tree), solvers._search over
-    the node ids, heaviest first, with solvers._IncrementalChecker deciding
+    the node ids, heaviest first, with solvers._SweptChecker deciding
     each probe. Zero-weight nodes sort last and the weight prune skips them.
     It has no size limit; its time grows about 3x per 6 tree nodes at k = 1.
     """
@@ -497,7 +576,7 @@ def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
     for (kind, idx), i in ids.items():
         weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)
     order = sorted(ids.values(), key=lambda i: (-weights[i], i))
-    checker = _IncrementalChecker(tree, k)
+    checker = _SweptChecker(tree, k)
     best_w, best_ids, nodes_explored, _ = _search(
         order, checker.fits, checker.push, checker.pop, weights, sum(weights)
     )

@@ -29,7 +29,7 @@ from mkvis.graphs import (
     random_connected,
 )
 from mkvis.kernel import mkv_check
-from mkvis.solvers import _IncrementalChecker, mu_k
+from mkvis.solvers import _SweptChecker, mu_k
 
 
 class TestIsVisibilityCover:
@@ -208,14 +208,14 @@ class TestGreedyCover:
             # references: replaced, the loop variable and getrefcount's argument
             return [old for old in replaced if sys.getrefcount(old) > 3]
 
-        class Spy(_IncrementalChecker):
+        class Spy(_SweptChecker):
             def push(self, v):
                 leaked.extend(still_held())
                 undo = super().push(v)
                 replaced.extend(old for _, old in undo)
                 return undo
 
-        monkeypatch.setattr(covering, "_IncrementalChecker", Spy)
+        monkeypatch.setattr(covering, "_SweptChecker", Spy)
         g = random_connected(30, 0.15, 4)
         assert len(greedy_cover(g, 1)) > 1
         assert replaced and not leaked and not still_held()

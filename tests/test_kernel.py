@@ -699,6 +699,16 @@ class TestOracle:
         with pytest.raises(GeodesicCapError):
             oracle_min_internal_count(cycle_graph(6), {1}, 0, 3, cap=1)
 
+    def test_cap_must_be_a_positive_int(self):
+        """The CLI's --cap floor holds for library callers too: a cap that
+        is not an int of at least 1, a bool included, is malformed input,
+        refused before any geodesic is enumerated."""
+        g = path_graph(3)
+        for cap in (None, "5", True, 3.0, -1, 0):
+            with pytest.raises(GraphInputError, match=f"^cap must be a positive integer, got {cap!r}$"):
+                oracle_min_internal_count(g, {1}, 0, 2, cap=cap)
+        assert oracle_min_internal_count(g, {1}, 0, 2, cap=1) == 1
+
     def test_disconnected_pair(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):

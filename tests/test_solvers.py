@@ -31,7 +31,8 @@ from mkvis.solvers import (
     DEFAULT_VARIANT_MAX_N,
     Polynomial,
     _AllPairsChecker,
-    _IncrementalChecker,
+    _CarriedChecker,
+    _SweptChecker,
     _convex_paths,
     bounds,
     cycle_extremal_set,
@@ -88,7 +89,7 @@ class TestMuK:
         than k + 2 vertices that is the vertex set of the unique geodesic
         between its two farthest vertices, the parts are disjoint, and no
         mutual k-visible set holds more than k + 2 vertices of one part."""
-        checker = _IncrementalChecker(g, k, True)
+        checker = _CarriedChecker(g, k)
         dist = support.distance_matrix(g)
         parts = []
         for bits in _convex_paths(checker.sigma, checker.between, k + 2):
@@ -373,7 +374,8 @@ _SIZE_LIMITS = [
     ("max_n", lambda g, m: visibility_polynomial(g, 0, max_n=m)),
     ("max_n", lambda g, m: tau_k(g, 0, max_n=m)),
     ("max_n", lambda g, m: greedy_cover(g, 0, max_n=m)),
-    ("max_n", lambda g, m: tau_bounds(g, 0, mu_max_n=m)),  # the mu_k it solves checks it
+    ("mu_max_n", lambda g, m: tau_bounds(g, 0, mu_max_n=m)),
+    ("mu_max_n", lambda g, m: tau_bounds(g, 0, mu_value=2, mu_max_n=m)),  # checked though no mu_k is solved
     ("gp_max_n", lambda g, m: bounds(g, 0, gp_max_n=m)),
     ("max_nodes", lambda g, m: mu_k_block(g, 0, max_nodes=m)),
 ]
@@ -381,7 +383,7 @@ _SIZE_LIMITS = [
 
 @pytest.mark.parametrize("name,call", _SIZE_LIMITS, ids=[
     "mu_k", "mu_k_variant", "gp_number", "visibility_polynomial", "tau_k", "greedy_cover", "tau_bounds",
-    "bounds", "mu_k_block"])
+    "tau_bounds-mu_value", "bounds", "mu_k_block"])
 def test_size_limit_must_be_a_nonnegative_int(name, call):
     """A size limit that is not a nonnegative int, a bool included (True
     would read as 1), is malformed input: GraphInputError, not a bare
@@ -440,7 +442,7 @@ class TestIncrementalChecker:
         with ever larger geodesic counts, so the fields widen while rows
         are held (on the diamond chain by more than one bit at once), and
         pop back past the widening."""
-        checker = _IncrementalChecker(g, k)
+        checker = _SweptChecker(g, k)
         dags, sigma = support.geodesic_dags(g)
         undos = []
         dist = support.distance_matrix(g)
@@ -488,7 +490,7 @@ class TestIncrementalChecker:
         order = list(range(g.n))
         rnd.shuffle(order)
         after = {v: sum(1 << w for w in order[i + 1 :]) for i, v in enumerate(order)}
-        checker = _IncrementalChecker(g, k, True)
+        checker = _CarriedChecker(g, k)
         undos = []
         dist = support.distance_matrix(g)
         for _ in range(40):
@@ -520,7 +522,7 @@ class TestIncrementalChecker:
         rnd = random.Random(seed)
         order = list(range(g.n))
         rnd.shuffle(order)
-        checker = _IncrementalChecker(g, k, True)
+        checker = _CarriedChecker(g, k)
         undos = []
         nodes = [(1 << g.n) - 1]
         dist = support.distance_matrix(g)
@@ -579,7 +581,7 @@ class TestIncrementalChecker:
         rnd = random.Random(seed)
         n = g.n
         dags = support.geodesic_dags(g)[0]
-        for checker in (_IncrementalChecker(g, k), _AllPairsChecker(g, k)):
+        for checker in (_SweptChecker(g, k), _AllPairsChecker(g, k)):
             order = list(range(n))
             rnd.shuffle(order)
             for u in order:
@@ -589,7 +591,7 @@ class TestIncrementalChecker:
                 for v in range(n):
                     if checker.mask >> v & 1:
                         continue
-                    pool = (1 << n) - 1 ^ 1 << v if checker.carried else checker.mask
+                    pool = (1 << n) - 1 ^ 1 << v if isinstance(checker, _CarriedChecker) else checker.mask
                     rebuilt = [support.path_counts(dags[s], checker.mask | 1 << v, n, checker.width, checker.full)
                                for s in range(n)]
                     for _ in range(3):
@@ -619,7 +621,7 @@ class TestIncrementalChecker:
         order = list(range(g.n))
         rnd.shuffle(order)
         everyone = (1 << g.n) - 1
-        walks = [(_IncrementalChecker(g, k, True), [], [everyone])]
+        walks = [(_CarriedChecker(g, k), [], [everyone])]
         for _ in range(60):
             if len(walks) < 4 and rnd.random() < 1 / 8:
                 walks.append((rnd.choice(walks)[0].fresh(), [], [everyone]))
@@ -658,7 +660,7 @@ class TestIncrementalChecker:
         rnd = random.Random(seed)
         order = list(range(g.n))
         rnd.shuffle(order)
-        checker = _IncrementalChecker(g, k, True)
+        checker = _CarriedChecker(g, k)
         dist = support.distance_matrix(g)
         undos = []
         nodes = [sum(1 << w for w in order if checker.fits(w))]
@@ -694,7 +696,7 @@ class TestIncrementalChecker:
         swept checker that every vertex is pushed into the same rows."""
         n = g.n
         dist = support.distance_matrix(g)
-        checker = _IncrementalChecker(g, 1, True)
+        checker = _CarriedChecker(g, 1)
         for v in range(n):
             assert checker.inside[v] == sum(
                 1 << s for s in range(n)
@@ -714,7 +716,7 @@ class TestIncrementalChecker:
         with mock.patch.object(mkvis.solvers, "_below", recording):
             gp_number(g)
         assert built == checker.through
-        swept = _IncrementalChecker(g, 1)
+        swept = _SweptChecker(g, 1)
         for v in range(n):
             swept.push(v)
         assert swept.through == checker.through
@@ -730,14 +732,14 @@ class TestIncrementalChecker:
             for middle in (hubs + 2 * i, hubs + 2 * i + 1):
                 edges += [(i, middle), (middle, i + 1)]
         g = build_graph(hubs + 2 * (hubs - 1), edges)
-        tables = _IncrementalChecker(g, 1, True)
+        tables = _CarriedChecker(g, 1)
         assert tables.width == 72
         dag = support.geodesic_dags(g)[0][0]
         assert support.path_counts(dag, 0, g.n, tables.width, tables.full)[hubs - 1] == 2**70
         # a tracked middle hub moves every geodesic to field 1
         counts = support.path_counts(dag, 1 << 35, g.n, tables.width, tables.full)
         assert counts[hubs - 1] == 2**70 << 72
-        checker = _IncrementalChecker(g, 0)
+        checker = _SweptChecker(g, 0)
         for v in (0, hubs - 1):
             checker.push(v)
         assert checker.width > 71  # the 2^70 end-to-end geodesics need 71 bits
@@ -755,7 +757,7 @@ class TestIncrementalChecker:
                 edges += [(i, middle), (middle, i + 1)]
         g = build_graph(hubs + 2 * (hubs - 1), edges)
         order = [0, hubs - 1] + list(range(1, hubs - 1)) + list(range(hubs, g.n))
-        checker = _IncrementalChecker(g, 0, True)
+        checker = _CarriedChecker(g, 0)
 
         def push(v):
             checker.push(v, sum(1 << w for w in order[order.index(v) + 1 :]))
@@ -782,18 +784,18 @@ class TestIncrementalChecker:
         def searches(carried):
             built, results = [], []
 
-            def checker(g, k, _):
-                built.append(_IncrementalChecker(g, k, carried))
+            def checker(g, k):
+                built.append((_CarriedChecker if carried else _SweptChecker)(g, k))
                 return built[-1]
 
             def recording(*args, **kwargs):
                 results.append(search(*args, **kwargs))
                 return results[-1]
 
-            with mock.patch.object(mkvis.solvers, "_IncrementalChecker", checker), \
+            with mock.patch.object(mkvis.solvers, "_CarriedChecker", checker), \
                     mock.patch.object(mkvis.solvers, "_search", recording):
                 visibility_polynomial(g, k)
-            assert [c.carried for c in built] == [carried]
+            assert [isinstance(c, _CarriedChecker) for c in built] == [carried]
             return results
 
         carried = searches(True)
@@ -807,7 +809,7 @@ class TestIncrementalChecker:
         while it holds no member. The first-fit passes probe fresh copies of
         it, which are told apart by identity and not counted."""
         probes, searched = [], []
-        fits, narrow, search = _IncrementalChecker.fits, _IncrementalChecker.narrow, mkvis.solvers._search
+        fits, narrow, search = _CarriedChecker.fits, _CarriedChecker.narrow, mkvis.solvers._search
 
         def watched_fits(self, v):
             probes.append(("fits", self, len(self.members)))
@@ -821,8 +823,8 @@ class TestIncrementalChecker:
             searched.append(fits.__self__)
             return search(order, fits, *args, **kwargs)
 
-        with mock.patch.object(_IncrementalChecker, "fits", watched_fits), \
-                mock.patch.object(_IncrementalChecker, "narrow", watched_narrow), \
+        with mock.patch.object(_CarriedChecker, "fits", watched_fits), \
+                mock.patch.object(_CarriedChecker, "narrow", watched_narrow), \
                 mock.patch.object(mkvis.solvers, "_search", watched_search):
             res = mu_k(random_connected(14, 0.25, 3), k)
         assert res.nodes_explored > 1 and len(searched) == 1
@@ -835,9 +837,9 @@ class TestIncrementalChecker:
         """With carried rows no push sweeps, and the geodesic counts that
         build the tables come from the DAG pass: the polynomial, mu_k (its
         first-fit passes included), tau_k and gp_number make no sweeping
-        push (_sweep_push) at all."""
+        push (_SweptChecker.push) at all."""
         g = random_connected(14, 0.2, 2)
-        sweep_push = _IncrementalChecker._sweep_push
+        sweep_push = _SweptChecker.push
         results = {}
         for name, solve in [("poly", lambda: visibility_polynomial(g, 1)), ("mu", lambda: mu_k(g, 1)),
                             ("tau", lambda: tau_k(g, 1)), ("gp", lambda: gp_number(g))]:
@@ -847,7 +849,7 @@ class TestIncrementalChecker:
                 masks.append(self.mask)
                 return sweep_push(self, v)
 
-            with mock.patch.object(_IncrementalChecker, "_sweep_push", counting):
+            with mock.patch.object(_SweptChecker, "push", counting):
                 results[name] = solve()
             assert masks == [], name
         assert sum(results["poly"].coefficients) > 1000
@@ -954,8 +956,8 @@ class TestFirstFitStart:
         so the shuffled passes run until one does not improve."""
         order = mkvis.solvers._admit("mu_k", g, k, g.n)[::-1]
         first_fit = mkvis.solvers._first_fit
-        carried = first_fit(_IncrementalChecker(g, k, True), order, g.n)
-        assert carried == first_fit(_IncrementalChecker(g, k), order, g.n)
+        carried = first_fit(_CarriedChecker(g, k), order, g.n)
+        assert carried == first_fit(_SweptChecker(g, k), order, g.n)
 
     @given(support.graphs(min_n=1, max_n=12), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
@@ -992,13 +994,13 @@ def test_push_count_is_pinned(solve, want):
     candidate lattices without a visit. mu_k's count also holds the pushes
     of its first-fit passes, which visit no search node."""
     pushes = []
-    push = _IncrementalChecker.push
+    push = _CarriedChecker.push
 
     def counting(self, v, *later):
         pushes.append(v)
         return push(self, v, *later)
 
-    with mock.patch.object(_IncrementalChecker, "push", counting):
+    with mock.patch.object(_CarriedChecker, "push", counting):
         res = solve()
     if isinstance(res, Polynomial):
         assert (len(pushes), res.degree(), sum(res.coefficients)) == want
@@ -1258,11 +1260,13 @@ class TestConvexMonotonicity:
         assert mu_k(sub, k).value <= mu_k(g, k).value
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 class TestEveryConnectedGraph:
     """Every connected labelled graph on n <= 5 vertices, 772 in all, each
-    isomorphism class under all its labelings, against brute force."""
+    isomorphism class under all its labelings, and one graph per class on
+    6 vertices, 112 of them, under two labelings, against brute force. The
+    853 classes on 7 vertices run under the exhaustive marker."""
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_solvers_match_brute_force(self, n):
         for g in support.connected_labelled_graphs(n):
             assert gp_number(g).value == support.brute_gp(g), g.edges()
@@ -1275,6 +1279,7 @@ class TestEveryConnectedGraph:
                     g.edges(), k)
                 assert tau_k(g, k).value == support.brute_tau(g, k), (g.edges(), k)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_carried_tables_match_distances(self, n):
         """sigma counts the geodesics, through[s][v] holds the t with v on
         an s-t geodesic, between[s][t] the v on one, and inside[v] the
@@ -1283,7 +1288,7 @@ class TestEveryConnectedGraph:
         assert len(graphs) == [1, 1, 4, 38, 728][n - 1]  # OEIS A001187
         for g in graphs:
             dist = support.distance_matrix(g)
-            checker = _IncrementalChecker(g, 0, True)
+            checker = _CarriedChecker(g, 0)
             for s in range(n):
                 for t in range(n):
                     assert checker.sigma[s][t] == len(support.all_geodesics(g, s, t, dist)), (g.edges(), s, t)
@@ -1296,3 +1301,39 @@ class TestEveryConnectedGraph:
                     1 << s for s in range(n)
                     if s != v and any(t != v and dist[s][v] + dist[v][t] == dist[s][t] for t in range(n))), (
                     g.edges(), v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_certificates_tell_the_classes_apart(self, n):
+        """support.certificate takes one value per isomorphism class over
+        every labelled graph, the values connected_graphs keeps one graph
+        each of."""
+        keys = [support.certificate(g) for g in support.connected_graphs(n)]
+        assert len(keys) == len(set(keys)) == [1, 1, 2, 6, 21][n - 1]  # OEIS A001349
+        assert {support.certificate(g) for g in support.connected_labelled_graphs(n)} == set(keys)
+
+    @staticmethod
+    def solved(g) -> list:
+        """gp and, at k = 0..2, mu, the three variants, the polynomial and
+        tau; greedy_cover, the one solve on the swept checker, is compared
+        with the oracle's first-fit cover, since its parts follow labels."""
+        values = [gp_number(g).value]
+        for k in range(3):
+            values += [mu_k(g, k).value] + [mu_k_variant(g, k, variant).value for variant in VARIANTS]
+            values += [list(visibility_polynomial(g, k).coefficients), tau_k(g, k).value]
+            assert greedy_cover(g, k) == support.brute_greedy_cover(g, k), (g.edges(), k)
+        return values
+
+    @pytest.mark.parametrize("n", [6, pytest.param(7, marks=pytest.mark.exhaustive)])
+    def test_classes_match_brute_force_under_two_labelings(self, n):
+        """One graph per isomorphism class (support.connected_graphs), its
+        values against brute force, and the same values once the graph is
+        relabeled by one fixed permutation."""
+        graphs = list(support.connected_graphs(n))
+        assert len(graphs) == {6: 112, 7: 853}[n]  # OEIS A001349
+        for g in graphs:
+            want = [support.brute_gp(g)]
+            for k in range(3):
+                want += [support.brute_mu(g, k)] + [support.brute_variant_mu(g, k, variant) for variant in VARIANTS]
+                want += [support.brute_polynomial(g, k), support.brute_tau(g, k)]
+            assert self.solved(g) == want, g.edges()
+            assert self.solved(_relabeled(g, random.Random(n))) == want, g.edges()
