@@ -5,10 +5,11 @@ from the ceil(n/mu_k) lower bound upward; only ever opening the next fresh
 part breaks symmetric labelings. Every part is a checker grown only by a
 vertex that fits. tau_k's parts, solvers._CarriedChecker copies, share
 tables built once per call, carry count rows and name the vertices after
-each new member. greedy_cover's parts, grown in no such order, are
-solvers._SweptChecker copies: nothing is built up front, each push runs one
-BFS from the new member for its count row and its through row (shared by
-the parts), and rows exist only for members, as its memory at n = 1000 needs.
+each new member. greedy_cover's parts, grown in no such order and never
+shrunk, are solvers._SweptChecker copies: nothing is built up front, each
+push runs one BFS from the new member for its count row and its through row
+(shared by the parts) and updates the members' rows in place, and rows
+exist only for members, as its memory at n = 1000 needs.
 """
 
 from __future__ import annotations

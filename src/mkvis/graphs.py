@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Real
 
 from .errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 
@@ -384,8 +385,8 @@ def random_connected(n: int, edge_probability: float, seed: int) -> Graph:
     """
     if not isinstance(n, int) or n < 1:
         raise GraphInputError(f"need at least one vertex, got {n!r}")
-    if not 0.0 <= edge_probability <= 1.0:
-        raise GraphInputError(f"edge probability must be in [0, 1], got {edge_probability!r}")
+    if isinstance(edge_probability, bool) or not isinstance(edge_probability, Real) or not 0 <= edge_probability <= 1:
+        raise GraphInputError(f"edge probability must be a real number in [0, 1], got {edge_probability!r}")
     _check_size(n, round(n - 1 + edge_probability * (n - 1) * (n - 2) / 2))
     if n * (n - 1) // 2 > MAX_EDGES:
         raise SizeLimitError(

@@ -31,9 +31,10 @@ push, so every pair is exact: total and outer read the pairs that touch
 the complement with breaks, and dual reads the pairs inside it to accept
 a set and to cut a branch once two vertices that can no longer join lose
 sight of each other. Only covering.greedy_cover grows sets in no order,
-so its parts, _SweptChecker copies, build nothing up front and run one
-BFS from each new member at its push. Every geodesic table comes from one
-BFS per source (_geodesics) and one walk back (_below, all gp_number uses).
+and it never shrinks them, so its parts, _SweptChecker copies, build
+nothing up front, run one BFS from each new member at its push and have
+no pop. Every geodesic table comes from one BFS per source (_geodesics)
+and one walk back (_below, all gp_number uses).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .graphs import (
     require_connected,
 )
 from .kernel import (
-    DUAL,
     OUTER,
     TOTAL,
     _check_count,
@@ -257,17 +257,16 @@ class _Checker:
     Built once per solve, a checker owns the geodesic tables, among them
     through[a][v], the bitmask of vertices b such that v lies on some a-b
     geodesic. It holds a member list and its bitmask, mask; push(v, later)
-    adds v and returns what pop(v, undo) needs to take it out again, and
-    fresh() gives an empty set over the tables. Field j of rows[a][t]
-    counts the a-t geodesics with exactly j members strictly inside, for
-    j <= k', where k' = min(k, n - 2) since no geodesic has more internal
-    vertices. width and full pack them: full keeps fields 0..k', and width
-    exceeds the bit length of every geodesic count sigma(a, t) the rows can
-    meet, so no field of a row, or of the products below (which count
-    geodesics of one pair), carries into the next. A pair passes while its
-    vector is nonzero. fits(v) assumes the members are already mutual
-    k-visible (true when the set only ever grows by a v that fits) and
-    sweeps nothing:
+    adds v, and fresh() gives an empty set over the tables. Field j of
+    rows[a][t] counts the a-t geodesics with exactly j members strictly
+    inside, for j <= k', where k' = min(k, n - 2) since no geodesic has more
+    internal vertices. width and full pack them: full keeps fields 0..k',
+    and width exceeds the bit length of every geodesic count sigma(a, t) the
+    rows can meet, so no field of a row, or of the products below (which
+    count geodesics of one pair), carries into the next. A pair passes
+    while its vector is nonzero. fits(v) assumes the members are already
+    mutual k-visible (true when the set only ever grows by a v that fits)
+    and sweeps nothing:
 
     - a new pair (q, v) keeps its geodesics' counts, so it passes iff it
       reads nonzero;
@@ -346,13 +345,14 @@ class _CarriedChecker(_Checker):
     node's candidates after v, and the first-fit passes and tau_k the
     vertices after v in their order. push(v, later) applies the update to
     each pair {s, t} of the live set with t in through[s][v], in both
-    orientations, and returns the old values for pop. A pair that drops
-    out of the live set keeps its old value, right again once v is popped.
-    It also keeps between[s][t], the bitmask of vertices on some s-t
-    geodesic, s and t included, inside[v], the sources s with v strictly
-    inside some s-t geodesic, and blind[s], the bitmask of the t whose pair
-    with s reads 0: push sets the bits of each pair it zeroes, and pop
-    clears them before it restores the old value. Like the rows, the bits
+    orientations, and returns the old values: what pop(v, undo) needs to
+    take v out again. A pair that drops out of the live set keeps its old
+    value, right again once v is popped. It also keeps between[s][t], the
+    bitmask of vertices on some s-t geodesic, s and t included, inside[v],
+    the sources s with v strictly inside some s-t geodesic, and blind[s],
+    the bitmask of the t whose pair with s reads 0: push sets the bits of
+    each pair it zeroes, and pop clears them before it restores the old
+    value. Like the rows, the bits
     are right for pairs inside the live set: a node's candidates were live
     at every push on its path, so fits, mu_k's bound and narrow read their
     pairs off blind. fresh() gives each copy its own rows and blind list.
@@ -484,23 +484,21 @@ class _AllPairsChecker(_CarriedChecker):
 
 class _SweptChecker(_Checker):
     """Rows for the members only, each built by one BFS at its push, as
-    greedy_cover's parts, grown in no order, need: nothing is built up front.
+    greedy_cover's parts, grown in no order and never shrunk, need: nothing
+    is built up front, and there is no pop.
 
     push(v) runs one BFS from v that counts v's geodesics and packs rows[v]
     with the members tracked, both final when a vertex is dequeued (Brandes'
     single-source path counting), and, the first time any copy pushes v,
     walks the BFS order back for through[v] (_below), which does not depend
     on the set and sits in a list that fresh() copies share. It then applies
-    the update to rows[a][t] for every member a and t in through[a][v],
-    replacing each changed row by an updated copy, and returns the old rows,
-    so pop(v, undo) restores them and nothing outlives the pop; a caller
-    that never pops drops them at once. Every count the rows and their
-    products hold is at most sigma(a, t) for a member a, so width starts at
-    4 and grows, in steps of 4 bits, only when a push's BFS meets a larger
-    count: the member rows are then repacked before the undo is recorded,
-    and pop repacks the rows it restores. Memory: n masks of n bits in
-    through[v] for each vertex ever pushed, and n packed ints of at most
-    (k' + 1) * width bits per member, so n^2 once all n vertices are
+    the update in place to rows[a][t] for every member a and t in
+    through[a][v]; no two copies share a row list. Every count the rows and
+    their products hold is at most sigma(a, t) for a member a, so width
+    starts at 4 and grows, in steps of 4 bits, only when a push's BFS meets
+    a larger count: the member rows are then repacked. Memory: n masks of n
+    bits in through[v] for each vertex ever pushed, and n packed ints of at
+    most (k' + 1) * width bits per member, so n^2 once all n vertices are
     members, as across greedy_cover's parts.
     """
 
@@ -513,9 +511,8 @@ class _SweptChecker(_Checker):
     def _empty(self) -> None:
         self.members, self.mask = [], 0
         self.rows = [None] * self.n
-        self.widths = []  # widths[i]: the field width of the rows the i-th push hands back
 
-    def push(self, v: int, later=None):
+    def push(self, v: int, later=None) -> None:
         """later is ignored: every vertex stays a candidate."""
         n, adj, width, full, rows = self.n, self.adj, self.width, self.full, self.rows
         tracked = bytearray(n)
@@ -556,14 +553,10 @@ class _SweptChecker(_Checker):
         through = self.through
         if through[v] is None:
             through[v] = _below(adj, order, dist)
-        undo = []
         for a in self.members:
+            row = rows[a]
+            av = row[v]
             bits = through[a][v] ^ 1 << v
-            if not bits:
-                continue
-            old = rows[a]
-            row = old[:]
-            av = old[v]
             while bits:
                 bit = bits & -bits
                 bits ^= bit
@@ -572,13 +565,9 @@ class _SweptChecker(_Checker):
                 if vt:
                     via = av * vt & full
                     row[t] = (row[t] - via + (via << width)) & full
-            rows[a] = row
-            undo.append((a, old))
         rows[v] = vrow
         self.members.append(v)
         self.mask |= 1 << v
-        self.widths.append(width)
-        return undo
 
     def _repacked(self, row: list, old: int) -> list:
         """row, packed old bits apart, repacked to the current width."""
@@ -589,14 +578,6 @@ class _SweptChecker(_Checker):
         for j in range(1, self.fields):
             packed = [p | (c >> j * old & keep) << j * width for p, c in zip(packed, row)]
         return packed
-
-    def pop(self, v: int, undo) -> None:
-        width = self.widths.pop()
-        for a, old in undo:
-            self.rows[a] = self._repacked(old, width)
-        self.rows[v] = None
-        self.members.pop()
-        self.mask ^= 1 << v
 
     def fits(self, v: int) -> bool:
         """v is not a member; its new pairs read off the member rows."""

@@ -5,7 +5,7 @@ explicit materialization of whole shortest paths, raw subset scans over the
 power set. No logic is shared with the package internals, so agreement
 between the two sides is evidence, not tautology. There is one
 exception: bnb_mu_k_block, the retired branch-and-bound solver for block
-graphs, runs the package's search engine and incremental checker on the
+graphs, runs the package's search engine and carried checker on the
 leafed block-cut tree (leafed_tree, tested on its own against
 is_k_admissible), so it checks the tree DP that replaced it, which takes
 the same leaves as end-only weights. geodesic_dags builds each source's
@@ -32,7 +32,7 @@ from mkvis.blocks import _blocks_are_cliques, block_decomposition, block_node, c
 from mkvis.errors import GraphInputError
 from mkvis.graphs import Graph, build_graph, complete_bipartite, random_connected
 from mkvis.kernel import _check_tolerance, mkv_check
-from mkvis.solvers import SolveResult, _SweptChecker, _search
+from mkvis.solvers import SolveResult, _CarriedChecker, _search
 
 INF = math.inf
 
@@ -443,15 +443,14 @@ def diamond_chain(diamonds: int) -> Graph:
 
 
 def rising_counts_steps(g: Graph) -> list:
-    """Push and pop steps for g whose pushes meet ever larger geodesic
-    counts. With the vertices ordered by their largest geodesic count to
-    any vertex, smallest first, the first eight are pushed, three popped,
-    the next four pushed and five popped (rising[0], a member throughout,
-    stands for a pop of the last member)."""
+    """Push steps (v, part) for g whose pushes meet ever larger geodesic
+    counts: with the vertices ordered by their largest geodesic count to
+    any vertex, smallest first, the first twelve go to parts 0, 1 and 2 in
+    turn, so each part's fields widen while it holds rows."""
     dist = distance_matrix(g)
     most = [max(len(all_geodesics(g, v, w, dist)) for w in range(g.n)) for v in range(g.n)]
     rising = sorted(range(g.n), key=lambda v: (most[v], v))
-    return rising[:8] + [rising[0]] * 3 + rising[8:12] + [rising[0]] * 5
+    return [(v, i % 3) for i, v in enumerate(rising[:12])]
 
 
 def random_subset(rng: random.Random, n: int, max_size=None) -> set[int]:
@@ -563,7 +562,7 @@ def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
 
     The one helper here that reuses package internals: a weighted mu_k on
     the leafed block-cut tree (leafed_tree), solvers._search over
-    the node ids, heaviest first, with solvers._SweptChecker deciding
+    the node ids, heaviest first, with solvers._CarriedChecker deciding
     each probe. Zero-weight nodes sort last and the weight prune skips them.
     It has no size limit; its time grows about 3x per 6 tree nodes at k = 1.
     """
@@ -576,7 +575,7 @@ def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
     for (kind, idx), i in ids.items():
         weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)
     order = sorted(ids.values(), key=lambda i: (-weights[i], i))
-    checker = _SweptChecker(tree, k)
+    checker = _CarriedChecker(tree, k)
     best_w, best_ids, nodes_explored, _ = _search(
         order, checker.fits, checker.push, checker.pop, weights, sum(weights)
     )

@@ -1,7 +1,5 @@
 """Visibility covers: exact tau, bounds, greedy heuristic, cycle construction."""
 
-import sys
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -199,26 +197,27 @@ class TestGreedyCover:
         assert len(greedy_cover(g, k)) == 1
 
     def test_keeps_no_undo_state(self, monkeypatch):
-        """push hands back the count rows it replaced, and greedy_cover never
-        pops, so by the next push nothing but this test may hold them."""
-        replaced = []
-        leaked = []
-
-        def still_held():
-            # references: replaced, the loop variable and getrefcount's argument
-            return [old for old in replaced if sys.getrefcount(old) > 3]
+        """push returns nothing, and the parts of one cover share their
+        through rows but no count row list, so a push's in-place update
+        never reaches another part: every other part's rows read after the
+        push as before it."""
+        parts = []
 
         class Spy(_SweptChecker):
-            def push(self, v):
-                leaked.extend(still_held())
-                undo = super().push(v)
-                replaced.extend(old for _, old in undo)
-                return undo
+            def push(self, v, later=None):
+                if all(p is not self for p in parts):
+                    parts.append(self)
+                others = [(p, [row and row[:] for row in p.rows]) for p in parts if p is not self]
+                assert super().push(v) is None
+                for p, rows in others:
+                    assert p.rows == rows
 
         monkeypatch.setattr(covering, "_SweptChecker", Spy)
         g = random_connected(30, 0.15, 4)
-        assert len(greedy_cover(g, 1)) > 1
-        assert replaced and not leaked and not still_held()
+        assert len(greedy_cover(g, 1)) == len(parts) > 1
+        assert all(p.through is parts[0].through for p in parts)
+        lists = {id(row) for p in parts for row in p.rows if row is not None}
+        assert len(lists) == g.n
 
 
 class TestCycleCoverPartition:

@@ -336,6 +336,13 @@ class TestGenerators:
         with pytest.raises(GraphInputError):
             random_connected(5, 1.5, 0)
 
+    @pytest.mark.parametrize("p", ["0.3", None, 0.5j, True, False, float("nan")])
+    def test_random_connected_refuses_a_non_real_probability(self, p):
+        """A string, None, a complex or a bool (True would read as 1) is
+        malformed input, as nan is: GraphInputError, not a bare TypeError."""
+        with pytest.raises(GraphInputError, match=r"^edge probability must be a real number in \[0, 1\]"):
+            random_connected(5, p, 1)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_block_graph_blocks_are_cliques(self, seed):
         g = random_block_graph(3, 4, seed)

@@ -428,39 +428,46 @@ def test_invariant_under_relabeling(g, k, rnd, blocks, block_size, seed):
 
 
 class TestIncrementalChecker:
-    # the chain's middle hub 5 widens the fields to 8 bits, then end hub 0 meets 2^10 geodesics
-    @support.with_examples([(g, k, support.rising_counts_steps(g)) for g in support.geodesic_rich_graphs() for k in range(4)]
-                           + [(support.diamond_chain(10), k, [5, 0, 10, 12, 21, 5, 5, 7, 3, 5, 5]) for k in range(4)])
-    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.lists(st.integers(0, 7), max_size=14))
+    # in part 0 the chain's middle hub 5 widens the fields to 8 bits, then end hub 0 meets 2^10 geodesics;
+    # in part 1 the middle vertex 21 and end hub 10 do alike
+    @support.with_examples([(g, k, 3, support.rising_counts_steps(g)) for g in support.geodesic_rich_graphs()
+                            for k in range(4)]
+                           + [(support.diamond_chain(10), k, 2, [(5, 0), (21, 1), (0, 0), (10, 1), (12, 0), (7, 1),
+                                                                 (3, 0)]) for k in range(4)])
+    @given(support.graphs(min_n=2, max_n=8), st.integers(0, 3), st.integers(2, 3),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)), max_size=14))
     @settings(max_examples=80, deadline=None)
-    def test_rows_match_a_rebuild_after_push_and_pop(self, g, k, steps):
-        """A step pushes vertex step % n when it is no member (after checking
-        fits against the oracle whenever the members are mutual k-visible),
-        else pops the last member; the count rows must then equal rows
-        rebuilt by support.path_counts for the held set, with fields wider
-        than every member's geodesic counts. The examples push vertices
-        with ever larger geodesic counts, so the fields widen while rows
-        are held (on the diamond chain by more than one bit at once), and
-        pop back past the widening."""
-        checker = _SweptChecker(g, k)
+    def test_part_rows_match_a_rebuild_as_parts_grow(self, g, k, copies, steps):
+        """Push-only walks over copies fresh() copies of one swept checker,
+        grown in interleaved order as greedy_cover grows its parts: a step
+        (v, p) pushes vertex v % n into part p % copies when v is in no part
+        (after checking fits against the oracle whenever the part's members
+        are mutual k-visible). After every push, each part's member rows
+        must equal rows rebuilt by support.path_counts for its members, with
+        fields wider than every member's geodesic counts, and its other rows
+        must be None. The examples push vertices with ever larger geodesic
+        counts, so a part's fields widen while it holds rows (on the diamond
+        chain by more than one bit at once) and the other parts keep theirs."""
+        base = _SweptChecker(g, k)
+        parts = [base.fresh() for _ in range(copies)]
         dags, sigma = support.geodesic_dags(g)
-        undos = []
         dist = support.distance_matrix(g)
-        for step in steps:
+        for step, p in steps:
             v = step % g.n
-            if v in checker.members:
-                checker.pop(checker.members[-1], undos.pop())
-            else:
-                if support.oracle_mkv_check(g, checker.members, k, dist):
-                    assert checker.fits(v) == support.oracle_mkv_check(g, checker.members + [v], k, dist)
-                undos.append(checker.push(v))
-            for a in range(g.n):
-                if a in checker.members:
-                    assert checker.width > max(sigma[a]).bit_length(), (a, checker.members)  # no field carries
-                    want = support.path_counts(dags[a], checker.mask, g.n, checker.width, checker.full)
-                    assert checker.rows[a] == want, (a, checker.members)
-                else:
-                    assert checker.rows[a] is None
+            if any(part.mask >> v & 1 for part in parts):
+                continue
+            part = parts[p % copies]
+            if support.oracle_mkv_check(g, part.members, k, dist):
+                assert part.fits(v) == support.oracle_mkv_check(g, part.members + [v], k, dist)
+            part.push(v)
+            for part in parts:
+                for a in range(g.n):
+                    if part.mask >> a & 1:
+                        assert part.width > max(sigma[a]).bit_length(), (a, part.members)  # no field carries
+                        want = support.path_counts(dags[a], part.mask, g.n, part.width, part.full)
+                        assert part.rows[a] == want, (a, part.members)
+                    else:
+                        assert part.rows[a] is None
 
     @staticmethod
     def assert_rows_match_a_rebuild(g, checker, live):
@@ -773,19 +780,36 @@ class TestIncrementalChecker:
     @pytest.mark.parametrize("n,seed", [(10, 1), (11, 2), (12, 3), (13, 4), (14, 5)])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_carried_and_swept_rows_search_alike(self, n, seed, k):
-        """The polynomial runs _search over a carried checker and over one
-        that sweeps on every push; both searches return the same best
-        weight, best set, node count and sizes. (mu_k's first-fit passes
-        and mu_k_variant name live sets that only carried rows use, and
-        mu_k's convex paths read sigma and between.)"""
+        """The polynomial runs _search over a carried checker and over swept
+        checkers, which only grow, so each pop regrows a fresh copy from the
+        members left; both searches return the same best weight, best set,
+        node count and sizes. (mu_k's first-fit passes and mu_k_variant name
+        live sets that only carried rows use, and mu_k's convex paths read
+        sigma and between.)"""
         g = random_connected(n, 0.25, seed)
         search = mkvis.solvers._search
+
+        class Regrown:
+            def __init__(self, g, k):
+                self.base = _SweptChecker(g, k)
+                self.held = self.base.fresh()
+
+            def fits(self, v):
+                return self.held.fits(v)
+
+            def push(self, v, later):
+                self.held.push(v)
+
+            def pop(self, v, undo):
+                members, self.held = self.held.members[:-1], self.base.fresh()
+                for u in members:
+                    self.held.push(u)
 
         def searches(carried):
             built, results = [], []
 
             def checker(g, k):
-                built.append((_CarriedChecker if carried else _SweptChecker)(g, k))
+                built.append((_CarriedChecker if carried else Regrown)(g, k))
                 return built[-1]
 
             def recording(*args, **kwargs):
