@@ -15,7 +15,7 @@ leaf that is never inside a tree path. Admissibility then only limits how
 many chosen cut nodes lie inside each path between two chosen nodes, so the
 heaviest such set comes from a linear post-order DP over the tree's own int
 adjacency, not a search, whose table entries carry their own members; the
-witness is read straight off the chosen cut and block ids.
+witness is the expansion of the chosen cut and block nodes.
 """
 
 from __future__ import annotations
@@ -364,7 +364,8 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
     _heaviest_admissible on the tree's own int adjacency and BFS order,
     O(N min(k, h)^2) time for N tree nodes and tree height h;
     nodes_explored is the number of DP table entries it filled. The witness
-    is read off the chosen cut and block ids and verified with mkv_check.
+    is the expansion of the chosen cut and block nodes (expand_admissible),
+    verified with mkv_check.
     """
     _check_tolerance(k)
     _check_count(max_nodes, "max_nodes")
@@ -375,17 +376,10 @@ def mu_k_block(g: Graph, k: int, max_nodes: int = DEFAULT_TREE_MAX_NODES):
         raise SizeLimitError(
             f"mu_k_block limited to {max_nodes} tree nodes, got {t.node_count}; raise max_nodes to override"
         )
-    art = t.articulation
-    cuts = t.node_count - len(t.blocks)  # cut nodes take ids 0..cuts-1, blocks the rest
-    weights = [1] * cuts + [0] * len(t.blocks)
-    ends = [0] * cuts + [sum(v not in art for v in blk) for blk in t.blocks]
+    weights = [1 if kind == "cut" else 0 for kind, _ in t.nodes]
+    ends = [0 if kind == "cut" else sum(v not in t.articulation for v in t.blocks[i]) for kind, i in t.nodes]
     best_w, best_ids, filled = _heaviest_admissible(t._adj, t._depth, t._order, weights, ends, k)
-    witness = set()
-    for x in best_ids:
-        if x >= 0:
-            witness.add(t.nodes[x][1])
-        else:
-            witness.update(v for v in t.blocks[~x - cuts] if v not in art)
+    witness = expand_admissible(t, {t.nodes[x if x >= 0 else ~x] for x in best_ids})
     if len(witness) != best_w:
         raise RuntimeError("internal error: expanded witness size mismatch")
     if not mkv_check(g, witness, k).verdict:

@@ -122,18 +122,13 @@ def _dumps(value, indent: str = "\n") -> str:
 
     With indent, json.dumps runs its pure-Python encoder, one generator per
     container; this builds each container with one join and writes scalars
-    by a lookup on their type. indent is the newline and spaces before the
-    value's closing bracket.
+    by a lookup on their exact type: reports hold no subclass of str, int
+    or float, so one goes to _json_default like any other type. indent is
+    the newline and spaces before the value's closing bracket.
     """
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         return text(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
     scalar, inner = _SCALAR_TEXT.get, indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:

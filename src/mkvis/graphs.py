@@ -113,15 +113,25 @@ class Graph:
                     yield (u, v)
 
 
+def _is_int(value) -> bool:
+    """value is an int and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_vertex(g: Graph, v) -> int:
     """v, if it is a vertex id of g (anything with n: a Graph, a BlockCutTree)."""
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
+    if not _is_int(v) or not 0 <= v < g.n:
         raise GraphInputError(f"vertex id {v!r} out of range [0, {g.n})")
     return v
 
 
 def check_vertex_set(g: Graph, vertices) -> frozenset[int]:
-    return frozenset(check_vertex(g, v) for v in vertices)
+    """The ids of an iterable of vertices of g, each by check_vertex."""
+    try:
+        ids = iter(vertices)
+    except TypeError:
+        raise GraphInputError(f"a vertex set must be an iterable of vertex ids, got {vertices!r}") from None
+    return frozenset(check_vertex(g, v) for v in ids)
 
 
 def _empty_adjacency(n: int, where: str = "") -> list:
@@ -144,7 +154,7 @@ def build_graph(n: int, edges) -> Graph:
     orientation), each reported with the offending pair. Refuses more than
     MAX_VERTICES vertices with SizeLimitError before allocating anything.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphInputError(f"vertex count must be a nonnegative integer, got {n!r}")
     adj = _empty_adjacency(n)
     seen = set()
@@ -154,13 +164,7 @@ def build_graph(n: int, edges) -> Graph:
             u, v = edge
         except (TypeError, ValueError):
             raise GraphInputError(f"edge {edge!r} is not a pair of vertex ids") from None
-        if (
-            not isinstance(u, int)
-            or not isinstance(v, int)
-            or isinstance(u, bool)
-            or isinstance(v, bool)
-            or not (0 <= u < n and 0 <= v < n)
-        ):
+        if not _is_int(u) or not _is_int(v) or not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge ({u!r}, {v!r}) has an endpoint outside [0, {n})")
         if u == v:
             raise GraphInputError(f"self-loop ({u}, {v}) is not allowed")
@@ -351,29 +355,35 @@ def _check_size(n: int, m: int) -> None:
 
 
 def path_graph(n: int) -> Graph:
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise GraphInputError(f"path needs at least one vertex, got {n!r}")
     return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
-    if not isinstance(n, int) or n < 3:
+    if not _is_int(n) or n < 3:
         raise GraphInputError(f"cycle needs at least three vertices, got {n!r}")
     return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise GraphInputError(f"complete graph needs at least one vertex, got {n!r}")
     _check_size(n, n * (n - 1) // 2)
     return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
+    if not _is_int(m) or not _is_int(n) or m < 1 or n < 1:
         raise GraphInputError(f"both sides need at least one vertex, got {m!r}, {n!r}")
     _check_size(m + n, m * n)
     return build_graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
+
+
+def _check_seed(seed) -> None:
+    """A generator's seed is an int, so the same seed gives the same graph."""
+    if not _is_int(seed):
+        raise GraphInputError(f"seed must be an integer, got {seed!r}")
 
 
 def random_connected(n: int, edge_probability: float, seed: int) -> Graph:
@@ -383,10 +393,11 @@ def random_connected(n: int, edge_probability: float, seed: int) -> Graph:
     refuses with SizeLimitError when the expected edge count or the number of
     pairs exceeds MAX_EDGES.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise GraphInputError(f"need at least one vertex, got {n!r}")
     if isinstance(edge_probability, bool) or not isinstance(edge_probability, Real) or not 0 <= edge_probability <= 1:
         raise GraphInputError(f"edge probability must be a real number in [0, 1], got {edge_probability!r}")
+    _check_seed(seed)
     _check_size(n, round(n - 1 + edge_probability * (n - 1) * (n - 2) / 2))
     if n * (n - 1) // 2 > MAX_EDGES:
         raise SizeLimitError(
@@ -411,10 +422,11 @@ def random_block_graph(block_count: int, max_block_size: int, seed: int) -> Grap
     with SizeLimitError before the first block that would take the graph
     past MAX_VERTICES vertices or MAX_EDGES edges.
     """
-    if not isinstance(block_count, int) or block_count < 1:
+    if not _is_int(block_count) or block_count < 1:
         raise GraphInputError(f"need at least one block, got {block_count!r}")
-    if not isinstance(max_block_size, int) or max_block_size < 2:
+    if not _is_int(max_block_size) or max_block_size < 2:
         raise GraphInputError(f"blocks need at least two vertices, got {max_block_size!r}")
+    _check_seed(seed)
     if block_count > MAX_VERTICES:
         raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices, got {block_count} blocks")
     rng = random.Random(seed)

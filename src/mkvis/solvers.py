@@ -33,8 +33,8 @@ a set and to cut a branch once two vertices that can no longer join lose
 sight of each other. Only covering.greedy_cover grows sets in no order,
 and it never shrinks them, so its parts, _SweptChecker copies, build
 nothing up front, run one BFS from each new member at its push and have
-no pop. Every geodesic table comes from one BFS per source (_geodesics)
-and one walk back (_below, all gp_number uses).
+no pop. Every through table is one walk back (_below) over one BFS per
+source: _geodesics in the checkers, graphs._bfs in gp_number.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .graphs import (
     Graph,
     INFINITE,
     Infinite,
+    _bfs,
     all_pairs_distances,
     check_vertex_set,
     convex_hull,
@@ -236,9 +237,9 @@ def _geodesics(adj, s: int):
     return order, dist, sigma, between
 
 
-def _below(adj, order, dist) -> list:
-    """through[v] for the source order[0], in one walk back over its BFS
-    order: the bitmask of the t with v on some source-t geodesic."""
+def _below(adj, dist, order) -> list:
+    """through[v] for the source order[0], in one walk back over a BFS's
+    (dist, order): the bitmask of the t with v on some source-t geodesic."""
     below = [0] * len(adj)
     for u in reversed(order):
         bits = 1 << u
@@ -365,7 +366,7 @@ class _CarriedChecker(_Checker):
         self.sigma, self.through, self.between, self.inside = [], [], [], [0] * g.n
         for s in range(g.n):
             order, dist, sigma, between = _geodesics(g.adj, s)
-            below = _below(g.adj, order, dist)
+            below = _below(g.adj, dist, order)
             for u in order[1:]:
                 if below[u] != 1 << u:  # some geodesic from s runs on past u
                     self.inside[u] |= 1 << s
@@ -489,17 +490,17 @@ class _SweptChecker(_Checker):
 
     push(v) runs one BFS from v that counts v's geodesics and packs rows[v]
     with the members tracked, both final when a vertex is dequeued (Brandes'
-    single-source path counting), and, the first time any copy pushes v,
-    walks the BFS order back for through[v] (_below), which does not depend
-    on the set and sits in a list that fresh() copies share. It then applies
-    the update in place to rows[a][t] for every member a and t in
-    through[a][v]; no two copies share a row list. Every count the rows and
-    their products hold is at most sigma(a, t) for a member a, so width
-    starts at 4 and grows, in steps of 4 bits, only when a push's BFS meets
-    a larger count: the member rows are then repacked. Memory: n masks of n
-    bits in through[v] for each vertex ever pushed, and n packed ints of at
-    most (k' + 1) * width bits per member, so n^2 once all n vertices are
-    members, as across greedy_cover's parts.
+    single-source path counting), and walks the BFS order back for
+    through[v] (_below), which does not depend on the set and sits in a list
+    that fresh() copies share. It then applies the update in place to
+    rows[a][t] for every member a and t in through[a][v]; no two copies
+    share a row list. Every count the rows and their products hold is at
+    most sigma(a, t) for a member a, so width starts at 4 and grows, in
+    steps of 4 bits, only when a push's BFS meets a larger count: the member
+    rows are then repacked and the push reruns, since a field of rows[v] may
+    have carried. Memory: n masks of n bits in through[v] per pushed vertex,
+    and n packed ints of at most (k' + 1) * width bits per member, n^2
+    across greedy_cover's parts.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -546,13 +547,9 @@ class _SweptChecker(_Checker):
             for a in self.members:
                 rows[a] = self._repacked(rows[a], width)
             if self.members:  # with none, vrow holds every geodesic in field 0 at any width
-                if need > width + 1:
-                    return _SweptChecker.push(self, v)  # a field of vrow may have carried into the next
-                vrow = self._repacked(vrow, width)
-            width, full = self.width, self.full
+                return _SweptChecker.push(self, v)  # a field of vrow may have carried into the next
         through = self.through
-        if through[v] is None:
-            through[v] = _below(adj, order, dist)
+        through[v] = _below(adj, dist, order)
         for a in self.members:
             row = rows[a]
             av = row[v]
@@ -572,7 +569,7 @@ class _SweptChecker(_Checker):
     def _repacked(self, row: list, old: int) -> list:
         """row, packed old bits apart, repacked to the current width."""
         width, keep = self.width, (1 << old) - 1
-        if old == width or self.fields == 1:
+        if self.fields == 1:
             return row
         packed = [c & keep for c in row]
         for j in range(1, self.fields):
@@ -849,7 +846,7 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
-    through = [_below(g.adj, *_geodesics(g.adj, s)[:2]) for s in range(n)]
+    through = [_below(g.adj, *_bfs(g.adj, s)) for s in range(n)]
     members, mask = [], 0
 
     def placeable(v) -> bool:

@@ -501,6 +501,15 @@ class TestExitCodes:
         assert proc.returncode == 3 and not proc.stdout
         assert proc.stderr.startswith("mkvis: refused:") and "1000 members" in proc.stderr
 
+    def test_pair_counts_member_limit_in_process(self, capsys, monkeypatch):
+        """One member past MAX_PAIR_COUNT_MEMBERS exits 3, as the README's
+        size limits say."""
+        n = mkvis.kernel.MAX_PAIR_COUNT_MEMBERS + 1
+        argv = ["check", "-k", "0", "--pair-counts", "--set", ",".join(map(str, range(n)))]
+        code, out, err = run(capsys, monkeypatch, argv, format_edge_list(path_graph(n)))
+        assert code == 3 and not out
+        assert err.startswith("mkvis: refused:") and f"pair counts limited to {n - 1} members, got {n}" in err
+
     @pytest.mark.parametrize("text", ["2000000 0\n", "2000000 1\n0 x\n"])
     def test_header_above_vertex_limit(self, capsys, monkeypatch, text):
         """Refused at the header line, before any edge line is read."""

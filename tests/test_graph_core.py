@@ -2,17 +2,22 @@
 
 import itertools
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+from mkvis.covering import is_visibility_cover
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
     INFINITE,
+    MAX_EDGES,
+    MAX_VERTICES,
     bfs_distances,
     build_graph,
+    check_vertex_set,
     complete_bipartite,
     complete_graph,
     convex_hull,
@@ -30,6 +35,18 @@ from mkvis.graphs import (
     random_connected,
     shortest_path,
 )
+from mkvis.kernel import check_variant, mkv_check
+
+
+def refusal_peak(error, match, call) -> int:
+    """The peak traced allocation, in bytes, while call() raises error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBuildGraph:
@@ -68,6 +85,11 @@ class TestBuildGraph:
         # bool is an int subclass; ids must be genuine integers
         with pytest.raises(GraphInputError):
             build_graph(3, [(True, 2)])
+
+    def test_neighbors_are_the_sorted_adjacency(self):
+        g = build_graph(4, [(2, 0), (0, 3), (1, 0)])
+        assert g.neighbors(0) == (1, 2, 3) == g.adj[0]
+        assert g.neighbors(3) == (0,)
 
     def test_empty_graph(self):
         g = build_graph(0, [])
@@ -275,6 +297,24 @@ class TestIsometricPath:
         assert is_isometric_path(path_graph(3), [1])
 
 
+class TestVertexSets:
+    @pytest.mark.parametrize("call", [
+        lambda g: mkv_check(g, 5, 0),
+        lambda g: mkv_check(g, None, 0),
+        lambda g: check_variant(g, 3, 0, "total"),
+        lambda g: is_visibility_cover(g, [1, 2], 0),
+        lambda g: convex_hull(g, 2),
+        lambda g: induced_subgraph(g, 7),
+        lambda g: check_vertex_set(g, 1.5),
+    ], ids=["mkv_check-int", "mkv_check-None", "check_variant", "is_visibility_cover", "convex_hull",
+            "induced_subgraph", "check_vertex_set"])
+    def test_a_non_iterable_is_an_input_error(self, call):
+        """check_vertex_set refuses it for every caller, where iterating it
+        raised a bare TypeError."""
+        with pytest.raises(GraphInputError, match="^a vertex set must be an iterable of vertex ids, got "):
+            call(path_graph(8))
+
+
 class TestInducedSubgraph:
     def test_mapping_and_edges(self):
         g = cycle_graph(5)
@@ -365,6 +405,44 @@ class TestGenerators:
     def test_random_generators_reject_empty_shapes(self, make, message):
         with pytest.raises(GraphInputError, match=message):
             make()
+
+    @pytest.mark.parametrize("seed", [None, True, False, 1.5, "7", [1]])
+    @pytest.mark.parametrize("make", [
+        lambda seed: random_connected(5, 0.3, seed),
+        lambda seed: random_block_graph(3, 3, seed),
+    ], ids=["random_connected", "random_block_graph"])
+    def test_random_generators_refuse_a_non_int_seed(self, make, seed):
+        """None would give another graph on every call, a bool or a float
+        would pass for an int, and a list raised a bare TypeError."""
+        with pytest.raises(GraphInputError, match="^seed must be an integer, got "):
+            make(seed)
+
+    @pytest.mark.parametrize("make", [
+        lambda: complete_bipartite(True, True),
+        lambda: complete_bipartite(2, True),
+        lambda: random_block_graph(True, 2, 1),
+        lambda: random_connected(True, 0.5, 1),
+        lambda: path_graph(True),
+        lambda: cycle_graph(True),
+        lambda: complete_graph(True),
+    ], ids=["bipartite-both", "bipartite-one", "block_count", "random_connected", "path", "cycle", "complete"])
+    def test_a_bool_is_not_a_size(self, make):
+        """As build_graph refuses a bool vertex count, every generator
+        refuses a bool size."""
+        with pytest.raises(GraphInputError):
+            make()
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: complete_graph(MAX_VERTICES + 1), f"^graphs are limited to {MAX_VERTICES} vertices, got "),
+        (lambda: complete_graph(4473), f"^graphs are limited to {MAX_EDGES} edges, got 10001628$"),
+        (lambda: complete_bipartite(4000, 3000), f"^graphs are limited to {MAX_EDGES} edges, got 12000000$"),
+        (lambda: random_block_graph(MAX_VERTICES + 1, 2, 1),
+         f"^graphs are limited to {MAX_VERTICES} vertices, got {MAX_VERTICES + 1} blocks$"),
+    ], ids=["complete-vertices", "complete-edges", "bipartite-edges", "block-count"])
+    def test_size_refusals_come_before_any_allocation(self, make, match):
+        """complete_graph(4472) is the largest complete graph within
+        MAX_EDGES; each refusal allocates almost nothing."""
+        assert refusal_peak(SizeLimitError, match, make) < 64 << 10
 
 
 class TestEdgeListFormat:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ import hypothesis.strategies as st
 
 import support
 from mkvis import kernel
-from mkvis.errors import DisconnectedGraphError, GeodesicCapError, GraphInputError
+from mkvis.errors import DisconnectedGraphError, GeodesicCapError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
     build_graph,
     check_vertex_set,
@@ -233,6 +234,25 @@ class TestMkvCheck:
         assert rep.pair_counts[(0, 4)] == 1
         assert rep.pair_counts[(0, 2)] == 0
         assert rep.pair_counts[(2, 4)] == 0
+
+    def test_pair_counts_refused_above_the_member_limit(self, monkeypatch):
+        """One member past MAX_PAIR_COUNT_MEMBERS is refused before the first
+        BFS, so before the table of one count per member pair is built."""
+        n = kernel.MAX_PAIR_COUNT_MEMBERS + 1
+        g = path_graph(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=f"^pair counts limited to {n - 1} members, got {n}$"):
+                mkv_check(g, range(n), 0, collect_pair_counts=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
+        assert mkv_check(g, range(n), 0).verdict is False  # the plain check has no member limit
+        monkeypatch.setattr(kernel, "MAX_PAIR_COUNT_MEMBERS", 3)
+        assert len(mkv_check(g, {0, 2, 4}, 0, collect_pair_counts=True).pair_counts) == 3
+        with pytest.raises(SizeLimitError, match="^pair counts limited to 3 members, got 4$"):
+            mkv_check(g, {0, 1, 2, 4}, 0, collect_pair_counts=True)
 
     def test_ops_counter_grows_with_set_size(self):
         g = cycle_graph(12)
