@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, SizeLimitError
-from .graphs import Graph, _bfs, check_vertex, check_vertex_set, require_connected
+from .graphs import Graph, _bfs, _iterate, check_vertex, check_vertex_set, require_connected
 from .kernel import _check_count, _check_tolerance, mkv_check
 from .solvers import SolveResult
 
@@ -116,9 +116,10 @@ class BlockCutTree:
         return self._projection[check_vertex(self, v)]
 
     def _node_id(self, node) -> int:
-        if node not in self._id:
-            raise GraphInputError(f"{node!r} is not a node of this tree")
-        return self._id[node]
+        try:
+            return self._id[node]
+        except (KeyError, TypeError):  # TypeError: an unhashable node
+            raise GraphInputError(f"{node!r} is not a node of this tree") from None
 
     def tree_path(self, a, b) -> list:
         """Node sequence of the unique tree path from a to b, inclusive."""
@@ -241,10 +242,8 @@ class AdmissibleWitness:
 
 
 def _check_nodes(t: BlockCutTree, z) -> frozenset:
-    znodes = frozenset(z)
-    for node in znodes:
-        t._node_id(node)
-    return znodes
+    """Z's nodes, each as the tree holds it, refused unless it is one."""
+    return frozenset(t.nodes[t._node_id(node)] for node in _iterate(z, "Z", "tree nodes"))
 
 
 def is_k_admissible(t: BlockCutTree, z, k: int) -> AdmissibleWitness:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError
-from .graphs import Graph, check_vertex_set, require_connected
+from .graphs import Graph, _iterate, check_vertex_set, require_connected
 from .kernel import _check_count, _check_tolerance, mkv_check
 from .solvers import DEFAULT_MU_MAX_N, _CarriedChecker, _SweptChecker, _admit, _solve_mu, mu_k
 
@@ -63,7 +63,7 @@ def is_visibility_cover(g: Graph, parts, k: int) -> bool:
     """True when parts partition V(g) into mutual k-visible sets."""
     _check_tolerance(k)
     seen: set = set()
-    for part in parts:
+    for part in _iterate(parts, "parts", "vertex sets"):
         ps = check_vertex_set(g, part)
         if not ps or seen & ps:
             return False

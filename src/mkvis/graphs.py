@@ -125,13 +125,20 @@ def check_vertex(g: Graph, v) -> int:
     return v
 
 
+def _iterate(values, whole: str, part: str):
+    """An iterator over values, refusing anything not iterable, and a str,
+    bytes or bytearray, which iterate as characters or small ints."""
+    if not isinstance(values, (str, bytes, bytearray)):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise GraphInputError(f"{whole} must be an iterable of {part}, got {values!r}")
+
+
 def check_vertex_set(g: Graph, vertices) -> frozenset[int]:
     """The ids of an iterable of vertices of g, each by check_vertex."""
-    try:
-        ids = iter(vertices)
-    except TypeError:
-        raise GraphInputError(f"a vertex set must be an iterable of vertex ids, got {vertices!r}") from None
-    return frozenset(check_vertex(g, v) for v in ids)
+    return frozenset(check_vertex(g, v) for v in _iterate(vertices, "a vertex set", "vertex ids"))
 
 
 def _empty_adjacency(n: int, where: str = "") -> list:
@@ -159,7 +166,7 @@ def build_graph(n: int, edges) -> Graph:
     adj = _empty_adjacency(n)
     seen = set()
     count = 0
-    for edge in edges:
+    for edge in _iterate(edges, "edges", "vertex pairs"):
         try:
             u, v = edge
         except (TypeError, ValueError):
@@ -313,7 +320,7 @@ def convex_hull(g: Graph, s) -> set[int]:
 
 def is_isometric_path(g: Graph, path) -> bool:
     """True when the vertex sequence is a path realizing all pairwise distances."""
-    seq = [check_vertex(g, v) for v in path]
+    seq = [check_vertex(g, v) for v in _iterate(path, "a path", "vertex ids")]
     for a, b in zip(seq, seq[1:]):
         if not g.has_edge(a, b):
             raise GraphInputError(f"not a path: {a} and {b} are not adjacent")
@@ -451,6 +458,8 @@ def parse_edge_list(text: str) -> Graph:
     Each edge is checked once, as build_graph would, straight into the
     adjacency lists; a header above MAX_VERTICES is refused at its line.
     """
+    if not isinstance(text, str):
+        raise GraphInputError(f"edge-list text must be a str, got {type(text).__name__}")
     n = declared_m = None
     adj: list = []
     seen = set()
@@ -490,7 +499,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph, comments=()) -> str:
-    lines = [f"# {c}" for c in comments]
+    lines = [f"# {c}" for c in _iterate(comments, "comments", "strings")]
     lines.append(f"{g.n} {g.m}")
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"

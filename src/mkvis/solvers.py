@@ -51,6 +51,7 @@ from .graphs import (
     INFINITE,
     Infinite,
     _bfs,
+    _iterate,
     all_pairs_distances,
     check_vertex_set,
     convex_hull,
@@ -177,10 +178,9 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
         if not cands:
             return counting
         caps = caps_of(cands) if caps_of else None
-        later = 0  # the candidates after v; a lone candidate has none
-        if len(cands) > 1:
-            for v in cands:
-                later |= 1 << v
+        later = 0  # the candidates after v
+        for v in cands:
+            later |= 1 << v
         for idx, v in enumerate(cands):
             if caps is not None and cw + caps[idx] <= best:
                 break
@@ -307,11 +307,12 @@ class _Checker:
         """Some pair (s, t), s in sources, t in targets and neither of them
         v, would read 0 were v a member, given that none does now: all its
         counted geodesics run through v and none has fewer than k' members
-        inside. sources must lie within targets, so each pair is tested
-        once, from its first end in sources; only those in inside[v] are
-        read. rows[s] and rows[t] must be exact at t and v: members s and t
-        in any checker, live s, t and v in a _CarriedChecker, all in
-        _AllPairsChecker."""
+        inside. Callers pass only pairs that read nonzero, so a pair with no
+        counted geodesic through v (rows[s][v] == 0) never matches. sources
+        must lie within targets, so each pair is tested once, from its first
+        end in sources; only those in inside[v] are read. rows[s] and rows[t]
+        must be exact at t and v: members s and t in any checker, live s, t
+        and v in a _CarriedChecker, all in _AllPairsChecker."""
         rows, through, full, low = self.rows, self.through, self.full, self.low
         sources &= self.inside[v]
         while sources:
@@ -321,8 +322,6 @@ class _Checker:
             s = bit.bit_length() - 1
             row = rows[s]
             sv = row[v]
-            if not sv:
-                continue  # no counted geodesic runs through v
             inner = through[s][v] & targets
             while inner:
                 bit = inner & -inner
@@ -391,8 +390,6 @@ class _CarriedChecker(_Checker):
             s = sbit.bit_length() - 1
             row = rows[s]
             sv = row[v]
-            if not sv:
-                continue  # no geodesic through v counts, so none changes
             inner = through[s][v] & live & -(2 << s)  # each pair once, from its smaller end
             while inner:
                 bit = inner & -inner
@@ -424,8 +421,6 @@ class _CarriedChecker(_Checker):
     def fits(self, v: int) -> bool:
         """v is not a member and is live; its new pairs read off blind."""
         mask = self.mask
-        if len(self.members) + 1 <= self.k + 2:
-            return True  # a geodesic holds at most |X|-2 internal members
         return not self.blind[v] & mask and not self.breaks(v, mask, mask)
 
     def narrow(self, v: int, later: int, undo) -> int:
@@ -439,8 +434,6 @@ class _CarriedChecker(_Checker):
         unchanged keeps its verdict: were v on an a-w-q geodesic with at
         most k' members inside, the push would have changed rows[a][q]."""
         members = self.members
-        if len(members) + 1 <= self.k + 2:
-            return later
         rows, mask, full, low, between = self.rows, self.mask, self.full, self.low, self.between
         keep = later
         for a in members:
@@ -497,8 +490,8 @@ class _SweptChecker(_Checker):
     share a row list. Every count the rows and their products hold is at
     most sigma(a, t) for a member a, so width starts at 4 and grows, in
     steps of 4 bits, only when a push's BFS meets a larger count: the member
-    rows are then repacked and the push reruns, since a field of rows[v] may
-    have carried. Memory: n masks of n bits in through[v] per pushed vertex,
+    rows are then repacked and every such widening reruns the push, members
+    or none, since a field of rows[v] may have carried. Memory: n masks of n bits in through[v] per pushed vertex,
     and n packed ints of at most (k' + 1) * width bits per member, n^2
     across greedy_cover's parts.
     """
@@ -546,8 +539,7 @@ class _SweptChecker(_Checker):
             self._pack((need + 3) // 4 * 4)  # in 4-bit steps, so the rows are repacked less often
             for a in self.members:
                 rows[a] = self._repacked(rows[a], width)
-            if self.members:  # with none, vrow holds every geodesic in field 0 at any width
-                return _SweptChecker.push(self, v)  # a field of vrow may have carried into the next
+            return _SweptChecker.push(self, v)  # a field of vrow may have carried into the next
         through = self.through
         through[v] = _below(adj, dist, order)
         for a in self.members:
@@ -558,10 +550,8 @@ class _SweptChecker(_Checker):
                 bit = bits & -bits
                 bits ^= bit
                 t = bit.bit_length() - 1
-                vt = vrow[t]
-                if vt:
-                    via = av * vt & full
-                    row[t] = (row[t] - via + (via << width)) & full
+                via = av * vrow[t] & full
+                row[t] = (row[t] - via + (via << width)) & full
         rows[v] = vrow
         self.members.append(v)
         self.mask |= 1 << v
@@ -569,8 +559,6 @@ class _SweptChecker(_Checker):
     def _repacked(self, row: list, old: int) -> list:
         """row, packed old bits apart, repacked to the current width."""
         width, keep = self.width, (1 << old) - 1
-        if self.fields == 1:
-            return row
         packed = [c & keep for c in row]
         for j in range(1, self.fields):
             packed = [p | (c >> j * old & keep) << j * width for p, c in zip(packed, row)]
@@ -578,8 +566,6 @@ class _SweptChecker(_Checker):
 
     def fits(self, v: int) -> bool:
         """v is not a member; its new pairs read off the member rows."""
-        if len(self.members) + 1 <= self.k + 2:
-            return True  # a geodesic holds at most |X|-2 internal members
         rows = self.rows
         for q in self.members:
             if not rows[q][v]:
@@ -910,7 +896,7 @@ def bounds(g: Graph, k: int, isometric_path=None, gp_max_n: int = DEFAULT_GP_MAX
     if isometric_path is None:
         ell = d
     else:
-        path = list(isometric_path)
+        path = list(_iterate(isometric_path, "an isometric path", "vertex ids"))
         if not path:
             raise GraphInputError("an isometric path needs at least one vertex")
         if not is_isometric_path(g, path):
@@ -1001,7 +987,7 @@ def hull_cover_bound(g: Graph, parts, k: int, max_n: int = DEFAULT_MU_MAX_N) -> 
     """
     _check_tolerance(k)
     require_connected(g)
-    part_sets = [check_vertex_set(g, p) for p in parts]
+    part_sets = [check_vertex_set(g, p) for p in _iterate(parts, "parts", "vertex sets")]
     covered: set = set()
     for p in part_sets:
         covered |= p

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+from mkvis.blocks import block_decomposition, expand_admissible, is_k_admissible
 from mkvis.covering import is_visibility_cover
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
@@ -36,6 +37,7 @@ from mkvis.graphs import (
     shortest_path,
 )
 from mkvis.kernel import check_variant, mkv_check
+from mkvis.solvers import bounds, hull_cover_bound
 
 
 def refusal_peak(error, match, call) -> int:
@@ -313,6 +315,51 @@ class TestVertexSets:
         raised a bare TypeError."""
         with pytest.raises(GraphInputError, match="^a vertex set must be an iterable of vertex ids, got "):
             call(path_graph(8))
+
+
+class TestMalformedCollections:
+    COLLECTION = "{} must be an iterable of {}, got {!r}"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, t: mkv_check(g, b"\x01\x02", 0), COLLECTION.format("a vertex set", "vertex ids", b"\x01\x02")),
+        (lambda g, t: mkv_check(g, "12", 0), COLLECTION.format("a vertex set", "vertex ids", "12")),
+        (lambda g, t: check_variant(g, bytearray(b"\x01"), 0, "total"),
+         COLLECTION.format("a vertex set", "vertex ids", bytearray(b"\x01"))),
+        (lambda g, t: convex_hull(g, "12"), COLLECTION.format("a vertex set", "vertex ids", "12")),
+        (lambda g, t: expand_admissible(t, 5), COLLECTION.format("Z", "tree nodes", 5)),
+        (lambda g, t: expand_admissible(t, "ab"), COLLECTION.format("Z", "tree nodes", "ab")),
+        (lambda g, t: expand_admissible(t, [[1]]), "[1] is not a node of this tree"),
+        (lambda g, t: is_k_admissible(t, [[1]], 0), "[1] is not a node of this tree"),
+        (lambda g, t: t.tree_path([1], [2]), "[1] is not a node of this tree"),
+        (lambda g, t: t.neighbors([1]), "[1] is not a node of this tree"),
+        (lambda g, t: build_graph(3, 5), COLLECTION.format("edges", "vertex pairs", 5)),
+        (lambda g, t: build_graph(3, b"\x00\x01"), COLLECTION.format("edges", "vertex pairs", b"\x00\x01")),
+        (lambda g, t: parse_edge_list(5), "edge-list text must be a str, got int"),
+        (lambda g, t: parse_edge_list(b"2 1\n0 1\n"), "edge-list text must be a str, got bytes"),
+        (lambda g, t: format_edge_list(g, 5), COLLECTION.format("comments", "strings", 5)),
+        (lambda g, t: format_edge_list(g, "note"), COLLECTION.format("comments", "strings", "note")),
+        (lambda g, t: is_visibility_cover(g, 5, 0), COLLECTION.format("parts", "vertex sets", 5)),
+        (lambda g, t: is_visibility_cover(g, "01", 0), COLLECTION.format("parts", "vertex sets", "01")),
+        (lambda g, t: hull_cover_bound(g, 5, 0), COLLECTION.format("parts", "vertex sets", 5)),
+        (lambda g, t: bounds(g, 0, isometric_path=5), COLLECTION.format("an isometric path", "vertex ids", 5)),
+        (lambda g, t: is_isometric_path(g, 5), COLLECTION.format("a path", "vertex ids", 5)),
+        (lambda g, t: is_isometric_path(g, b"\x00\x01"), COLLECTION.format("a path", "vertex ids", b"\x00\x01")),
+    ], ids=["mkv_check-bytes", "mkv_check-str", "check_variant-bytearray", "convex_hull-str",
+            "expand_admissible-int", "expand_admissible-str", "expand_admissible-unhashable",
+            "is_k_admissible-unhashable", "tree_path-unhashable", "neighbors-unhashable", "build_graph-int",
+            "build_graph-bytes", "parse_edge_list-int", "parse_edge_list-bytes", "format_edge_list-int",
+            "format_edge_list-str", "is_visibility_cover-int", "is_visibility_cover-str", "hull_cover_bound-int",
+            "bounds-int", "is_isometric_path-int", "is_isometric_path-bytes"])
+    def test_is_an_input_error(self, call, message):
+        """A non-iterable, a str, bytes or bytearray where a collection is
+        due, and an unhashable tree node, each refused with its own message
+        where the call raised a bare exception, read the value as characters
+        or small ints, or blamed one of them."""
+        g = path_graph(8)
+        t = block_decomposition(random_block_graph(4, 3, 1))
+        with pytest.raises(GraphInputError) as info:
+            call(g, t)
+        assert str(info.value) == message
 
 
 class TestInducedSubgraph:
