@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from math import inf
 
 from . import __version__
 # is_block_graph stays bound here because bench/tracing.py rebinds it by name.
@@ -78,53 +77,35 @@ MAX_ORACLE_VERTICES = 1000
 
 
 def _json_default(value):
-    """The default hook of json.dumps and _dumps: what JSON has no type for."""
+    """The default hook of json.dumps and _dumps for the one value of a
+    report that JSON has no type for: INFINITE (the girth bound of an
+    acyclic graph), written as null."""
     if is_infinite(value):
         return None
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _float_text(x: float) -> str:
-    """A float as json.dumps writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == inf:
-        return "Infinity"
-    if x == -inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A dict key as json.dumps writes it, before quoting: a number, bool
-    or None as its JSON value."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 # the writers of the exact types json.dumps writes as scalars
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
+    float: float.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
 
 
 def _dumps(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2, default=_json_default), byte for byte.
+    """json.dumps(value, indent=2, default=_json_default), byte for byte, for
+    what a report holds: dicts with str keys, lists, tuples, str, int, bool,
+    None, finite floats (timing_seconds) and INFINITE.
 
     With indent, json.dumps runs its pure-Python encoder, one generator per
     container; this builds each container with one join and writes scalars
     by a lookup on their exact type: reports hold no subclass of str, int
-    or float, so one goes to _json_default like any other type. indent is
-    the newline and spaces before the value's closing bracket.
+    or float, so one goes to _json_default like any other type. A key that
+    is not a str raises TypeError. indent is the newline and spaces before
+    the value's closing bracket.
     """
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
@@ -138,7 +119,7 @@ def _dumps(value, indent: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        parts = [encode_basestring_ascii(_key_text(k)) + ": " + (text(v) if (text := scalar(type(v))) else _dumps(v, inner))
+        parts = [encode_basestring_ascii(k) + ": " + (text(v) if (text := scalar(type(v))) else _dumps(v, inner))
                  for k, v in value.items()]
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     return _dumps(_json_default(value), indent)

@@ -102,7 +102,8 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
     fits there (feasibility is downward-hereditary, so the prune is sound).
     The mu_k behind the lower bound runs on the same checker as the parts.
     """
-    order = _admit("tau_k", g, k, max_n)
+    _check_tolerance(k)
+    order = _admit("tau_k", g, max_n)
     n = g.n
     if n == 0:
         return CoverResult(0, (), "empty graph")
@@ -143,7 +144,8 @@ def tau_k(g: Graph, k: int, max_n: int = DEFAULT_TAU_MAX_N) -> CoverResult:
 def greedy_cover(g: Graph, k: int, max_n: int = DEFAULT_COVER_MAX_N) -> list[list[int]]:
     """First-fit cover: each vertex joins the first part that stays mutual
     k-visible, else opens a new one. Valid by construction, not optimal."""
-    order = _admit("greedy_cover", g, k, max_n)
+    _check_tolerance(k)
+    order = _admit("greedy_cover", g, max_n)
     checker = _SweptChecker(g, k)
     parts: list = []
     for v in order:

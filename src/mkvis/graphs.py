@@ -500,6 +500,9 @@ def parse_edge_list(text: str) -> Graph:
 
 def format_edge_list(g: Graph, comments=()) -> str:
     lines = [f"# {c}" for c in _iterate(comments, "comments", "strings")]
+    for line in lines:  # parse_edge_list splits at every boundary str.splitlines knows
+        if line.splitlines() != [line]:
+            raise GraphInputError(f"a comment may not span lines, got {line[2:]!r}")
     lines.append(f"{g.n} {g.m}")
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"

@@ -287,7 +287,6 @@ class _Checker:
 
     def __init__(self, g: Graph, k: int, width: int):
         self.n = g.n
-        self.k = k
         self.fields = min(k, max(g.n - 2, 0)) + 1
         self._pack(width)
         self._empty()
@@ -573,13 +572,11 @@ class _SweptChecker(_Checker):
         return not self.breaks(v, self.mask, self.mask)
 
 
-def _admit(name: str, g: Graph, k, max_n: int) -> list:
-    """Entry checks of every exact solver, in one order: the tolerance k
-    (None when the solver has none or checked it already), max_n's type,
-    connectivity, then the size limit, refused under the solver's name.
-    Returns the search order: vertices by descending degree, ties by id."""
-    if k is not None:
-        _check_tolerance(k)
+def _admit(name: str, g: Graph, max_n: int) -> list:
+    """Entry checks of every exact solver after its tolerance check, in one
+    order: max_n's type, connectivity, then the size limit, refused under
+    the solver's name. Returns the search order: vertices by descending
+    degree, ties by id."""
     _check_count(max_n, "max_n")
     require_connected(g)
     n = g.n
@@ -668,7 +665,8 @@ def mu_k(g: Graph, k: int, max_n: int = DEFAULT_MU_MAX_N) -> SolveResult:
     in the same pass, caps every suffix by its clique count too, and a
     branch's cap is the smaller of the two.
     """
-    order = _admit("mu_k", g, k, max_n)
+    _check_tolerance(k)
+    order = _admit("mu_k", g, max_n)
     if g.n == 0:
         return SolveResult(0, frozenset(), 0)
     return _solve_mu(g, k, order, _CarriedChecker(g, k))
@@ -771,7 +769,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
     """
     _check_tolerance(k)
     variant = _check_variant_name(variant)
-    order = _admit("mu_k_variant", g, None, max_n)
+    order = _admit("mu_k_variant", g, max_n)
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
@@ -828,7 +826,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
 
 def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
     """Largest set with no member on any geodesic between two other members."""
-    order = _admit("gp_number", g, None, max_n)
+    order = _admit("gp_number", g, max_n)
     n = g.n
     if n == 0:
         return SolveResult(0, frozenset(), 0)
@@ -950,7 +948,8 @@ def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> 
     (n 14 to 17) the count benchmark sends, that order visited about 38,000
     sets against about 50,000 in id order.
     """
-    order = _admit("visibility_polynomial", g, k, max_n)
+    _check_tolerance(k)
+    order = _admit("visibility_polynomial", g, max_n)
     n = g.n
     checker = _CarriedChecker(g, k)
     _, _, _, sizes = _search(order, checker.fits, checker.push, checker.pop, [1] * n, None)

@@ -512,6 +512,23 @@ class TestEdgeListFormat:
     def test_round_trip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
 
+    # every line boundary str.splitlines, and so parse_edge_list, splits on
+    BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_comment_spanning_lines_refused(self, boundary):
+        """A comment with a line boundary would end its comment line early and
+        put the rest in as data: "note\\n5 0" would put in the header "5 0"."""
+        for comment in (f"note{boundary}5 0", f"a{boundary}b", boundary):
+            with pytest.raises(GraphInputError, match="a comment may not span lines"):
+                format_edge_list(path_graph(3), ["fine", comment])
+
+    @given(support.graphs(max_n=12),
+           st.lists(st.text().filter(lambda c: not any(b in c for b in TestEdgeListFormat.BOUNDARIES))))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_with_comments(self, g, comments):
+        assert parse_edge_list(format_edge_list(g, comments)) == g
+
     def test_missing_header(self):
         with pytest.raises(GraphInputError, match="missing 'n m' header"):
             parse_edge_list("# only comments\n")

@@ -1,5 +1,6 @@
 """Exact solvers: mu_k, variants, gp, polynomial, bounds, constructions."""
 
+import inspect
 import random
 from itertools import combinations
 from math import comb
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+import mkvis
 import mkvis.solvers
 from mkvis.blocks import block_decomposition, mu_k_block
 from mkvis.covering import greedy_cover, is_visibility_cover, tau_bounds, tau_k
@@ -210,6 +212,10 @@ class TestBounds:
         with pytest.raises(GraphInputError, match="not isometric"):
             bounds(cycle_graph(6), 0, isometric_path=[0, 1, 2, 3, 4])
 
+    def test_rejects_empty_graph(self):
+        with pytest.raises(GraphInputError, match="bounds need at least one vertex"):
+            bounds(build_graph(0, []), 0)
+
     def test_rejects_empty_isometric_path(self):
         with pytest.raises(GraphInputError, match="at least one vertex"):
             bounds(path_graph(4), 0, isometric_path=[])
@@ -351,10 +357,12 @@ class TestEntryCheckOrder:
     disconnected = build_graph(6, [(0, 1), (2, 3), (4, 5)])
 
     def test_bad_tolerance_comes_first(self, name, call):
+        """None too: it is a caller's bad tolerance, not a solver's lack of one."""
         if name == "gp_number":
             pytest.skip("gp_number takes no tolerance")
-        with pytest.raises(GraphInputError, match="tolerance k must be a nonnegative integer"):
-            call(self.disconnected, -1, 4)
+        for k in (-1, None, True, 1.5, "1"):
+            with pytest.raises(GraphInputError, match="tolerance k must be a nonnegative integer"):
+                call(self.disconnected, k, 4)
 
     def test_disconnected_comes_before_size(self, name, call):
         with pytest.raises(DisconnectedGraphError):
@@ -364,6 +372,36 @@ class TestEntryCheckOrder:
         with pytest.raises(SizeLimitError) as info:
             call(path_graph(6), 0, 4)
         assert str(info.value) == f"{name} limited to 4 vertices, got 6; raise max_n to override"
+
+
+# a valid value for every other required parameter of a public callable that takes k
+_TOLERANCE_POOL = {
+    "g": path_graph(5),
+    "t": block_decomposition(path_graph(5)),
+    "n": 5,
+    "s": [0, 4],
+    "x": [0, 4],
+    "z": [],
+    "parts": [range(5)],
+    "variant": TOTAL,
+}
+_TAKE_K = sorted(name for name in mkvis.__all__
+                 if inspect.isfunction(getattr(mkvis, name))
+                 and "k" in inspect.signature(getattr(mkvis, name)).parameters)
+
+
+@pytest.mark.parametrize("name", _TAKE_K)
+def test_every_public_tolerance_refuses_bad_values(name):
+    """Every public function with a tolerance k refuses a malformed one with
+    GraphInputError; a new function joins with no edit, unless it needs a
+    parameter the pool lacks."""
+    function = getattr(mkvis, name)
+    required = [p for p, spec in inspect.signature(function).parameters.items()
+                if spec.default is spec.empty and p != "k"]
+    assert set(required) <= set(_TOLERANCE_POOL), f"add {set(required) - set(_TOLERANCE_POOL)} to the pool"
+    for k in (-1, None, True, 1.5, "1"):
+        with pytest.raises(GraphInputError, match="tolerance k must be a nonnegative integer"):
+            function(k=k, **{p: _TOLERANCE_POOL[p] for p in required})
 
 
 # (the argument a malformed limit is refused under, call(g, limit)) for every public size limit
@@ -978,7 +1016,7 @@ class TestFirstFitStart:
         after v in its pass as later, returns the same start as over the
         sweeping checker, the reference, in mu_k's order with the goal n,
         so the shuffled passes run until one does not improve."""
-        order = mkvis.solvers._admit("mu_k", g, k, g.n)[::-1]
+        order = mkvis.solvers._admit("mu_k", g, g.n)[::-1]
         first_fit = mkvis.solvers._first_fit
         carried = first_fit(_CarriedChecker(g, k), order, g.n)
         assert carried == first_fit(_SweptChecker(g, k), order, g.n)
