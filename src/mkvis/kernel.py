@@ -367,8 +367,9 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
     take ops past the bound is skipped; untested members count as inner.
 
     With collect_pair_counts the full matrix of pairwise minimum internal
-    counts is attached and no early exit happens; it is refused above
-    MAX_PAIR_COUNT_MEMBERS members.
+    counts is attached and no early exit happens, but for members in
+    different components: those still return after the first sweep, with
+    pair_counts None. It is refused above MAX_PAIR_COUNT_MEMBERS members.
     """
     _check_tolerance(k)
     members = sorted(check_vertex_set(g, s))

@@ -102,8 +102,8 @@ class SolveResult:
     nodes_explored: int
 
 
-def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incumbent=frozenset(), narrow=None):
-    """Depth-first walk of a downward-closed family, heaviest set first.
+def _search(order, fits, push, pop, goal, bound=None, accept=None, incumbent=frozenset(), narrow=None):
+    """Depth-first walk of a downward-closed family, largest set first.
 
     order lists the candidates; fits(v) tells whether the current set plus v
     stays in the family, with push(v, later) growing the state fits reads
@@ -120,13 +120,12 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
     returned, gives the bitmask of later's candidates that still fit, and
     fits is not called. Every candidate in later fit the set before v, so
     narrow need only look for what v rules out.
-    weight[v] is v's nonnegative weight. A branch is cut when its weight plus
-    the most its remaining candidates cands[idx:] can add cannot beat the
-    incumbent. bound(cands), when given, returns that most for every idx in
-    one list; without it the most is their total weight. The walk starts
-    from incumbent, a member of the family (empty by default), and stops
-    once the incumbent reaches goal; an incumbent already there is returned
-    with no set visited.
+    A branch is cut when its size plus the most its remaining candidates
+    cands[idx:] can add cannot beat the incumbent. bound(cands), when given,
+    returns that most for every idx in one list; without it the most is
+    their number. The walk starts from incumbent, a member of the family
+    (empty by default), and stops once the incumbent reaches goal; an
+    incumbent already there is returned with no set visited.
     accept(current), when given, decides which visited sets may become the
     incumbent. It is called on entering a node, when the pushed state holds
     current, or all of current but its last member when that member had no
@@ -144,45 +143,35 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
     The node returns True iff that happens at idx 0: were current plus
     cands a member, it would happen there.
 
-    Returns (best weight, a best set, sets visited, sets counted by size).
-    With goal None the best weight is -1, and the sets visited can be far
+    Returns (best size, a best set, sets visited, sets counted by size).
+    With goal None the best size is -1, and the sets visited can be far
     fewer than the members counted.
     """
-    best = sum(weight[v] for v in incumbent) if incumbent else -1
+    best = len(incumbent) if incumbent else -1
     best_set = frozenset(incumbent)
     nodes = 0
     sizes = [0] * (len(order) + 1)
     current: list = []
-
-    def suffix_weights(cands) -> list:
-        caps = []
-        rest = 0
-        for v in reversed(cands):
-            rest += weight[v]
-            caps.append(rest)
-        caps.reverse()
-        return caps
-
     counting = goal is None
-    caps_of = None if counting else bound or suffix_weights
 
-    def walk(cands, cw) -> bool:
+    def walk(cands) -> bool:
         nonlocal best, best_set, nodes
         nodes += 1
-        sizes[len(current)] += 1
-        if goal is not None and cw > best and (accept is None or accept(current)):
-            best = cw
+        size = len(current)
+        sizes[size] += 1
+        if not counting and size > best and (accept is None or accept(current)):
+            best = size
             best_set = frozenset(current)
             if best >= goal:
                 return True
         if not cands:
             return counting
-        caps = caps_of(cands) if caps_of else None
+        caps = None if counting else bound(cands) if bound else range(len(cands), 0, -1)
         later = 0  # the candidates after v
         for v in cands:
             later |= 1 << v
         for idx, v in enumerate(cands):
-            if caps is not None and cw + caps[idx] <= best:
+            if caps is not None and size + caps[idx] <= best:
                 break
             later &= ~(1 << v)
             undo = push(v, later) if later else None
@@ -192,7 +181,7 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
             else:
                 keep = narrow(v, later, undo) if later else 0
                 child = [w for w in cands[idx + 1 :] if keep >> w & 1]
-            stop = walk(child, cw + weight[v])
+            stop = walk(child)
             current.pop()
             if later:
                 pop(v, undo)
@@ -202,12 +191,12 @@ def _search(order, fits, push, pop, weight, goal, bound=None, accept=None, incum
                 r = len(child)
                 if r == len(cands) - 1 - idx:
                     for j in range(1, r + 1):
-                        sizes[len(current) + j] += comb(r, j)
+                        sizes[size + j] += comb(r, j)
                     return not idx
         return False
 
     if goal is None or best < goal:
-        walk([v for v in order if fits(v)], 0)
+        walk([v for v in order if fits(v)])
     return best, best_set, nodes, sizes
 
 
@@ -727,7 +716,7 @@ def _solve_mu(g: Graph, k: int, order: list, checker: _CarriedChecker) -> SolveR
 
     goal = min(bounds(g, k, gp_max_n=0).upper(), bound(order)[0])
     start = _first_fit(checker, order[::-1], goal)
-    best, best_set, nodes, _ = _search(order, checker.fits, checker.push, checker.pop, [1] * n, goal, bound,
+    best, best_set, nodes, _ = _search(order, checker.fits, checker.push, checker.pop, goal, bound,
                                        incumbent=start, narrow=checker.narrow)
     if not mkv_check(g, best_set, k).verdict:
         raise RuntimeError("internal error: mu_k witness failed verification")
@@ -817,8 +806,7 @@ def mu_k_variant(g: Graph, k: int, variant: str, max_n: int = DEFAULT_VARIANT_MA
             return [size - idx for idx in range(alive)] + [-(n + 1)] * (size - alive)
 
     goal = bounds(g, k, gp_max_n=0).upper()
-    best, best_set, nodes, _ = _search(order, fits, checker.push, checker.pop, [1] * n, goal, bound, accept,
-                                       narrow=narrow)
+    best, best_set, nodes, _ = _search(order, fits, checker.push, checker.pop, goal, bound, accept, narrow=narrow)
     if not check_variant(g, best_set, k, variant).verdict:
         raise RuntimeError("internal error: mu_k_variant witness failed verification")
     return SolveResult(best, best_set, nodes)
@@ -847,7 +835,7 @@ def gp_number(g: Graph, max_n: int = DEFAULT_GP_MAX_N) -> SolveResult:
         members.pop()
         mask ^= 1 << v
 
-    best, best_set, nodes, _ = _search(order, placeable, push, pop, [1] * n, n)
+    best, best_set, nodes, _ = _search(order, placeable, push, pop, n)
     return SolveResult(best, best_set, nodes)
 
 
@@ -950,9 +938,8 @@ def visibility_polynomial(g: Graph, k: int, max_n: int = DEFAULT_ENUM_MAX_N) -> 
     """
     _check_tolerance(k)
     order = _admit("visibility_polynomial", g, max_n)
-    n = g.n
     checker = _CarriedChecker(g, k)
-    _, _, _, sizes = _search(order, checker.fits, checker.push, checker.pop, [1] * n, None)
+    _, _, _, sizes = _search(order, checker.fits, checker.push, checker.pop, None)
     return Polynomial(tuple(sizes))
 
 

@@ -3,12 +3,10 @@
 Everything here recomputes from first principles: Floyd-Warshall distances,
 explicit materialization of whole shortest paths, raw subset scans over the
 power set. No logic is shared with the package internals, so agreement
-between the two sides is evidence, not tautology. There is one
-exception: bnb_mu_k_block, the retired branch-and-bound solver for block
-graphs, runs the package's search engine and carried checker on the
-leafed block-cut tree (leafed_tree, tested on its own against
-is_k_admissible), so it checks the tree DP that replaced it, which takes
-the same leaves as end-only weights. geodesic_dags builds each source's
+between the two sides is evidence, not tautology. leafed_tree turns a
+block-cut tree into a graph whose mutual k-visible id sets are exactly
+its k-admissible sets, the reduction the tree DP rests on, which the
+suite checks against is_k_admissible. geodesic_dags builds each source's
 shortest-path DAG, which the suite checks against whole-path enumeration,
 and path_counts walks those DAGs to rebuild the checker's packed count
 rows; the checker builds its own from one BFS per source and calls
@@ -28,11 +26,8 @@ from itertools import combinations
 import hypothesis
 import hypothesis.strategies as st
 
-from mkvis.blocks import _blocks_are_cliques, block_decomposition, block_node, cut_node, expand_admissible
-from mkvis.errors import GraphInputError
+from mkvis.blocks import block_node, cut_node
 from mkvis.graphs import Graph, build_graph, complete_bipartite, random_connected
-from mkvis.kernel import _check_tolerance, mkv_check
-from mkvis.solvers import SolveResult, _CarriedChecker, _search
 
 INF = math.inf
 
@@ -555,34 +550,3 @@ def path_counts(dag, mask: int, n: int, width: int, full: int) -> list:
         for w in forward:
             counts[w] += c
     return counts
-
-
-def bnb_mu_k_block(g: Graph, k: int) -> SolveResult:
-    """The retired branch-and-bound mu_k_block, kept as the tree DP's oracle.
-
-    The one helper here that reuses package internals: a weighted mu_k on
-    the leafed block-cut tree (leafed_tree), solvers._search over
-    the node ids, heaviest first, with solvers._CarriedChecker deciding
-    each probe. Zero-weight nodes sort last and the weight prune skips them.
-    It has no size limit; its time grows about 3x per 6 tree nodes at k = 1.
-    """
-    _check_tolerance(k)
-    t = block_decomposition(g)
-    if not _blocks_are_cliques(g, t):
-        raise GraphInputError("not a block graph: some block is not a clique")
-    tree, ids = leafed_tree(t)
-    weights = [0] * tree.n
-    for (kind, idx), i in ids.items():
-        weights[i] = 1 if kind == "cut" else sum(1 for v in t.blocks[idx] if v not in t.articulation)
-    order = sorted(ids.values(), key=lambda i: (-weights[i], i))
-    checker = _CarriedChecker(tree, k)
-    best_w, best_ids, nodes_explored, _ = _search(
-        order, checker.fits, checker.push, checker.pop, weights, sum(weights)
-    )
-    node_of = {i: node for node, i in ids.items()}
-    witness = expand_admissible(t, {node_of[i] for i in best_ids})
-    if len(witness) != best_w:
-        raise RuntimeError("internal error: expanded witness size mismatch")
-    if not mkv_check(g, witness, k).verdict:
-        raise RuntimeError("internal error: mu_k_block witness failed verification")
-    return SolveResult(best_w, frozenset(witness), nodes_explored)

@@ -396,12 +396,12 @@ class TestMuKBlock:
 
     @given(st.integers(9, 16), st.integers(2, 5), st.integers(0, 10**6), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
-    def test_matches_branch_and_bound(self, blocks, size, seed, k):
+    def test_matches_generic_solver_past_its_size_limit(self, blocks, size, seed, k):
         g = random_block_graph(blocks, size, seed)
         t = block_decomposition(g)
         assume(18 <= t.node_count <= 30)
         res = mu_k_block(g, k)
-        assert res.value == support.bnb_mu_k_block(g, k).value
+        assert res.value == mu_k(g, k, max_n=g.n).value
         assert is_k_admissible(t, contract_set(t, res.witness), k).admissible
 
     @given(st.integers(1, 8), st.integers(2, 4), st.integers(0, 10**6), st.integers(0, 3))

@@ -123,6 +123,16 @@ class TestCheck:
         )
         assert [0, 4, 1] in rep["result"]["pair_counts"]
 
+    def test_pair_counts_across_components(self, capsys, monkeypatch):
+        """Members in different components end the check after the first
+        sweep, so the report carries no pair counts."""
+        code, rep, _ = run_json(
+            capsys, monkeypatch,
+            ["check", "-k", "0", "--set", "0,2", "--pair-counts"], "4 2\n0 1\n2 3\n",
+        )
+        assert code == 0 and rep["result"]["reason"] == "members_in_different_components"
+        assert "pair_counts" not in rep["result"]
+
     def test_variant_check(self, capsys, monkeypatch):
         code, rep, _ = run_json(
             capsys, monkeypatch,

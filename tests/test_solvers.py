@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import support
 import mkvis
 import mkvis.solvers
-from mkvis.blocks import block_decomposition, mu_k_block
+from mkvis.blocks import block_decomposition, is_block_graph, mu_k_block
 from mkvis.covering import greedy_cover, is_visibility_cover, tau_bounds, tau_k
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
@@ -306,7 +306,7 @@ class TestPolynomial:
         want = [0] * (n + 1)
         for s in members:
             want[len(s)] += 1
-        _, _, nodes, sizes = mkvis.solvers._search(order, fits, push, pop, [1] * n, None)
+        _, _, nodes, sizes = mkvis.solvers._search(order, fits, push, pop, None)
         assert sizes == want
         assert nodes <= len(members)
 
@@ -820,7 +820,7 @@ class TestIncrementalChecker:
     def test_carried_and_swept_rows_search_alike(self, n, seed, k):
         """The polynomial runs _search over a carried checker and over swept
         checkers, which only grow, so each pop regrows a fresh copy from the
-        members left; both searches return the same best weight, best set,
+        members left; both searches return the same best size, best set,
         node count and sizes. (mu_k's first-fit passes and mu_k_variant name
         live sets that only carried rows use, and mu_k's convex paths read
         sigma and between.)"""
@@ -938,16 +938,12 @@ def _grid(rows, cols):
         (lambda: mu_k(random_connected(24, 0.25, 1), 0),
          (15, 134, [1, 2, 4, 5, 6, 8, 12, 13, 14, 16, 18, 19, 20, 21, 22])),
         (lambda: gp_number(random_connected(14, 0.25, 5)), (7, 94, [3, 5, 6, 8, 9, 10, 12])),
-        # the retired branch and bound, kept as the tree DP's oracle
-        (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 0),
-         (9, 18, [0, 5, 7, 9, 10, 11, 12, 13, 14])),
-        (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 1),
-         (10, 35, [0, 1, 5, 7, 9, 10, 11, 12, 13, 14])),
-        (lambda: support.bnb_mu_k_block(random_block_graph(9, 4, 2), 2),
-         (12, 31, [0, 1, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14])),
-        # interior bridge blocks of a path weigh 0 and are never branched on
-        (lambda: support.bnb_mu_k_block(path_graph(12), 1), (3, 220, [1, 2, 3])),
-        (lambda: support.bnb_mu_k_block(path_graph(12), 2), (4, 495, [1, 2, 3, 4])),
+        # the plain search on the block graphs the tree DP rows below solve
+        (lambda: mu_k(random_block_graph(9, 4, 2), 0), (9, 0, [3, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k(random_block_graph(9, 4, 2), 1), (10, 24, [1, 3, 5, 7, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k(random_block_graph(9, 4, 2), 2), (12, 0, [0, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])),
+        (lambda: mu_k(path_graph(12), 1), (3, 0, [0, 10, 11])),
+        (lambda: mu_k(path_graph(12), 2), (4, 0, [0, 9, 10, 11])),
         # the tree DP: nodes_explored counts DP table entries filled; a block's
         # non-cut vertices merge as one end-only weight, and a block with none adds nothing
         (lambda: mu_k_block(random_block_graph(9, 4, 2), 0), (9, 112, [3, 5, 7, 9, 10, 11, 12, 13, 14])),
@@ -1146,7 +1142,7 @@ class TestSearchPushes:
         search = mkvis.solvers._search
         cuts = []
 
-        def watched(order, fits, push, pop, weight, goal, bound, accept, **kwargs):
+        def watched(order, fits, push, pop, goal, bound, accept, **kwargs):
             members = []
 
             def watched_push(v, later):
@@ -1168,7 +1164,7 @@ class TestSearchPushes:
                         cuts.append(idx)
                 return caps
 
-            return search(order, fits, watched_push, watched_pop, weight, goal, watched_bound, accept, **kwargs)
+            return search(order, fits, watched_push, watched_pop, goal, watched_bound, accept, **kwargs)
 
         with mock.patch.object(mkvis.solvers, "_search", watched):
             res = mu_k_variant(g, k, DUAL)
@@ -1204,7 +1200,7 @@ class TestSearchPushes:
         search = mkvis.solvers._search
         fired = 0
 
-        def watched(order, fits, push, pop, weight, goal, bound, *args, **kwargs):
+        def watched(order, fits, push, pop, goal, bound, *args, **kwargs):
             members = []
 
             def watched_push(v, later):
@@ -1239,7 +1235,7 @@ class TestSearchPushes:
                     fired += covers[idx] < len(cands) - idx
                 return caps
 
-            return search(order, fits, watched_push, watched_pop, weight, goal, watched_bound, *args, **kwargs)
+            return search(order, fits, watched_push, watched_pop, goal, watched_bound, *args, **kwargs)
 
         with mock.patch.object(mkvis.solvers, "_search", watched):
             res = mu_k(g, k)
@@ -1326,14 +1322,18 @@ class TestEveryConnectedGraph:
     """Every connected labelled graph on n <= 5 vertices, 772 in all, each
     isomorphism class under all its labelings, and one graph per class on
     6 vertices, 112 of them, under two labelings, against brute force. The
-    853 classes on 7 vertices run under the exhaustive marker."""
+    853 classes on 7 vertices run under the exhaustive marker. On the block
+    graphs among them the tree DP, mu_k_block, is checked too."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_solvers_match_brute_force(self, n):
         for g in support.connected_labelled_graphs(n):
             assert gp_number(g).value == support.brute_gp(g), g.edges()
+            block = is_block_graph(g)
             for k in range(3):
                 assert mu_k(g, k).value == support.brute_mu(g, k), (g.edges(), k)
+                if block:
+                    assert mu_k_block(g, k).value == support.brute_mu(g, k), (g.edges(), k)
                 for variant in VARIANTS:
                     assert mu_k_variant(g, k, variant).value == support.brute_variant_mu(g, k, variant), (
                         g.edges(), k, variant)
@@ -1375,13 +1375,16 @@ class TestEveryConnectedGraph:
 
     @staticmethod
     def solved(g) -> list:
-        """gp and, at k = 0..2, mu, the three variants, the polynomial and
-        tau; greedy_cover, the one solve on the swept checker, is compared
-        with the oracle's first-fit cover, since its parts follow labels."""
+        """gp and, at k = 0..2, mu, the three variants, the polynomial,
+        tau and, on a block graph, mu_k_block; greedy_cover, the one solve
+        on the swept checker, is compared with the oracle's first-fit cover,
+        since its parts follow labels."""
         values = [gp_number(g).value]
         for k in range(3):
             values += [mu_k(g, k).value] + [mu_k_variant(g, k, variant).value for variant in VARIANTS]
             values += [list(visibility_polynomial(g, k).coefficients), tau_k(g, k).value]
+            if is_block_graph(g):
+                values.append(mu_k_block(g, k).value)
             assert greedy_cover(g, k) == support.brute_greedy_cover(g, k), (g.edges(), k)
         return values
 
@@ -1392,10 +1395,13 @@ class TestEveryConnectedGraph:
         relabeled by one fixed permutation."""
         graphs = list(support.connected_graphs(n))
         assert len(graphs) == {6: 112, 7: 853}[n]  # OEIS A001349
+        assert sum(map(is_block_graph, graphs)) == {6: 22, 7: 59}[n]
         for g in graphs:
             want = [support.brute_gp(g)]
             for k in range(3):
                 want += [support.brute_mu(g, k)] + [support.brute_variant_mu(g, k, variant) for variant in VARIANTS]
                 want += [support.brute_polynomial(g, k), support.brute_tau(g, k)]
+                if is_block_graph(g):
+                    want.append(support.brute_mu(g, k))
             assert self.solved(g) == want, g.edges()
             assert self.solved(_relabeled(g, random.Random(n))) == want, g.edges()
