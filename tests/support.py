@@ -6,11 +6,12 @@ power set. No logic is shared with the package internals, so agreement
 between the two sides is evidence, not tautology. leafed_tree turns a
 block-cut tree into a graph whose mutual k-visible id sets are exactly
 its k-admissible sets, the reduction the tree DP rests on, which the
-suite checks against is_k_admissible. geodesic_dags builds each source's
-shortest-path DAG, which the suite checks against whole-path enumeration,
-and path_counts walks those DAGs to rebuild the checker's packed count
-rows; the checker builds its own from one BFS per source and calls
-neither. connected_labelled_graphs lists every connected graph on a few
+suite checks against is_k_admissible; worst_pair_count is the pair loop
+that checks is_k_admissible's linear pass. geodesic_dags builds each
+source's shortest-path DAG, which the suite checks against whole-path
+enumeration, and path_counts walks those DAGs to rebuild the checker's
+packed count rows; the checker builds its own from one BFS per source and
+calls neither. connected_labelled_graphs lists every connected graph on a few
 labelled vertices, and connected_graphs one per isomorphism class on a few
 more, told apart by certificate: the corpora the solvers are checked on in
 full.
@@ -381,6 +382,18 @@ def tree_path_naive(tree, a, b) -> list:
                 prev[nb] = cur
                 queue.append(nb)
     raise AssertionError("nodes in different tree components")
+
+
+def worst_pair_count(t, z) -> int:
+    """Most selected cut nodes strictly inside the tree path between two
+    nodes of Z, or -1 when Z has fewer than two nodes: the pair loop over
+    every two Z-nodes, O(|Z|^2 h) for tree height h, each path walked by
+    tree_path_naive."""
+    zcut = {node for node in z if node[0] == "cut"}
+    return max(
+        (sum(nd in zcut for nd in tree_path_naive(t, a, b)[1:-1]) for a, b in combinations(sorted(z), 2)),
+        default=-1,
+    )
 
 
 def seeded_graph(i: int, max_n: int = 10) -> Graph:

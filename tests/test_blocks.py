@@ -4,15 +4,18 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+import mkvis.blocks
 import support
 from mkvis.blocks import (
     _blocks_are_cliques,
     _heaviest_admissible,
+    _worst_pair,
     block_decomposition,
     block_node,
     contract_set,
@@ -231,6 +234,61 @@ class TestAdmissibility:
         assert mkv_check(tree, [ids[nd] for nd in z], k).verdict == is_k_admissible(t, z, k).admissible
 
 
+class TestWorstPair:
+    """The linear pass against the pair loop it replaced in is_k_admissible
+    (support.worst_pair_count), and through the contraction of a vertex set
+    against mkv_check and the brute-force oracle on the graph itself."""
+
+    @staticmethod
+    def assert_pair_holds(t, z, count, pair):
+        """The reported pair is two Z-nodes whose tree path holds count."""
+        if pair is None:
+            assert count == -1 and len(z) < 2
+            return
+        a, b = t.nodes[pair[0]], t.nodes[pair[1]]
+        assert a != b and {a, b} <= z
+        assert sum(nd in z and nd[0] == "cut" for nd in t.tree_path(a, b)[1:-1]) == count
+
+    def assert_matches(self, g, t, x, k, dist):
+        z = contract_set(t, x)
+        count, pair = _worst_pair(t, {t._id[nd] for nd in z})
+        assert count == support.worst_pair_count(t, z), (g.edges(), x)
+        self.assert_pair_holds(t, z, count, pair)
+        visible = count <= k
+        assert mkv_check(g, x, k).verdict == visible, (g.edges(), x, k)
+        assert support.oracle_mkv_check(g, x, k, dist) == visible, (g.edges(), x, k)
+        w = is_k_admissible(t, z, k)
+        assert w.admissible == visible and w.violating_count == (None if visible else count)
+
+    @given(
+        st.integers(1, 12), st.integers(2, 5), st.integers(0, 10**6), st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(0, 3), st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_membership_on_random_block_graphs(self, blocks, size, seed, density, k, rnd):
+        g = random_block_graph(blocks, size, seed)
+        t = block_decomposition(g)
+        self.assert_matches(g, t, {v for v in range(g.n) if rnd.random() < density}, k, support.distance_matrix(g))
+        # any node set, with blocks no vertex set contracts to
+        z = {nd for nd in t.nodes if rnd.random() < density}
+        count, pair = _worst_pair(t, {t._id[nd] for nd in z})
+        assert count == support.worst_pair_count(t, z)
+        self.assert_pair_holds(t, z, count, pair)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.exhaustive)])
+    def test_every_small_block_graph(self, n):
+        """Every vertex set of every block graph among support.connected_graphs(n), k 0-3."""
+        for g in support.connected_graphs(n):
+            if not is_block_graph(g):
+                continue
+            t = block_decomposition(g)
+            dist = support.distance_matrix(g)
+            for bits in range(1 << n):
+                x = {v for v in range(n) if bits >> v & 1}
+                for k in range(4):
+                    self.assert_matches(g, t, x, k, dist)
+
+
 class TestExpandContract:
     def test_bowtie_expansion(self):
         t = block_decomposition(bowtie())
@@ -366,6 +424,33 @@ class TestMuKBlock:
         g = random_block_graph(4, 4, 3)
         assert len(res.witness) == res.value
         assert support.oracle_mkv_check(g, res.witness, 1)
+
+    @given(st.integers(1, 12), st.integers(2, 5), st.integers(0, 10**6), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_witness_passes_the_graph_level_check(self, blocks, size, seed, k):
+        """mu_k_block checks its witness on the tree; here it is checked on
+        the graph, by the kernel and, when small, by the oracle."""
+        g = random_block_graph(blocks, size, seed)
+        res = mu_k_block(g, k)
+        assert mkv_check(g, res.witness, k).verdict
+        if g.n <= 12:
+            assert support.oracle_mkv_check(g, res.witness, k)
+
+    @pytest.mark.parametrize("g, k", [(bowtie(), 0), (random_block_graph(8, 4, 5), 0), (random_block_graph(8, 4, 5), 1)])
+    def test_witness_check_fires(self, g, k):
+        """A DP that also returns one more cut node next to its set, with
+        the weight to match, gives a witness the tree check refuses."""
+        heaviest = mkvis.blocks._heaviest_admissible
+
+        def padded(adj, depth, order, weights, ends, tolerance):
+            weight, members, filled = heaviest(adj, depth, order, weights, ends, tolerance)
+            chosen = {x if x >= 0 else ~x for x in members}
+            extra = next(c for x in sorted(chosen) for c in adj[x] if weights[c] and c not in chosen)
+            return weight + 1, members + [extra], filled
+
+        with mock.patch.object(mkvis.blocks, "_heaviest_admissible", padded):
+            with pytest.raises(RuntimeError, match="failed verification"):
+                mu_k_block(g, k)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -1069,15 +1069,16 @@ def test_push_count_is_pinned(solve, want):
 def test_module_globals_the_benchmark_tracer_rebinds():
     """The benchmark's tracer reads and rebinds module globals by name:
     solvers' all_pairs_distances and metric_summary, cli's is_block_graph,
-    and kernel.bfs_mkv, which every sweep of check_variant resolves. Its
-    search workload needs kernel sweeps, and only dual's witness check
-    makes them."""
+    blocks' mkv_check, which blocks no longer calls, and kernel.bfs_mkv,
+    which every sweep of check_variant resolves. Its search workload needs
+    kernel sweeps, and only dual's witness check makes them."""
     import mkvis.cli
     import mkvis.graphs
     import mkvis.kernel
     assert mkvis.solvers.all_pairs_distances is mkvis.graphs.all_pairs_distances
     assert mkvis.solvers.metric_summary is mkvis.graphs.metric_summary
     assert mkvis.cli.is_block_graph is mkvis.blocks.is_block_graph
+    assert mkvis.blocks.mkv_check is mkvis.kernel.mkv_check
     with mock.patch.object(mkvis.kernel, "bfs_mkv", wraps=mkvis.kernel.bfs_mkv) as sweep:
         mu_k_variant(random_connected(10, 0.3, 1), 0, DUAL)
     assert sweep.call_count > 0
