@@ -14,18 +14,13 @@ end; check_variant and internal_counts sweep through bfs_mkv once per
 source, so a caller that rebinds kernel.bfs_mkv (the benchmark's tracer
 does) sees their sweeps.
 
-mkv_check validates the set once and then does only the BFS work its pairs
-need, which keeps the MkV bound O(|S|(|V| + |E|) + |S|^2) and cuts the
-constant four ways:
+mkv_check validates the set once and then runs at most one BFS per
+member, as the MkV algorithm does, within the bound
+O(|S|(|V| + |E|) + |S|^2). It cuts the constant three ways:
 
 - peel: _peel drops, repeatedly, every non-member of degree at most 1. Such
   a vertex lies inside no geodesic between two other vertices, so the
   sweeps run on what is left.
-- share: members with the same open or the same closed neighbourhood
-  (twins, grouped by _twin_classes) reach every third vertex along geodesics
-  with the same interiors. Only the smallest member of a class sweeps; its
-  twins read its count row, which is kept until the last of them has read
-  it.
 - settle: pair counts are symmetric, so the sweep from v owes only the
   members after v in sorted order. It stops once the last of them is
   discovered and its level is complete, and the last member does not sweep.
@@ -35,15 +30,16 @@ constant four ways:
   shortcut. When the members left can put at most k inside any pair's
   geodesic, the check passes once the first member's sweep has found every
   member in its component. Degrees alone decide most sets; the neighbour
-  test runs only when they do not, once per twin class, and ends once k + 1
+  test runs only when they do not, once per member, and ends once k + 1
   members fail it.
 
 Pairs are still read in lexicographic order, so the offending pair reported
 is the first (v, q), v < q, over k. ops counts every adjacency step the
-call makes (in the peel pass, the twin keys, the simplicial test and each
-sweep; the pass and each sweep also count n) plus one step per member pair
-read. It never exceeds |S|(n + 2m + |S|) + n + 2m: the test spends only
-what that bound leaves once every class's sweep and every pair is paid for.
+call makes (in the peel pass, the simplicial test and each sweep; the pass
+and each sweep also count n) plus one step per member pair read. It never
+exceeds |S|(n + 2m + |S|) + n + 2m: the test spends only what that bound
+leaves once the peel, a full sweep from every member but the last and every
+pair are paid for.
 
 The exact solvers, which probe thousands of sets on one small graph, keep
 packed geodesic counts per pair instead (solvers._CarriedChecker and
@@ -239,70 +235,37 @@ def _peel(adj, in_s: list):
     return peeled, steps
 
 
-def _twin_classes(adj, members: list):
-    """Group the members by open or closed neighbourhood.
-
-    Returns (rep, last, steps): rep[v] is the smallest member sharing v's
-    open neighbourhood N(v) or its closed one N[v], last[r] the largest
-    member of r's class, and steps the adjacency steps read. One dict holds
-    both kinds of key, since N(u) == N[w] is impossible (w in N[w] would put
-    w next to u, and then u in N(u), a contradiction). A vertex with twins of
-    one kind has none of the other, so the classes partition the members.
-    """
-    first: dict = {}
-    rep = {}
-    last = {}
-    steps = 0
-    for v in members:
-        nbrs = frozenset(adj[v])
-        closed = nbrs | {v}
-        steps += len(adj[v])
-        r = first.get(nbrs, first.get(closed))
-        if r is None:
-            r = first[nbrs] = first[closed] = v
-        rep[v] = r
-        last[r] = v
-    return rep, last, steps
-
-
-def _non_simplicial(adj, inner, rep, limit: int, room: int):
+def _non_simplicial(adj, inner, limit: int, room: int):
     """The members of inner with two non-adjacent neighbours, and the steps
     taken to find them.
 
     A member whose neighbours are pairwise adjacent (a simplicial member)
     lies inside no geodesic: a path through it enters and leaves by two
-    neighbours, and the edge between them is a shortcut. Twins share the
-    answer, so each class tests only its representative r, the smallest
-    member: every neighbour a of r but the last must be adjacent to all of
-    r's other neighbours, which reads r's list and each a's list. Testing
+    neighbours, and the edge between them is a shortcut. Each member v is
+    tested: every neighbour a of v but the last must be adjacent to all of
+    v's other neighbours, which reads v's list and each a's list. Testing
     ends once limit members are known to be non-simplicial, or before a
     test that could take the steps past room; the members left untested
     are kept.
     """
     kept = []
-    simplicial = {}
     steps = 0
     for i, v in enumerate(inner):
-        r = rep[v]
-        if r not in simplicial:
-            nbrs = adj[r]
-            reads = [adj[a] for a in nbrs[:-1]]
-            spend = len(nbrs) + sum(map(len, reads))
-            if steps + spend > room:
-                return kept + inner[i:], steps
-            steps += len(nbrs)
-            near = set(nbrs)
-            want = len(nbrs) - 1  # a's list holds r but not a itself
-            simplicial[r] = True
-            for nbrs_a in reads:
-                steps += len(nbrs_a)
-                if len(near.intersection(nbrs_a)) < want:
-                    simplicial[r] = False
-                    break
-        if not simplicial[r]:
-            kept.append(v)
-            if len(kept) == limit:
-                return kept + inner[i + 1:], steps
+        nbrs = adj[v]
+        reads = [adj[a] for a in nbrs[:-1]]
+        spend = len(nbrs) + sum(map(len, reads))
+        if steps + spend > room:
+            return kept + inner[i:], steps
+        steps += len(nbrs)
+        near = set(nbrs)
+        want = len(nbrs) - 1  # a's list holds v but not a itself
+        for nbrs_a in reads:
+            steps += len(nbrs_a)
+            if len(near.intersection(nbrs_a)) < want:
+                kept.append(v)
+                if len(kept) == limit:
+                    return kept + inner[i + 1:], steps
+                break
     return kept, steps
 
 
@@ -344,10 +307,10 @@ class CheckReport:
 def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckReport:
     """Decide whether s is a mutual k-visible set of g.
 
-    Peels, shares rows between twins, settles each sweep early and stops,
-    as the module docstring describes. Members in different components fail
-    with a structured reason instead of an infinite count: the first
-    member's sweep finds them.
+    Peels, sweeps once from every member but the last, settles each sweep
+    early and stops, as the module docstring describes. Members in
+    different components fail with a structured reason instead of an
+    infinite count: the first member's sweep finds them.
 
     The stop: a vertex strictly inside a geodesic has two neighbours on it
     that are not adjacent, or the path would have a shortcut. So after the
@@ -380,35 +343,25 @@ def mkv_check(g: Graph, s, k: int, collect_pair_counts: bool = False) -> CheckRe
         return CheckReport(True, k, pair_counts=pair_counts)
     in_s = _membership(g.n, members)
     adj, ops = _peel(g.adj, in_s)
-    rep, last, steps = _twin_classes(adj, members)
-    ops += steps
     size = len(members)
     inner = [v for v in members if len(adj[v]) > 1]
     if len(inner) - max(0, 2 - (size - len(inner))) > k and not collect_pair_counts:
-        # what the bound leaves once every class's sweep and every pair is paid for
-        room = (size - len(last) + 1) * (g.n + 2 * g.m) + size * (size + 1) // 2 - ops
-        inner, steps = _non_simplicial(adj, inner, rep, k + 1, room)
+        # what the bound leaves once the peel, |S| - 1 full sweeps and every pair are paid for
+        room = 2 * (g.n + 2 * g.m) + size * (size + 1) // 2 - ops
+        inner, steps = _non_simplicial(adj, inner, k + 1, room)
         ops += steps
     cap = len(inner) - max(0, 2 - (size - len(inner)))
-    rows = {}  # a class representative's count row, while a later twin needs it
     offending = offending_count = None
     for i, v in enumerate(members[:-1]):  # the last member owes no pair
         later = members[i + 1:]
-        r = rep[v]
-        if r == v:
-            dist, cnt, touches = _count_bfs(adj, in_s, v, len(later))
-            ops += touches
-            if not i:
-                q = next((q for q in later if dist[q] is None), None)
-                if q is not None:
-                    return CheckReport(False, k, offending_pair=(v, q), reason=REASON_DISCONNECTED, ops=ops)
-                if cap <= k and not collect_pair_counts:
-                    return CheckReport(True, k, ops=ops + len(later))
-            if last[v] != v:
-                rows[v] = cnt
-        else:
-            # a twin's geodesics to any third vertex have its representative's interiors
-            cnt = rows[r] if last[r] != v else rows.pop(r)
+        dist, cnt, touches = _count_bfs(adj, in_s, v, len(later))
+        ops += touches
+        if not i:
+            q = next((q for q in later if dist[q] is None), None)
+            if q is not None:
+                return CheckReport(False, k, offending_pair=(v, q), reason=REASON_DISCONNECTED, ops=ops)
+            if cap <= k and not collect_pair_counts:
+                return CheckReport(True, k, ops=ops + len(later))
         ops += len(later)
         # cnt[q] counts the tracked target q itself
         if collect_pair_counts:

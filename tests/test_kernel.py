@@ -184,9 +184,11 @@ def tree_plus_edges(draw):
 @st.composite
 def twin_rich_graph_and_set(draw):
     """A graph rich in twins and leaves, with a vertex set drawn from it: a
-    block graph (a block's vertices that are no cut vertex are closed twins),
-    a complete bipartite graph (each side is one class of open twins) or a
-    tree plus a few edges (leaves, and trees hanging off the cycles)."""
+    block graph (a block's vertices that are no cut vertex are closed twins,
+    each simplicial), a complete bipartite graph (each side is one class of
+    open twins) or a tree plus a few edges (leaves, and trees hanging off
+    the cycles). The peel and the simplicial test decide many of these
+    members, and twins have equal counts to every third vertex."""
     kind = draw(st.sampled_from(("block", "bipartite", "tree")))
     if kind == "block":
         g = random_block_graph(draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(0, 10**6)))
@@ -270,7 +272,7 @@ class TestMkvCheck:
         monkeypatch.setattr(kernel, "check_vertex_set", counting)
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
         assert len(calls) == 1
-        assert rep.verdict and rep.ops == 12 + 12 + 34 + 5  # worked out in TestCheckOps.test_cycle
+        assert rep.verdict and rep.ops == 12 + 34 + 5  # worked out in TestCheckOps.test_cycle
 
     @given(twin_rich_graph_and_set(), st.integers(0, 3), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -318,67 +320,69 @@ class TestMkvCheck:
 class TestCheckOps:
     """mkv_check's ops on hand-worked graphs. ops adds up the peel pass (n,
     then the adjacency of every dropped vertex and of every list rebuilt),
-    the members' adjacency read for the twin classes, the lists the
-    simplicial test reads (only when the cap on degrees exceeds k and no
-    pair counts are asked for), each sweep (n plus the adjacency of every
-    vertex below the level where its last later member lies) and one step
-    per member pair."""
+    the lists the simplicial test reads (only when the cap on degrees
+    exceeds k and no pair counts are asked for), each sweep (n plus the
+    adjacency of every vertex below the level where its last later member
+    lies) and one step per member pair."""
 
     def test_cycle(self):
-        # nothing to peel (12) or share (6 * 2); no member has degree 1, so a
-        # geodesic holds at most 6 - 2 = 4 members inside. At k = 11 the check
-        # stops after 0 settles 6 at level 6 (12 + 11 * 2) and reads its 5 pairs
+        # nothing to peel (12); no member has degree 1, so a geodesic holds at
+        # most 6 - 2 = 4 members inside. At k = 11 the check stops after 0
+        # settles 6 at level 6 (12 + 11 * 2) and reads its 5 pairs
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 11)
-        assert rep.verdict and rep.ops == 12 + 12 + 34 + 5
+        assert rep.verdict and rep.ops == 12 + 34 + 5
         # at k = 2 the cap 4 does not hold, so the members are tested: each has two
         # non-adjacent neighbours, found by reading its list and its first
         # neighbour's (2 + 2), and testing ends once k + 1 = 3 are found. Then 0, 2
         # and 4 settle at level 6 (12 + 11 * 2 each), 6 at level 4 (12 + 7 * 2), 8
         # at level 2 (12 + 3 * 2), and 10 does not sweep; 15 pairs
         rep = mkv_check(cycle_graph(12), {0, 2, 4, 6, 8, 10}, 2)
-        assert rep.verdict and rep.ops == 12 + 12 + 3 * 4 + 3 * 34 + 26 + 18 + 15
+        assert rep.verdict and rep.ops == 12 + 3 * 4 + 3 * 34 + 26 + 18 + 15
 
     def test_path_with_pendant_trees(self):
         # the path 0-1-2-3-4 with the tree 5, 6, 7 hanging off 1 and the leaf 8 off 3
         g = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (5, 7), (3, 8)])
         # peel 6, 7, 8 and then 5 (9 + 1 + 1 + 1 + 3), rebuild the lists of 1 and 3 (3 + 3);
-        # twin keys 1 + 2 + 1; on the path that is left, 0 settles 4 at level 4
-        # (9 + 1 + 2 + 2 + 2). There 0 and 4 have degree 1, so only 2 can lie
-        # inside a geodesic: at k = 1 the check stops after 0's 2 pairs
+        # on the path that is left, 0 settles 4 at level 4 (9 + 1 + 2 + 2 + 2).
+        # There 0 and 4 have degree 1, so only 2 can lie inside a geodesic: at
+        # k = 1 the check stops after 0's 2 pairs
         rep = mkv_check(g, {0, 2, 4}, 1)
-        assert rep.verdict and rep.ops == 21 + 4 + 16 + 2
+        assert rep.verdict and rep.ops == 21 + 16 + 2
         # at k = 0 the cap 1 does not hold, and the test finds 2's neighbours 1 and 3
         # non-adjacent by reading 2's list and 1's (2 + 2); the pair (0, 4) then
         # fails on 0's row, before 2 sweeps
         rep = mkv_check(g, {0, 2, 4}, 0)
         assert (rep.verdict, rep.offending_pair, rep.offending_count) == (False, (0, 4), 1)
-        assert rep.ops == 21 + 4 + 4 + 16 + 2
+        assert rep.ops == 21 + 4 + 16 + 2
 
     def test_clique_with_twins(self):
         # K4 on 0..3 with the leaf 4 off 3: 0, 1 and 2 are closed twins
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-        # nothing to peel (5); twin keys 3 + 3 + 3 + 1; only 0 sweeps, settling
-        # 4 at level 2 (5 + 3 + 3 + 3 + 4), and 1 and 2 read its row; 6 pairs
+        # nothing to peel (5); 0, 1 and 2 each sweep, settling 4 at level 2
+        # (5 + 3 + 3 + 3 + 4 each), and 4 does not; 6 pairs
         rep = mkv_check(g, {0, 1, 2, 4}, 0, collect_pair_counts=True)
-        assert rep.verdict and rep.ops == 5 + 10 + 18 + 6
+        assert rep.verdict and rep.ops == 5 + 3 * 18 + 6
         assert rep.pair_counts == {(0, 1): 0, (0, 2): 0, (0, 4): 0, (1, 2): 0, (1, 4): 0, (2, 4): 0}
-        # without pair counts the cap 3 - 1 = 2 > 0 sends the class of 0 to the test: its
-        # neighbours 1, 2, 3 are pairwise adjacent (0's list, then 1's and 2's: 3 * 3).
+        # without pair counts the cap 3 - 1 = 2 > 0 sends 0, 1 and 2 to the test. The
+        # room is 2 * 19 + 10 - 5 = 43, and each test reads 9 (its own list, then the
+        # lists of its first two neighbours) and finds its neighbours pairwise adjacent.
         # No member is left inner, so the check stops after 0's sweep and 3 pairs
         rep = mkv_check(g, {0, 1, 2, 4}, 0)
-        assert rep.verdict and rep.ops == 5 + 10 + 9 + 18 + 3
-        # with 3 a member every twin reads the count 1 for its pair with 4
+        assert rep.verdict and rep.ops == 5 + 3 * 9 + 18 + 3
+        # with 3 a member each of 0, 1 and 2 has the count 1 for its pair with 4
         rep = mkv_check(g, {0, 1, 2, 3, 4}, 0, collect_pair_counts=True)
         assert (rep.verdict, rep.offending_pair, rep.offending_count) == (False, (0, 4), 1)
         assert [rep.pair_counts[v, 4] for v in range(4)] == [1, 1, 1, 0]
 
-    def test_whole_clique_is_one_class(self):
-        # twin keys 5 * 4; the cap 5 - 2 > 0 sends the one class to the test, which
-        # reads 0's list and those of 1, 2 and 3 (4 * 4) and finds them pairwise
-        # adjacent. So no member is inner: the check stops after one sweep, which
-        # settles every member at level 1 (5 + 4), and its 4 pairs
+    def test_whole_clique_runs_out_of_room(self):
+        # the cap 5 - 2 > 0 sends every member to the test, and each test reads its
+        # own list and three of its neighbours' lists (4 * 4). The room is
+        # 2 * 25 + 15 - 5 = 60: after three tests (48) a fourth would pass it, so 3
+        # and 4 stay inner, the cap 2 - 0 stays above k, and the ops bound holds.
+        # Each of 0..3 then sweeps, settling its later members at level 1 (5 + 4),
+        # and the 10 pairs are read
         rep = mkv_check(complete_graph(5), range(5), 0)
-        assert rep.verdict and rep.ops == 5 + 20 + 16 + 9 + 4
+        assert rep.verdict and rep.ops == 5 + 3 * 16 + 4 * 9 + 10
 
 
 class TestCheckVariant:
@@ -506,22 +510,14 @@ def _peeled_neighbours(g, members):
 
 
 def _test_fits(g, members, nbrs):
-    """Whether mkv_check's simplicial test, run on every twin class, fits in
-    its room: the ops bound less the peel, the twin keys, a full sweep per
-    class and every member pair. A class's test reads its smallest member's
-    list and the lists of all its neighbours but the last."""
+    """Whether mkv_check's simplicial test, run on every member of degree
+    above 1, fits in its room: the ops bound less the peel, a full sweep
+    from every member but the last and every member pair. A member's test
+    reads its own list and the lists of all its neighbours but the last."""
     size = len(members)
-    first, classes = {}, set()
-    for v in sorted(members):
-        keys = (frozenset(nbrs[v]), frozenset(nbrs[v] | {v}))
-        r = first.get(keys[0], first.get(keys[1]))
-        if r is None:
-            r = first[keys[0]] = first[keys[1]] = v
-        classes.add(r)
-    spend = sum(len(nbrs[r]) + sum(len(nbrs[a]) for a in sorted(nbrs[r])[:-1]) for r in classes if len(nbrs[r]) > 1)
+    spend = sum(len(nbrs[v]) + sum(len(nbrs[a]) for a in sorted(nbrs[v])[:-1]) for v in members if len(nbrs[v]) > 1)
     _, peel = kernel._peel(g.adj, kernel._membership(g.n, members))
-    room = (size - len(classes) + 1) * (g.n + 2 * g.m) + size * (size + 1) // 2 - peel
-    return spend <= room - sum(len(nbrs[v]) for v in members)
+    return spend <= 2 * (g.n + 2 * g.m) + size * (size + 1) // 2 - peel
 
 
 def _peeled_degrees(g, members):
@@ -622,10 +618,10 @@ class TestLeanKernel:
         g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         for collect in (False, True):
             rep = mkv_check(g, {0, 2, 4, 5}, 0, collect_pair_counts=collect)
-            # peel 3 (6 + 1, then 4's list of 2), twin keys 4, and member 0's sweep
-            # over its whole component (6 + 4)
+            # peel 3 (6 + 1, then 4's list of 2) and member 0's sweep over its whole
+            # component (6 + 4)
             assert rep == kernel.CheckReport(False, 0, offending_pair=(0, 4), reason=REASON_DISCONNECTED,
-                                      ops=9 + 4 + 10)
+                                      ops=9 + 10)
             assert dataclasses.replace(rep, ops=0) == _expected_check(g, {0, 2, 4, 5}, 0, collect)
 
     def test_at_most_one_member(self):
@@ -679,7 +675,7 @@ class TestLeafExit:
         """Without pair counts, the check stops after one sweep whenever
         the members with two non-adjacent neighbours after the peel, counted
         here apart from the kernel, leave at most k for any geodesic, and
-        testing every class fits in what the ops bound leaves."""
+        testing every member fits in what the ops bound leaves."""
         g, s = gs
         with mock.patch.object(kernel, "_count_bfs", wraps=kernel._count_bfs) as sweeps:
             rep = mkv_check(g, s, k)

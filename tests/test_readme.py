@@ -1,9 +1,14 @@
-"""The README's library quickstart runs as written and prints what its comments say."""
+"""The README's library quickstart runs as written and prints what its
+comments say, and its check example prints the report it shows."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from mkvis.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +32,24 @@ def test_library_quickstart_prints_its_comments():
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
     assert len(expected) == 7
+
+
+def test_check_example_prints_the_report_it_shows(capsys, monkeypatch):
+    """Each stage of the shown pipeline runs through mkvis.cli.main on the
+    previous stage's output; every field the README shows, ops included,
+    must match the report."""
+    text = README.read_text(encoding="utf-8")
+    command, shown = re.search(r"```sh\n\$ (mkvis gen cycle 7 \| mkvis check [^\n]*)\n```\s*```json\n(.*?)```",
+                               text, re.S).groups()
+    out = None
+    for stage in command.split("|"):
+        argv = shlex.split(stage)
+        assert argv[0] == "mkvis"
+        if out is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert main(argv[1:]) == 0
+        out = capsys.readouterr().out
+    shown = json.loads(shown)
+    report = json.loads(out)
+    assert shown["command"] == report["command"] == "check"
+    assert shown["result"] == {key: report["result"][key] for key in shown["result"]}
