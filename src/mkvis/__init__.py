@@ -8,109 +8,15 @@ general position number, visibility polynomials, a block-graph structure
 theory, and visibility covers, plus a CLI (``mkvis``).
 """
 
-from .blocks import (
-    AdmissibleWitness,
-    BlockCutTree,
-    block_decomposition,
-    contract_set,
-    expand_admissible,
-    is_block_graph,
-    is_k_admissible,
-    mu_k_block,
-)
-from .covering import (
-    CoverResult,
-    TauBounds,
-    cycle_cover_partition,
-    greedy_cover,
-    is_visibility_cover,
-    tau_bounds,
-    tau_k,
-)
-from .errors import (
-    DisconnectedGraphError,
-    GeodesicCapError,
-    GraphInputError,
-    SizeLimitError,
-)
-from .graphs import (
-    INFINITE,
-    Graph,
-    MetricSummary,
-    bfs_distances,
-    build_graph,
-    complete_bipartite,
-    complete_graph,
-    convex_hull,
-    cycle_graph,
-    diametral_path,
-    format_edge_list,
-    induced_subgraph,
-    is_connected,
-    is_infinite,
-    is_isometric_path,
-    metric_summary,
-    parse_edge_list,
-    path_graph,
-    random_block_graph,
-    random_connected,
-    shortest_path,
-)
-from .kernel import (
-    DUAL,
-    OUTER,
-    TOTAL,
-    VARIANTS,
-    CheckReport,
-    KernelResult,
-    bfs_mkv,
-    check_variant,
-    internal_counts,
-    min_internal_count,
-    mkv_check,
-    oracle_min_internal_count,
-)
-from .solvers import (
-    BoundsRecord,
-    Polynomial,
-    SolveResult,
-    bounds,
-    cycle_extremal_set,
-    gp_number,
-    hull_cover_bound,
-    mu_k,
-    mu_k_variant,
-    visibility_polynomial,
-)
+from .blocks import *
+from .covering import *
+from .errors import *
+from .graphs import *
+from .kernel import *
+from .solvers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graphs
-    "Graph", "MetricSummary", "INFINITE", "is_infinite",
-    "build_graph", "parse_edge_list", "format_edge_list",
-    "bfs_distances", "shortest_path", "is_connected", "metric_summary",
-    "diametral_path", "convex_hull", "is_isometric_path", "induced_subgraph",
-    "path_graph", "cycle_graph", "complete_graph", "complete_bipartite",
-    "random_connected", "random_block_graph",
-    # kernel
-    "KernelResult", "CheckReport", "bfs_mkv", "internal_counts",
-    "min_internal_count", "mkv_check", "check_variant",
-    "oracle_min_internal_count",
-    "TOTAL", "OUTER", "DUAL", "VARIANTS",
-    # solvers
-    "SolveResult", "BoundsRecord", "Polynomial",
-    "mu_k", "mu_k_variant", "gp_number", "bounds",
-    "visibility_polynomial", "cycle_extremal_set", "hull_cover_bound",
-    # blocks
-    "BlockCutTree", "AdmissibleWitness", "block_decomposition",
-    "is_block_graph", "is_k_admissible", "expand_admissible",
-    "contract_set", "mu_k_block",
-    # covering
-    "CoverResult", "TauBounds", "tau_k", "tau_bounds",
-    "is_visibility_cover", "greedy_cover", "cycle_cover_partition",
-    # errors
-    "GraphInputError", "DisconnectedGraphError", "SizeLimitError",
-    "GeodesicCapError",
-]
+# each module's __all__ declares what the package exports; a star import binds the module's name too
+__all__ = ["__version__", *blocks.__all__, *covering.__all__, *errors.__all__,
+           *graphs.__all__, *kernel.__all__, *solvers.__all__]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError
-from .graphs import Graph, _iterate, check_vertex_set, require_connected
+from .graphs import Graph, _check_size, _iterate, check_vertex_set, require_connected
 from .kernel import _check_count, _check_tolerance, mkv_check
 from .solvers import DEFAULT_MU_MAX_N, _CarriedChecker, _SweptChecker, _admit, _solve_mu, mu_k
 
@@ -25,6 +25,8 @@ __all__ = [
     "CoverResult",
     "DEFAULT_COVER_MAX_N",
     "DEFAULT_TAU_MAX_N",
+    "LOWER_CEIL_MU",
+    "LOWER_SEARCH",
     "TauBounds",
     "cycle_cover_partition",
     "greedy_cover",
@@ -166,6 +168,7 @@ def cycle_cover_partition(n: int, k: int) -> list[list[int]]:
     _check_tolerance(k)
     if not isinstance(n, int) or n < 3:
         raise GraphInputError(f"cycle needs at least three vertices, got {n!r}")
+    _check_size(n, 0)
     if 2 * k + 3 >= n:
         raise GraphInputError(
             f"needs 2k+3 < n (got 2k+3 = {2 * k + 3}, n = {n}); "

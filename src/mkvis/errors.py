@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DisconnectedGraphError", "GeodesicCapError", "GraphInputError", "SizeLimitError"]
+
 
 class GraphInputError(ValueError):
     """Malformed input: bad vertex ids, self-loops, duplicate edges, bad parameters."""

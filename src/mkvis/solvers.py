@@ -51,6 +51,7 @@ from .graphs import (
     INFINITE,
     Infinite,
     _bfs,
+    _check_size,
     _iterate,
     all_pairs_distances,
     check_vertex_set,
@@ -952,6 +953,7 @@ def cycle_extremal_set(n: int, k: int) -> set[int]:
     _check_tolerance(k)
     if not isinstance(n, int) or n < 3:
         raise GraphInputError(f"cycle needs at least three vertices, got {n!r}")
+    _check_size(n, 0)
     if 2 * k + 3 > n:
         raise GraphInputError(
             f"2k+3 = {2 * k + 3} exceeds n = {n}: every vertex subset of the "

@@ -17,6 +17,7 @@ from mkvis.covering import (
 )
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
+    MAX_VERTICES,
     build_graph,
     complete_bipartite,
     complete_graph,
@@ -237,6 +238,13 @@ class TestCycleCoverPartition:
             cycle_cover_partition(9, 3)  # 2k+3 = 9 is not < 9
         with pytest.raises(GraphInputError):
             cycle_cover_partition(2, 0)
+
+    def test_refuses_more_than_max_vertices(self):
+        """A cycle past MAX_VERTICES is refused before any part is built (at
+        n = 2^70 the parts would not fit in memory)."""
+        for n in (MAX_VERTICES + 1, 2**70):
+            with pytest.raises(SizeLimitError, match=f"limited to {MAX_VERTICES} vertices"):
+                cycle_cover_partition(n, 0)
 
     @pytest.mark.parametrize("n", range(4, 14))
     def test_matches_exact_tau(self, n):

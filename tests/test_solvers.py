@@ -17,6 +17,7 @@ from mkvis.blocks import block_decomposition, is_block_graph, mu_k_block
 from mkvis.covering import greedy_cover, is_visibility_cover, tau_bounds, tau_k
 from mkvis.errors import DisconnectedGraphError, GraphInputError, SizeLimitError
 from mkvis.graphs import (
+    MAX_VERTICES,
     build_graph,
     complete_bipartite,
     complete_graph,
@@ -1275,6 +1276,13 @@ class TestCycleExtremalSet:
     def test_rejects_oversized_tolerance(self):
         with pytest.raises(GraphInputError, match="exceeds"):
             cycle_extremal_set(5, 2)
+
+    def test_refuses_more_than_max_vertices(self):
+        """As the generators do; at n = 2^70, k = 2^68 the set would not fit
+        in memory."""
+        for n, k in ((MAX_VERTICES + 1, 0), (2**70, 2**68)):
+            with pytest.raises(SizeLimitError, match=f"limited to {MAX_VERTICES} vertices"):
+                cycle_extremal_set(n, k)
 
     @pytest.mark.parametrize("n", range(3, 14))
     def test_matches_cycle_formula(self, n):
